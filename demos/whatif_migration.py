@@ -43,7 +43,7 @@ def main():
         print("  ", " -> ".join(finding.display_path))
 
     overlay = Overlay(replace_algorithms=(("RSA[1024]", "ML-KEM[768]"),))
-    migrated = scan(apply_overlay(bundle, overlay))
+    migrated = scan(apply_overlay(bundle, overlay)[0])
     print(f"\nafter replacing RSA[1024] with ML-KEM[768]: {len(migrated)} finding(s)")
     for finding in migrated:
         print("  ", " -> ".join(finding.display_path))

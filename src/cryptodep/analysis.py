@@ -17,11 +17,15 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .ingest import Diagnostic, Severity, bundle_to_dict, _record_from_dict
+from .ingest import Diagnostic, Severity, _record_from_dict, assemble_bundle
 from .model import (
+    AssetRecord,
+    ClassificationBinding,
     Comparison,
+    CryptoObjectRecord,
     DataRecord,
     InventoryBundle,
+    RefOrigin,
     SecurityRating,
     Source,
     VulnerabilityClass,
@@ -141,16 +145,6 @@ class ScoreBreakdown:
             "warnings": list(self.warnings),
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScoreBreakdown":
-        return cls(
-            float(raw["sensitivity_weight"]),
-            float(raw["vuln_class_weight"]),
-            bool(raw["longevity_flag"]),
-            float(raw["total"]),
-            tuple(raw.get("warnings", [])),
-        )
-
 
 @dataclass(frozen=True)
 class EdgeTrace:
@@ -166,15 +160,6 @@ class EdgeTrace:
             "rule": self.rule,
             "provenance": [s.to_dict() for s in self.provenance],
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EdgeTrace":
-        return cls(
-            raw["from"],
-            raw["to"],
-            raw["rule"],
-            tuple(Source.from_dict(s) for s in raw.get("provenance", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -212,18 +197,6 @@ class Finding:
             raw["score"] = self.score.to_dict()
         return raw
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        return cls(
-            required=SecurityRating.from_dict(raw["required"]),
-            provided=SecurityRating.from_dict(raw["provided"]),
-            path=tuple(raw["path"]),
-            display_path=tuple(raw["display_path"]),
-            rule_trail=tuple(EdgeTrace.from_dict(t) for t in raw.get("rule_trail", [])),
-            affected_data=tuple(raw.get("affected_data", [])),
-            score=ScoreBreakdown.from_dict(raw["score"]) if "score" in raw else None,
-        )
-
 
 # --------------------------------------------------------------------------
 # detection
@@ -256,7 +229,8 @@ def _witness_paths(
 
     Distances to the goal come from a reverse traversal; any walk that
     decreases the distance by one at every step is a shortest path, so a
-    depth-first walk over sorted successors enumerates them in order.
+    depth-first walk over sorted successors enumerates them in order.  The
+    walk keeps its own stack, so path length is not bounded by recursion.
     """
     reverse: dict[str, list[str]] = {v: [] for v in adjacency}
     for vertex, succs in adjacency.items():
@@ -277,24 +251,25 @@ def _witness_paths(
     if start not in dist:
         return []
 
+    def nexts(current: str):
+        step = dist[current] - 1
+        return iter(sorted(s for s in adjacency[current] if usable(s) and dist.get(s) == step))
+
     found: list[tuple[str, ...]] = []
-    stack = [start]
-
-    def walk(current: str) -> bool:
-        if current == goal:
-            found.append(tuple(stack))
-            return len(found) >= limit
-        nexts = sorted(
-            s for s in adjacency[current] if usable(s) and dist.get(s) == dist[current] - 1
-        )
-        for succ in nexts:
-            stack.append(succ)
-            if walk(succ):
-                return True
-            stack.pop()
-        return False
-
-    walk(start)
+    path = [start]
+    pending = [nexts(start)]  # the successors still to try, one iterator per vertex on path
+    while pending:
+        succ = next(pending[-1], None)
+        if succ is None:
+            pending.pop()
+            path.pop()
+        elif succ == goal:
+            found.append((*path, goal))
+            if len(found) >= limit:
+                break
+        else:
+            path.append(succ)
+            pending.append(nexts(succ))
     return found
 
 
@@ -467,12 +442,15 @@ class OverlayError(ValueError):
 
 @dataclass(frozen=True)
 class Overlay:
-    """A hypothetical edit: swap algorithms, drop records, add records.
+    """A hypothetical edit of the inventory files: swap algorithms, drop
+    records, add records.
 
     ``replace_algorithms`` maps full primitive spellings like ``RSA[1024]``
     to replacements that must exist in the registry.  ``remove_records``
-    names record ids or classification labels.  ``add_records`` uses the
-    bundle dump record schema with a ``record_kind`` discriminator.
+    names record ids or classification labels.  ``add_records`` holds JSON
+    objects, one record each, whose ``record_kind`` is ``classification``,
+    ``data``, ``asset`` or ``crypto``.  ``apply_overlay`` makes the edit on
+    the parsed records.
     """
 
     replace_algorithms: tuple[tuple[str, str], ...] = ()
@@ -495,12 +473,17 @@ def parse_overlay(text: str) -> Overlay:
     unknown = set(raw) - known
     if unknown:
         raise OverlayError(f"unknown overlay keys: {', '.join(sorted(unknown))}")
+    for key in sorted(known):
+        if not isinstance(raw.get(key, []), list):
+            raise OverlayError(f"{key} must be a list")
 
     replacements = []
     for entry in raw.get("replace_algorithms", []):
         if not isinstance(entry, dict) or set(entry) != {"from", "to"}:
             raise OverlayError('replace_algorithms entries need exactly "from" and "to"')
         for spec in (entry["from"], entry["to"]):
+            if not isinstance(spec, str):
+                raise OverlayError(f"algorithm spec {spec!r} is not a string")
             try:
                 parse_primitive_spec(spec)
             except ValueError as exc:
@@ -519,28 +502,71 @@ def parse_overlay(text: str) -> Overlay:
     return Overlay(tuple(replacements), tuple(removals), tuple(additions))
 
 
-def apply_overlay(bundle: InventoryBundle, overlay: Overlay) -> InventoryBundle:
-    """A new bundle with the overlay applied.  The original is untouched.
+def _record_key(record) -> str:
+    return record.label if isinstance(record, ClassificationBinding) else record.id
 
-    Every named algorithm, replacement, and removal target must exist;
-    otherwise the full set of offenders is reported in one error.
+
+def _rewrite(record, replacements: dict[str, str], resolved):
+    """``record`` with each replaced algorithm spec written in its new
+    spelling: the algorithm of a crypto row, and every asset-field reference
+    that resolves to an algorithm."""
+    if isinstance(record, CryptoObjectRecord) and record.algorithm is not None:
+        new = replacements.get(primitive_key(record.algorithm, record.config_flags))
+        if new is not None:
+            name, flags = parse_primitive_spec(new)
+            return replace(record, algorithm=name, config_flags=flags)
+    elif isinstance(record, AssetRecord):
+        accesses = tuple(_rewrite_ref(ref, replacements, resolved) for ref in record.accesses)
+        if accesses != record.accesses:
+            return replace(record, accesses=accesses)
+    return record
+
+
+def _rewrite_ref(ref, replacements: dict[str, str], resolved):
+    # rules._typed_reference reads a target as an algorithm only when it
+    # names no crypto object, data or asset (the ids in ``resolved``)
+    if ref.origin is RefOrigin.ASSET_FIELD and ref.target not in resolved:
+        new = replacements.get(_spec_key(ref.target))
+        if new is not None:
+            return replace(ref, target=new)
+    return ref
+
+
+def _spec_key(target: str) -> str | None:
+    try:
+        return primitive_key(*parse_primitive_spec(target))
+    except ValueError:
+        return None
+
+
+def apply_overlay(
+    bundle: InventoryBundle, overlay: Overlay
+) -> tuple[InventoryBundle, list[Diagnostic]]:
+    """The bundle the overlay's hand edit of the input files would give,
+    with the diagnostics of assembling it.  The original is untouched.
+
+    Every named algorithm, replacement, and removal target must exist and
+    every added record must be well formed; otherwise the full set of
+    offenders is reported in one error.  The edit runs on
+    ``bundle.records``: drop the records whose id or label is removed,
+    rewrite replaced specs, append the added records, and assemble the
+    result with ``assemble_bundle``.  So an added asset with an existing id
+    merges, an added data or crypto record with one is a ``duplicate-id``,
+    an added classification ranks below the existing ones, and a removed id
+    that other records still reference comes back as an undeclared asset,
+    with a warning.
     """
     problems: list[str] = []
 
-    canonical = {}
+    replacements: dict[str, str] = {}
     for old, new in overlay.replace_algorithms:
-        old_name, old_flags = parse_primitive_spec(old)
         new_name, new_flags = parse_primitive_spec(new)
         if bundle.registry.lookup(new_name, new_flags) is None:
             problems.append(f"replacement {new} is not in the registry")
-        canonical[primitive_key(old_name, old_flags)] = (new_name, new_flags)
+        replacements[_spec_key(old)] = new
 
-    ids = (
-        {b.label for b in bundle.classifications}
-        | {r.id for r in bundle.data}
-        | {r.id for r in bundle.assets}
-        | {r.id for r in bundle.crypto_objects}
-    )
+    resolved = bundle.crypto_map().keys() | bundle.data_map().keys() | bundle.asset_map().keys()
+    ids = resolved | bundle.classification_map().keys()
     missing = [r for r in overlay.remove_records if r not in ids]
     problems.extend(f"cannot remove unknown record {r}" for r in missing)
 
@@ -548,49 +574,31 @@ def apply_overlay(bundle: InventoryBundle, overlay: Overlay) -> InventoryBundle:
     for entry in overlay.add_records:
         try:
             added.append(_record_from_dict(entry))
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
+            problems.append(f"bad added record: missing field {exc}")
+        except (AttributeError, TypeError, ValueError) as exc:
             problems.append(f"bad added record: {exc}")
 
     if problems:
         raise OverlayError("; ".join(problems))
 
     drop = set(overlay.remove_records)
-    classifications = [b for b in bundle.classifications if b.label not in drop]
-    data = [r for r in bundle.data if r.id not in drop]
-    assets = [r for r in bundle.assets if r.id not in drop]
-    crypto = []
-    for record in bundle.crypto_objects:
-        if record.id in drop:
-            continue
-        if record.algorithm is not None:
-            key = primitive_key(record.algorithm, record.config_flags)
-            if key in canonical:
-                name, flags = canonical[key]
-                record = replace(record, algorithm=name, config_flags=flags)
-        crypto.append(record)
+    edited = [
+        _rewrite(record, replacements, resolved)
+        for record in bundle.records
+        if _record_key(record) not in drop
+    ]
+    edited.extend(added)
+    overlaid, diagnostics = assemble_bundle(edited, bundle.registry, bundle.profiles)
 
-    from .model import AssetRecord, ClassificationBinding, CryptoObjectRecord, DataRecord
-
-    next_rank = max((b.rank for b in classifications), default=-1) + 1
-    for raw, record in zip(overlay.add_records, added):
-        if isinstance(record, ClassificationBinding):
-            # an added classification ranks least sensitive unless pinned
-            if "rank" not in raw:
-                record = replace(record, rank=next_rank)
-                next_rank += 1
-            classifications.append(record)
-        elif isinstance(record, DataRecord):
-            data.append(record)
-        elif isinstance(record, AssetRecord):
-            assets.append(record)
-        elif isinstance(record, CryptoObjectRecord):
-            crypto.append(record)
-
-    return InventoryBundle(
-        classifications=tuple(classifications),
-        data=tuple(sorted(data, key=lambda r: r.id)),
-        assets=tuple(sorted(assets, key=lambda r: r.id)),
-        crypto_objects=tuple(sorted(crypto, key=lambda r: r.id)),
-        registry=bundle.registry,
-        profiles=bundle.profiles,
-    )
+    readded = {_record_key(record) for record in added}
+    for ident in overlay.remove_records:
+        if ident in overlaid.asset_map() and ident not in readded:
+            diagnostics.append(
+                Diagnostic(
+                    Severity.WARNING, "overlay", "removed-but-referenced",
+                    f"removed record {ident!r} is still referenced by other records "
+                    f"and stays as an undeclared asset",
+                )
+            )
+    return overlaid, diagnostics

@@ -137,6 +137,8 @@ def _read_file(path: str, what: str) -> str:
 
 
 def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], dict[str, str]]:
+    """The bundle, its load diagnostics (registry, parsing, assembly), and
+    the input digests.  Validation runs on the bundle that gets used."""
     digests: dict[str, str] = {}
 
     profiles = []
@@ -174,8 +176,7 @@ def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], dict[str, str
     except IngestError as exc:
         raise _Fatal(str(exc)) from None
 
-    diagnostics = registry_diags + diags + validate_bundle(bundle)
-    return bundle, diagnostics, digests
+    return bundle, registry_diags + diags, digests
 
 
 def file_digest_or_fatal(path: str) -> str:
@@ -214,6 +215,17 @@ def _load_overlay(args, digests: dict[str, str]) -> Overlay:
         raise _Fatal(str(exc)) from None
 
 
+def _overlaid(bundle, diagnostics, overlay):
+    """The overlaid bundle and its diagnostics before validation: the load
+    diagnostics plus those of assembling the edit, each printed once."""
+    try:
+        overlaid, overlay_diags = apply_overlay(bundle, overlay)
+    except OverlayError as exc:
+        raise _Fatal(str(exc)) from None
+    seen = set(diagnostics)
+    return overlaid, diagnostics + [d for d in overlay_diags if d not in seen]
+
+
 def _emit_diagnostics(diagnostics) -> None:
     for diag in diagnostics:
         print(diag.render(), file=sys.stderr)
@@ -223,12 +235,21 @@ def _has_errors(diagnostics) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
-def _scan(bundle, diagnostics, policy, horizon, witnesses):
+def _scan(bundle, diagnostics, policy, horizon, witnesses, digests):
+    """Validate, build, detect and report; returns the graph and the report."""
+    diagnostics = diagnostics + validate_bundle(bundle)
     graph = build_graph(bundle)
     findings, analysis_diags = find_violations(
         graph, bundle, policy, horizon, max_witnesses=witnesses
     )
-    return graph, findings, list(diagnostics) + analysis_diags
+    report = make_report(graph, findings, diagnostics + analysis_diags, policy, horizon, digests)
+    return graph, report
+
+
+def _exit_code(report) -> int:
+    if report.findings or _has_errors(report.diagnostics):
+        return EXIT_FINDINGS
+    return EXIT_CLEAN
 
 
 # --------------------------------------------------------------------------
@@ -241,60 +262,41 @@ def cmd_scan(args) -> int:
     horizon = _load_horizon(args)
 
     if args.overlay:
-        overlay = _load_overlay(args, digests)
-        try:
-            bundle = apply_overlay(bundle, overlay)
-        except OverlayError as exc:
-            raise _Fatal(str(exc)) from None
+        bundle, diagnostics = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
-    graph, findings, diagnostics = _scan(bundle, diagnostics, policy, horizon, args.witnesses)
-    report = make_report(graph, findings, diagnostics, policy, horizon, digests)
+    graph, report = _scan(bundle, diagnostics, policy, horizon, args.witnesses, digests)
 
     if args.format == "json":
         sys.stdout.write(render_json(report))
     elif args.format == "dot":
-        sys.stdout.write(render_dot(graph, highlight=list(findings)))
+        sys.stdout.write(render_dot(graph, highlight=list(report.findings)))
     else:
         sys.stdout.write(render_text(report, verbosity=args.verbosity))
-    _emit_diagnostics(diagnostics)
-
-    if findings or _has_errors(diagnostics):
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+    _emit_diagnostics(report.diagnostics)
+    return _exit_code(report)
 
 
 def cmd_whatif(args) -> int:
     bundle, diagnostics, digests = _load_inputs(args)
     policy = _load_policy(args)
     horizon = _load_horizon(args)
-    overlay = _load_overlay(args, digests)
-    try:
-        overlaid_bundle = apply_overlay(bundle, overlay)
-    except OverlayError as exc:
-        raise _Fatal(str(exc)) from None
+    overlaid, over_diags = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
-    base_graph, base_findings, base_diags = _scan(
-        bundle, diagnostics, policy, horizon, args.witnesses
-    )
-    over_graph, over_findings, over_diags = _scan(
-        overlaid_bundle, diagnostics, policy, horizon, args.witnesses
-    )
-    baseline = make_report(base_graph, base_findings, base_diags, policy, horizon, digests)
-    scenario = make_report(over_graph, over_findings, over_diags, policy, horizon, digests)
+    # one graph at a time: the baseline's is dropped before the scenario's is built
+    baseline = _scan(bundle, diagnostics, policy, horizon, args.witnesses, digests)[1]
+    scenario = _scan(overlaid, over_diags, policy, horizon, args.witnesses, digests)[1]
 
     if args.format == "json":
         sys.stdout.write(render_whatif_json(baseline, scenario))
     else:
         sys.stdout.write(render_whatif_text(baseline, scenario, verbosity=args.verbosity))
-    _emit_diagnostics(over_diags)
-
-    if over_findings or _has_errors(over_diags):
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+    _emit_diagnostics(scenario.diagnostics)
+    return _exit_code(scenario)
 
 
 def cmd_graph(args) -> int:
     bundle, diagnostics, _ = _load_inputs(args)
+    diagnostics += validate_bundle(bundle)
     graph = build_graph(bundle)
     sys.stdout.write(render_dot(graph))
     _emit_diagnostics(diagnostics)
@@ -303,6 +305,7 @@ def cmd_graph(args) -> int:
 
 def cmd_validate(args) -> int:
     bundle, diagnostics, _ = _load_inputs(args)
+    diagnostics += validate_bundle(bundle)
     for diag in diagnostics:
         print(diag.render())
     errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)

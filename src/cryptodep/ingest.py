@@ -58,9 +58,6 @@ __all__ = [
     "load_bundle",
     "assemble_bundle",
     "validate_bundle",
-    "bundle_to_dict",
-    "bundle_from_dict",
-    "load_bundle_dump",
 ]
 
 
@@ -95,12 +92,6 @@ class Diagnostic:
             "message": self.message,
         }
 
-    @staticmethod
-    def from_dict(obj: dict) -> Diagnostic:
-        return Diagnostic(
-            Severity(obj["severity"]), obj["file"], obj["code"], obj["message"], obj.get("line")
-        )
-
 
 DIAGNOSTIC_CODES = frozenset(
     {
@@ -127,6 +118,7 @@ DIAGNOSTIC_CODES = frozenset(
         "dangling-reference",
         "namespace-collision",
         "label-collision",
+        "removed-but-referenced",
     }
 )
 
@@ -182,18 +174,6 @@ class MappingProfile:
     kind: RecordKind
     columns: dict[str, Role] = field(default_factory=dict)
     defaults: dict[Role, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "inventory": self.inventory,
-            "kind": self.kind.value,
-            "columns": {c: r.value for c, r in sorted(self.columns.items())},
-            "defaults": {r.value: v for r, v in sorted(self.defaults.items())},
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> MappingProfile:
-        return _profile_from_dict(obj, where="profile")
 
 
 def _profile_from_dict(obj: dict, where: str) -> MappingProfile:
@@ -877,8 +857,9 @@ def assemble_bundle(
     Asset records with the same id merge (union of references); duplicate
     data/crypto ids are errors with the lexicographically first record kept.
     Access targets materialise as undeclared assets so asset-to-asset
-    relations never dangle.
+    relations never dangle.  The bundle keeps ``records`` as given.
     """
+    records = tuple(records)
     diags: list[Diagnostic] = []
 
     bindings: dict[str, dict] = {}
@@ -958,6 +939,7 @@ def assemble_bundle(
         crypto_objects=tuple(crypto[k] for k in sorted(crypto)),
         registry=registry,
         profiles=tuple(profiles),
+        records=records,
     )
     return bundle, diags
 
@@ -1010,7 +992,7 @@ def _merge_assets(ident: str, parts: list[AssetRecord], diags: list[Diagnostic])
         (p.source for p in (identity or relation or parts)),
         key=lambda s: (s.file, s.ref),
     )
-    return AssetRecord(
+    merged = AssetRecord(
         id=ident,
         kind=kinds[0] if kinds else None,
         serves=serves,
@@ -1018,6 +1000,9 @@ def _merge_assets(ident: str, parts: list[AssetRecord], diags: list[Diagnostic])
         name=names[0] if names else None,
         source=source,
     )
+    # share a part equal to the merge, so the bundle and its records hold
+    # one copy of an asset declared by one row
+    return next((p for p in parts if p == merged), merged)
 
 
 def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
@@ -1117,109 +1102,36 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
 
 
 # --------------------------------------------------------------------------
-# bundle serialisation (round-trip counterpart of report.dump_bundle)
+# overlay records: one record from a JSON object with a ``record_kind``
 # --------------------------------------------------------------------------
 
-def bundle_to_dict(bundle: InventoryBundle) -> dict:
-    return {
-        "schema_version": 1,
-        "classifications": [
-            {
-                "label": c.label,
-                "rank": c.rank,
-                "required": [r.to_dict() for r in c.required],
-                "source": c.source.to_dict(),
-            }
-            for c in bundle.classifications
-        ],
-        "data": [
-            {
-                "id": d.id,
-                "name": d.name,
-                "classification": d.classification,
-                "storage_locations": list(d.storage_locations),
-                "retention_years": d.retention_years,
-                "source": d.source.to_dict(),
-            }
-            for d in bundle.data
-        ],
-        "assets": [
-            {
-                "id": a.id,
-                "name": a.name,
-                "kind": a.kind.value if a.kind else None,
-                "serves": list(a.serves),
-                "accesses": [ref.to_dict() for ref in a.accesses],
-                "source": a.source.to_dict(),
-            }
-            for a in bundle.assets
-        ],
-        "crypto_objects": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "object_type": c.object_type.value,
-                "location": c.location,
-                "key_locations": list(c.key_locations),
-                "algorithm": c.algorithm,
-                "config_flags": list(c.config_flags),
-                "matched_key": c.matched_key,
-                "issuer_cert": c.issuer_cert,
-                "created_by": c.created_by,
-                "source": c.source.to_dict(),
-            }
-            for c in bundle.crypto_objects
-        ],
-        "registry": registry_to_entries(bundle.registry),
-        "profiles": [p.to_dict() for p in bundle.profiles],
-    }
-
-
-def registry_to_entries(registry: CryptoRegistry) -> list[dict]:
-    entries = []
-    for name in registry.algorithm_names():
-        configs = []
-        for config in registry.algorithms[name]:
-            obj: dict = {"flags": list(config.flags)}
-            for rating in config.ratings:
-                if rating.dimension.value == "Bits":
-                    obj["security"] = rating.value
-                elif rating.dimension.value == "Approval":
-                    obj["NIST-approval"] = (
-                        "NIST-approved" if rating.value == "approved" else "not-NIST-approved"
-                    )
-                else:
-                    obj["quantum-safety"] = rating.value
-            if config.vulnerability_class is not VulnerabilityClass.UNKNOWN:
-                obj["class"] = config.vulnerability_class.value
-            if config.break_estimate is not None:
-                obj["break-qubits"] = config.break_estimate.qubits
-                obj["break-time"] = config.break_estimate.wall_time
-            if config.uses:
-                obj["uses"] = list(config.uses)
-            obj["source"] = config.source.to_dict()
-            configs.append(obj)
-        entries.append({"name": name, "configurations": configs})
-    return entries
-
-
 def _source_from(obj: dict, fallback_ref: str) -> Source:
-    if "source" in obj:
-        return Source.from_dict(obj["source"])
-    return Source("overlay", fallback_ref)
+    if "source" not in obj:
+        return Source("overlay", fallback_ref)
+    source = Source.from_dict(obj["source"])
+    if not (isinstance(source.file, str) and isinstance(source.ref, str)):
+        raise ValueError(f"source must name a file and a ref as strings, got {obj['source']!r}")
+    return source
 
 
 def _rating_from(raw) -> SecurityRating:
     if isinstance(raw, dict):
         return SecurityRating.from_dict(raw)
-    return SecurityRating.parse(str(raw))
+    rating = SecurityRating.parse(str(raw))
+    if rating is None:
+        raise ValueError(f"cannot interpret security level {raw!r}")
+    return rating
 
 
 def _classification_from_dict(obj: dict) -> ClassificationBinding:
+    # rank follows order, as for rows of the classification sheet
+    if "rank" in obj:
+        raise ValueError(f"classification {obj.get('label')!r} may not set a rank")
+    if not isinstance(obj["required"], list):
+        raise ValueError(f"classification {obj['label']!r} needs a list of required levels")
     return ClassificationBinding(
         label=obj["label"],
         required=tuple(_rating_from(r) for r in obj["required"]),
-        rank=obj.get("rank", 0),
         source=_source_from(obj, obj["label"]),
     )
 
@@ -1237,12 +1149,15 @@ def _data_from_dict(obj: dict) -> DataRecord:
 
 
 def _asset_from_dict(obj: dict) -> AssetRecord:
+    accesses = tuple(AccessRef.from_dict(r) for r in obj.get("accesses", []))
+    if not all(isinstance(ref.target, str) for ref in accesses):
+        raise ValueError(f"access targets of {obj['id']!r} must be strings")
     return AssetRecord(
         id=obj["id"],
         name=obj.get("name"),
         kind=AssetKind(obj["kind"]) if obj.get("kind") else None,
         serves=tuple(obj.get("serves", [])),
-        accesses=tuple(AccessRef.from_dict(r) for r in obj.get("accesses", [])),
+        accesses=accesses,
         source=_source_from(obj, obj["id"]),
     )
 
@@ -1263,6 +1178,12 @@ def _crypto_from_dict(obj: dict) -> CryptoObjectRecord:
     )
 
 
+_TEXT_FIELDS = frozenset({
+    "id", "label", "name", "classification", "kind", "object_type", "location",
+    "algorithm", "matched_key", "issuer_cert", "created_by",
+})
+_TEXT_LIST_FIELDS = frozenset({"storage_locations", "serves", "key_locations", "config_flags"})
+
 _RECORD_DESERIALIZERS = {
     RecordKind.CLASSIFICATION: _classification_from_dict,
     RecordKind.DATA: _data_from_dict,
@@ -1272,32 +1193,19 @@ _RECORD_DESERIALIZERS = {
 
 
 def _record_from_dict(entry: dict):
-    """One record from its dump form plus a ``record_kind`` discriminator."""
+    """One record from an overlay's ``add_records`` entry, whose
+    ``record_kind`` names the record type."""
     try:
         kind = RecordKind(entry["record_kind"])
     except ValueError:
         raise ValueError(f"unknown record_kind {entry['record_kind']!r}") from None
     if kind not in _RECORD_DESERIALIZERS:
         raise ValueError(f"cannot add records of kind {kind.value!r}")
+    for key, value in entry.items():
+        if key in _TEXT_FIELDS and value is not None and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        if key in _TEXT_LIST_FIELDS and not (
+            isinstance(value, list) and all(isinstance(v, str) for v in value)
+        ):
+            raise ValueError(f"{key} must be a list of strings, got {value!r}")
     return _RECORD_DESERIALIZERS[kind](entry)
-
-
-def bundle_from_dict(doc: dict) -> InventoryBundle:
-    classifications = tuple(
-        _classification_from_dict(obj) for obj in doc.get("classifications", [])
-    )
-    data = tuple(_data_from_dict(obj) for obj in doc.get("data", []))
-    assets = tuple(_asset_from_dict(obj) for obj in doc.get("assets", []))
-    crypto = tuple(_crypto_from_dict(obj) for obj in doc.get("crypto_objects", []))
-    registry, _ = parse_registry_text(json.dumps(doc.get("registry", [])), "<bundle>")
-    profiles = tuple(MappingProfile.from_dict(p) for p in doc.get("profiles", []))
-    return InventoryBundle(classifications, data, assets, crypto, registry, profiles)
-
-
-def load_bundle_dump(text: str) -> InventoryBundle:
-    """Parse a bundle previously serialised by ``report.dump_bundle``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"bundle dump is not valid JSON: {exc}") from None
-    return bundle_from_dict(doc)

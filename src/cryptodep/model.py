@@ -264,16 +264,6 @@ class AccessRef:
     #: merged record's own source may name a different row
     source: Source | None = None
 
-    def to_dict(self) -> dict:
-        obj = {
-            "target": self.target,
-            "direction": self.direction.value,
-            "origin": self.origin.value,
-        }
-        if self.source is not None:
-            obj["source"] = self.source.to_dict()
-        return obj
-
     @staticmethod
     def from_dict(obj: dict) -> AccessRef:
         return AccessRef(
@@ -470,7 +460,12 @@ def lookup_configuration(registry: CryptoRegistry, algorithm: str, flags) -> Con
 @dataclass(frozen=True)
 class InventoryBundle:
     """Everything parsed from one scan's worth of input files, in canonical
-    (sorted) order so downstream output is independent of file ordering."""
+    (sorted) order so downstream output is independent of file ordering.
+
+    ``records`` holds the parsed records the bundle was assembled from, in
+    input order; overlays edit that list and assemble it again.  It takes no
+    part in equality, which compares what the records assembled into.
+    """
 
     classifications: tuple[ClassificationBinding, ...] = ()
     data: tuple[DataRecord, ...] = ()
@@ -478,6 +473,7 @@ class InventoryBundle:
     crypto_objects: tuple[CryptoObjectRecord, ...] = ()
     registry: CryptoRegistry = field(default_factory=CryptoRegistry)
     profiles: tuple = ()
+    records: tuple = field(default=(), compare=False, repr=False)
 
     # The maps are memoised: the bundle is immutable and graph construction
     # asks for them once per record, which is quadratic if rebuilt each time.

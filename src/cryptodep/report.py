@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import Finding, HorizonConfig, ScoringPolicy
-from .ingest import Diagnostic, bundle_to_dict
-from .model import InventoryBundle, VulnerabilityClass
+from .ingest import Diagnostic
+from .model import VulnerabilityClass
 from .rules import DependencyGraph, VertexKind
 
 __all__ = [
@@ -28,11 +28,9 @@ __all__ = [
     "ScanReport",
     "render_dot",
     "render_json",
-    "parse_report",
     "render_text",
     "render_whatif_text",
     "render_whatif_json",
-    "dump_bundle",
     "file_digest",
     "text_digest",
 ]
@@ -65,10 +63,6 @@ class GraphStats:
             "edges_by_rule": dict(sorted(self.edges_by_rule.items())),
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GraphStats":
-        return cls(raw["vertices"], raw["edges"], dict(raw.get("edges_by_rule", {})))
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -95,19 +89,6 @@ class ScanReport:
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "graph_stats": self.graph_stats.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScanReport":
-        echo = raw.get("config_echo", {})
-        return cls(
-            tool_version=raw["tool_version"],
-            input_digests=dict(raw.get("input_digests", {})),
-            policy=ScoringPolicy.from_dict(echo.get("policy", {})),
-            horizon=HorizonConfig.from_dict(echo.get("horizon", {})),
-            findings=tuple(Finding.from_dict(f) for f in raw.get("findings", [])),
-            diagnostics=tuple(Diagnostic.from_dict(d) for d in raw.get("diagnostics", [])),
-            graph_stats=GraphStats.from_dict(raw["graph_stats"]),
-        )
 
 
 def make_report(
@@ -195,14 +176,6 @@ def render_dot(graph: DependencyGraph, highlight: list[Finding] | None = None) -
 
 def render_json(report: ScanReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def parse_report(text: str) -> ScanReport:
-    return ScanReport.from_dict(json.loads(text))
-
-
-def dump_bundle(bundle: InventoryBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------

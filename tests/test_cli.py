@@ -231,6 +231,48 @@ def test_bad_overlay_is_fatal(tmp_path):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"add_records": [{"record_kind": "classification", "label": "Internal",
+                          "required": ["sort of secure"]}]},
+        {"add_records": [{"record_kind": "classification", "label": "Internal",
+                          "required": ["128"], "rank": 0}]},
+        {"add_records": [{"record_kind": "data"}]},
+        {"add_records": [{"record_kind": "data", "id": 9}]},
+        {"add_records": [{"record_kind": "data", "id": "D9", "storage_locations": "DB1"}]},
+        {"add_records": [{"record_kind": "asset", "id": "Z", "accesses": [
+            {"target": 5, "direction": "two-way", "origin": "asset-field"}]}]},
+        {"add_records": [{"record_kind": "data", "id": "Z", "source": {"file": 1, "ref": "Z"}}]},
+        {"add_records": 5},
+        {"replace_algorithms": [{"from": 1024, "to": "RSA[2048]"}]},
+    ],
+)
+def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc):
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps(doc))
+    for command in ("scan", "whatif"):
+        code, out, err = run_cli(cloud_minimal_args(command, "--overlay", str(overlay)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_overlay_is_validated_with_the_scenario(tmp_path):
+    overlay = tmp_path / "add.json"
+    overlay.write_text(json.dumps({"add_records": [
+        {"record_kind": "data", "id": "Audit1", "classification": "High",
+         "storage_locations": ["Nowhere"]},
+    ]}))
+    code, _, err = run_cli(cloud_minimal_args("scan", "--overlay", str(overlay)))
+    assert code == 1
+    assert "error: overlay: dangling-reference: data 'Audit1' names storage location 'Nowhere'" in err
+    # the baseline alone is clean apart from its finding
+    assert "dangling-reference" not in run_cli(cloud_minimal_args("scan"))[2]
+
+
 def test_bad_horizon_is_fatal(tmp_path):
     horizon = tmp_path / "h.json"
     horizon.write_text(json.dumps({"quantum_horizon_years": -3}))

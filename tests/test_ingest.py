@@ -26,8 +26,6 @@ from cryptodep.ingest import (
     RecordKind,
     Role,
     Severity,
-    bundle_from_dict,
-    bundle_to_dict,
     match_profile,
     parse_profiles,
     parse_registry_text,
@@ -538,18 +536,16 @@ def test_validate_clean_fixture(cloud_minimal_bundle):
 
 
 # --------------------------------------------------------------------------
-# serialisation round trip
+# round trip through the parsed records
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bundle_round_trip(seed):
-    bundle, _, _ = inventory_gen.random_bundle(random.Random(seed))
-    clone = bundle_from_dict(bundle_to_dict(bundle))
-    assert clone.classifications == bundle.classifications
-    assert clone.data == bundle.data
-    assert clone.assets == bundle.assets
-    assert clone.crypto_objects == bundle.crypto_objects
-    assert clone.registry == bundle.registry
+    bundle, records, _ = inventory_gen.random_bundle(random.Random(seed))
+    assert bundle.records == tuple(records)
+    clone, _ = assemble_bundle(bundle.records, bundle.registry, bundle.profiles)
+    assert clone == bundle
+    assert clone.records == bundle.records
 
 
 def test_load_bundle_applies_profiles_per_file(cloud_minimal_bundle):

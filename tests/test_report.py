@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
-
-import pytest
 
 from cryptodep import (
     DependencyGraph,
@@ -14,13 +11,10 @@ from cryptodep import (
     find_violations,
     load_default_registry,
 )
-from cryptodep.ingest import load_bundle_dump
 from cryptodep.report import (
     ScanReport,
-    dump_bundle,
     file_digest,
     make_report,
-    parse_report,
     render_dot,
     render_json,
     render_text,
@@ -30,7 +24,6 @@ from cryptodep.report import (
 )
 from cryptodep.rules import Edge, Vertex, VertexKind
 
-import inventory_gen
 from oracle import read_dot
 
 
@@ -107,18 +100,6 @@ def test_dot_output_is_stable(cloud_minimal_bundle):
 # JSON
 # --------------------------------------------------------------------------
 
-def test_json_report_round_trip(cloud_minimal_bundle):
-    report, _, _ = report_for(cloud_minimal_bundle, {"a.csv": "deadbeef"})
-    assert parse_report(render_json(report)) == report
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_json_report_round_trip_random(seed):
-    bundle, _, _ = inventory_gen.random_bundle(random.Random(seed))
-    report, _, _ = report_for(bundle)
-    assert parse_report(render_json(report)) == report
-
-
 def test_json_report_shape(cloud_minimal_bundle):
     report, _, _ = report_for(cloud_minimal_bundle, {"a.csv": "deadbeef"})
     doc = json.loads(render_json(report))
@@ -184,7 +165,7 @@ def _baseline_and_cleared(bundle):
     from cryptodep import Overlay, apply_overlay
 
     baseline, _, _ = report_for(bundle)
-    patched = apply_overlay(bundle, Overlay(remove_records=("WWW1",)))
+    patched, _ = apply_overlay(bundle, Overlay(remove_records=("WWW1",)))
     scenario, _, _ = report_for(patched)
     return baseline, scenario
 
@@ -210,13 +191,8 @@ def test_whatif_json(cloud_minimal_bundle):
 
 
 # --------------------------------------------------------------------------
-# bundle dumps and digests
+# digests
 # --------------------------------------------------------------------------
-
-def test_dump_bundle_round_trip(cloud_minimal_bundle):
-    clone = load_bundle_dump(dump_bundle(cloud_minimal_bundle))
-    assert clone == cloud_minimal_bundle
-
 
 def test_digest_helpers(tmp_path):
     assert text_digest("abc") == hashlib.sha256(b"abc").hexdigest()
