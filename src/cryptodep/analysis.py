@@ -2,12 +2,15 @@
 
 A violation exists when a security level that some classification requires
 can reach, along directed edges, a strictly lower provided level in the same
-dimension.  Detection uses plain reachability; the reported witness path is
-the lexicographically smallest among the shortest paths whose interior
-avoids other security-level vertices, so the chain reads as the actual chain
-of custody rather than hopping through the level layer.  If every path runs
-through another level vertex, the plain shortest path is reported and the
-finding carries a warning.
+dimension.  Detection runs one reverse breadth-first search from each
+provided level over the graph's index; it records level vertices but does
+not pass through them, so it reaches every required level that has a path
+whose interior avoids other levels.  The reported witness path is the
+lexicographically smallest among those shortest paths, so the chain reads as
+the actual chain of custody rather than hopping through the level layer.  A
+required level the search misses may still reach the provided level through
+another level vertex: a plain reverse search decides that, the plain
+shortest path is reported, and the finding carries a warning.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .model import (
     parse_primitive_spec,
     primitive_key,
 )
-from .rules import DependencyGraph, Edge, Vertex, VertexKind
+from .rules import DependencyGraph, VertexKind
 
 __all__ = [
     "ScoringPolicy",
@@ -88,10 +91,14 @@ class ScoringPolicy:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScoringPolicy":
+        """Raises ValueError unless ``raw`` is an object whose
+        ``class_weights`` is an object and whose values are numbers."""
+        raw = _json_object(raw, "a policy")
         weights = dict(DEFAULT_CLASS_WEIGHTS)
-        for name, weight in raw.get("class_weights", {}).items():
-            weights[VulnerabilityClass(name)] = float(weight)
-        return cls(weights, float(raw.get("longevity_multiplier", 2.0)))
+        class_weights = _json_object(raw.get("class_weights", {}), "class_weights")
+        for name in class_weights:
+            weights[VulnerabilityClass(name)] = _number(class_weights, name)
+        return cls(weights, _number(raw, "longevity_multiplier", 2.0))
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,25 @@ class HorizonConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HorizonConfig":
+        """Raises ValueError unless ``raw`` is an object of numbers."""
+        raw = _json_object(raw, "a horizon")
         return cls(
-            float(raw.get("migration_years", 5.0)),
-            float(raw.get("quantum_horizon_years", 15.0)),
+            _number(raw, "migration_years", 5.0),
+            _number(raw, "quantum_horizon_years", 15.0),
         )
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, default: float | None = None) -> float:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def check_longevity(data: DataRecord, horizon: HorizonConfig) -> tuple[bool, bool]:
@@ -202,58 +224,44 @@ class Finding:
 # detection
 # --------------------------------------------------------------------------
 
-def _level_vertices(graph: DependencyGraph) -> list[Vertex]:
-    return [v for v in graph.vertices if v.kind is VertexKind.SECURITY_LEVEL]
-
-
-def _reachable(adjacency: dict[str, list[str]], start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for succ in adjacency[queue.popleft()]:
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-    return seen
-
-
-def _witness_paths(
-    adjacency: dict[str, list[str]],
-    start: str,
-    goal: str,
-    blocked: set[str],
-    limit: int,
-) -> list[tuple[str, ...]]:
-    """Up to ``limit`` shortest paths start -> goal whose interior avoids
-    ``blocked``, in lexicographic order on the vertex-id sequence.
-
-    Distances to the goal come from a reverse traversal; any walk that
-    decreases the distance by one at every step is a shortest path, so a
-    depth-first walk over sorted successors enumerates them in order.  The
-    walk keeps its own stack, so path length is not bounded by recursion.
-    """
-    reverse: dict[str, list[str]] = {v: [] for v in adjacency}
-    for vertex, succs in adjacency.items():
-        for succ in succs:
-            reverse[succ].append(vertex)
-
-    def usable(v: str) -> bool:
-        return v == start or v == goal or v not in blocked
-
+def _distances_to(graph: DependencyGraph, goal: str, stop) -> dict[str, int]:
+    """Hops from each vertex that reaches ``goal`` to ``goal``, by a reverse
+    breadth-first search that records the vertices in ``stop`` but does
+    not search past them."""
+    predecessors = graph.index.predecessors
     dist = {goal: 0}
     queue = deque([goal])
     while queue:
         vertex = queue.popleft()
-        for pred in reverse[vertex]:
-            if pred not in dist and usable(pred):
-                dist[pred] = dist[vertex] + 1
-                queue.append(pred)
-    if start not in dist:
-        return []
+        hops = dist[vertex] + 1
+        for pred in predecessors.get(vertex, ()):
+            if pred not in dist:
+                dist[pred] = hops
+                if pred not in stop:
+                    queue.append(pred)
+    return dist
+
+
+def _witness_paths(
+    graph: DependencyGraph, start: str, goal: str, dist: dict[str, int], blocked, limit: int
+) -> list[tuple[str, ...]]:
+    """Up to ``limit`` shortest paths start -> goal whose interior avoids
+    ``blocked``, in lexicographic order on the vertex-id sequence, given
+    the distances to ``goal`` of a search that did not pass ``blocked``.
+
+    Any walk that decreases the distance by one at every step is a shortest
+    path, so a depth-first walk over sorted successors enumerates them in
+    order.  The walk keeps its own stack, so path length is not bounded by
+    recursion.
+    """
+    out_edges = graph.index.out_edges
 
     def nexts(current: str):
         step = dist[current] - 1
-        return iter(sorted(s for s in adjacency[current] if usable(s) and dist.get(s) == step))
+        return iter(sorted({
+            e.to for e in out_edges.get(current, ())
+            if dist.get(e.to) == step and (e.to == goal or e.to not in blocked)
+        }))
 
     found: list[tuple[str, ...]] = []
     path = [start]
@@ -273,17 +281,28 @@ def _witness_paths(
     return found
 
 
-def _edge_lookup(graph: DependencyGraph) -> dict[tuple[str, str], list[Edge]]:
-    table: dict[tuple[str, str], list[Edge]] = {}
-    for edge in graph.edges:
-        table.setdefault((edge.frm, edge.to), []).append(edge)
-    return table
+def _witnesses_to(graph: DependencyGraph, low: str, highs: list[str], level_ids: set[str], limit: int):
+    """(high, low) -> (witness paths, whether they cross another level) for
+    each level in ``highs`` that reaches ``low``.  The distance maps die on
+    return, so only one provided level's are alive at a time."""
+    dist = _distances_to(graph, low, level_ids)
+    plain = None
+    found = {}
+    for high in highs:
+        if high in dist:
+            found[high, low] = _witness_paths(graph, high, low, dist, level_ids, limit), False
+            continue
+        if plain is None:
+            plain = _distances_to(graph, low, ())
+        if high in plain:
+            found[high, low] = _witness_paths(graph, high, low, plain, (), limit), True
+    return found
 
 
-def _trace(path: tuple[str, ...], lookup: dict[tuple[str, str], list[Edge]]) -> tuple[EdgeTrace, ...]:
+def _trace(path: tuple[str, ...], graph: DependencyGraph) -> tuple[EdgeTrace, ...]:
     trail = []
     for frm, to in zip(path, path[1:]):
-        edges = lookup.get((frm, to), [])
+        edges = graph.edges_between(frm, to)
         rule = "/".join(sorted({e.rule for e in edges})) if edges else "?"
         provenance = tuple(sorted({s for e in edges for s in e.provenance}, key=lambda s: (s.file, s.ref)))
         trail.append(EdgeTrace(frm, to, rule, provenance))
@@ -301,72 +320,64 @@ def find_violations(
     dimension) connected by a directed path, each with up to
     ``max_witnesses`` witness paths.
 
-    Findings are sorted by descending score, then by id.  When ``bundle`` is
-    given the scores use its classification ranking and data retention;
-    otherwise all findings get neutral sensitivity.
+    One reverse search runs from each provided level; it gives the
+    distance to that level from every required level whose path avoids the
+    other levels.  A required level it misses is checked by a plain reverse
+    search, run at most once per provided level, which gives the
+    through-level witnesses.  Pairs and their diagnostics come out in
+    (required, provided) order; findings are sorted by descending score,
+    then by id.  When ``bundle`` is given the scores use its classification
+    ranking and data retention; otherwise all findings get neutral
+    sensitivity.
     """
     policy = policy or ScoringPolicy()
     horizon = horizon or HorizonConfig()
     diagnostics: list[Diagnostic] = []
 
-    adjacency = graph.adjacency()
-    levels = _level_vertices(graph)
+    levels = [v for v in graph.vertices if v.kind is VertexKind.SECURITY_LEVEL]
     level_ids = {v.id for v in levels}
     required_ids = {e.frm for e in graph.edges if e.rule == "SL1"}
     provided_ids = {e.to for e in graph.edges if e.rule == "SL2"}
-    lookup = _edge_lookup(graph)
-    vertex_map = graph.vertex_map()
+    pairs = [
+        (high, low)
+        for high in levels if high.id in required_ids
+        for low in levels if low.id in provided_ids
+        and compare_ratings(high.payload, low.payload) is Comparison.A_HIGHER
+    ]
+    # searched per provided level, reported below in pair order
+    witnesses = {}
+    for low in dict.fromkeys(low.id for _, low in pairs):
+        highs = [high.id for high, provided in pairs if provided.id == low]
+        witnesses.update(_witnesses_to(graph, low, highs, level_ids, max_witnesses))
 
+    vertex_map = graph.vertex_map()
     findings: list[Finding] = []
-    for high in levels:
-        if high.id not in required_ids:
+    for high, low in pairs:
+        if (high.id, low.id) not in witnesses:
             continue
-        reach = _reachable(adjacency, high.id)
-        for low in levels:
-            if low.id not in provided_ids or low.id not in reach or low.id == high.id:
-                continue
-            assert isinstance(high.payload, SecurityRating)
-            assert isinstance(low.payload, SecurityRating)
-            if compare_ratings(high.payload, low.payload) is not Comparison.A_HIGHER:
-                continue
-            blocked = level_ids - {high.id, low.id}
-            paths = _witness_paths(adjacency, high.id, low.id, blocked, max_witnesses)
-            if not paths:
-                # reachable only through another level vertex: report the
-                # plain shortest path rather than staying silent
-                paths = _witness_paths(adjacency, high.id, low.id, set(), max_witnesses)
-                assert paths
-                diagnostics.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        "analysis",
-                        "witness-through-level",
-                        "every path from "
-                        f"{high.display} to {low.display} crosses another security level",
-                    )
-                )
-            for path in paths:
-                finding = Finding(
-                    required=high.payload,
-                    provided=low.payload,
-                    path=path,
-                    display_path=tuple(vertex_map[v].display for v in path),
-                    rule_trail=_trace(path, lookup),
-                    affected_data=_affected_data(path, graph),
-                )
-                findings.append(
-                    score_finding(finding, graph, bundle, policy, horizon, diagnostics)
-                )
+        paths, through_level = witnesses[high.id, low.id]
+        if through_level:
+            # reachable only through another level vertex: report the
+            # plain shortest path rather than staying silent
+            diagnostics.append(Diagnostic(
+                Severity.WARNING, "analysis", "witness-through-level",
+                f"every path from {high.display} to {low.display} crosses another security level",
+            ))
+        for path in paths:
+            finding = Finding(
+                required=high.payload,
+                provided=low.payload,
+                path=path,
+                display_path=tuple(vertex_map[v].display for v in path),
+                rule_trail=_trace(path, graph),
+                affected_data=tuple(
+                    sorted(v for v in path if vertex_map[v].kind is VertexKind.DATA_ASSET)
+                ),
+            )
+            findings.append(score_finding(finding, graph, bundle, policy, horizon, diagnostics))
 
     findings.sort(key=lambda f: (-(f.score.total if f.score else 0.0), f.id))
     return findings, diagnostics
-
-
-def _affected_data(path: tuple[str, ...], graph: DependencyGraph) -> tuple[str, ...]:
-    on_path = set(path)
-    return tuple(
-        v.id for v in graph.vertices if v.kind is VertexKind.DATA_ASSET and v.id in on_path
-    )
 
 
 # --------------------------------------------------------------------------
@@ -398,14 +409,13 @@ def score_finding(
     if bundle is None:
         warnings.append("no bundle available, sensitivity and longevity not assessed")
     else:
-        ranks = {b.label: b.rank for b in bundle.classifications}
-        label_count = len(bundle.classifications)
-        on_path = [
-            v.id for v in map(vertex_map.get, finding.path)
-            if v is not None and v.kind is VertexKind.CLASSIFICATION and v.id in ranks
+        labels = bundle.classification_map()
+        ranks = [
+            labels[v].rank for v in finding.path
+            if v in labels and vertex_map[v].kind is VertexKind.CLASSIFICATION
         ]
-        if on_path:
-            sensitivity = float(max(label_count - ranks[c] for c in on_path))
+        if ranks:
+            sensitivity = float(max(len(bundle.classifications) - r for r in ranks))
         else:
             warnings.append("no classification on the witness path, neutral sensitivity")
         data_map = bundle.data_map()

@@ -61,6 +61,16 @@ class _Fatal(Exception):
     """Internal: unwinds to main() which prints the message and exits 2."""
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cryptodep",
@@ -85,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", metavar="PATH", help="longevity horizon JSON")
         p.add_argument(
             "--witnesses",
-            type=int,
+            type=_at_least_one,
             default=1,
             metavar="N",
             help="witness paths reported per violating level pair (default 1)",
@@ -186,24 +196,16 @@ def file_digest_or_fatal(path: str) -> str:
         raise _Fatal(f"cannot read inventory {path}: {exc}") from None
 
 
-def _load_policy(args) -> ScoringPolicy:
-    if not getattr(args, "policy", None):
-        return ScoringPolicy()
-    text = _read_file(args.policy, "policy file")
+def _load_settings(path: str | None, what: str, settings):
+    """``settings`` (ScoringPolicy or HorizonConfig) from the JSON file at
+    ``path``, or its defaults without one; a malformed file is fatal."""
+    if not path:
+        return settings()
+    text = _read_file(path, f"{what} file")
     try:
-        return ScoringPolicy.from_dict(json.loads(text))
+        return settings.from_dict(json.loads(text))
     except (json.JSONDecodeError, ValueError) as exc:
-        raise _Fatal(f"bad policy file {args.policy}: {exc}") from None
-
-
-def _load_horizon(args) -> HorizonConfig:
-    if not getattr(args, "horizon", None):
-        return HorizonConfig()
-    text = _read_file(args.horizon, "horizon file")
-    try:
-        return HorizonConfig.from_dict(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise _Fatal(f"bad horizon file {args.horizon}: {exc}") from None
+        raise _Fatal(f"bad {what} file {path}: {exc}") from None
 
 
 def _load_overlay(args, digests: dict[str, str]) -> Overlay:
@@ -258,8 +260,8 @@ def _exit_code(report) -> int:
 
 def cmd_scan(args) -> int:
     bundle, diagnostics, digests = _load_inputs(args)
-    policy = _load_policy(args)
-    horizon = _load_horizon(args)
+    policy = _load_settings(args.policy, "policy", ScoringPolicy)
+    horizon = _load_settings(args.horizon, "horizon", HorizonConfig)
 
     if args.overlay:
         bundle, diagnostics = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
@@ -278,8 +280,8 @@ def cmd_scan(args) -> int:
 
 def cmd_whatif(args) -> int:
     bundle, diagnostics, digests = _load_inputs(args)
-    policy = _load_policy(args)
-    horizon = _load_horizon(args)
+    policy = _load_settings(args.policy, "policy", ScoringPolicy)
+    horizon = _load_settings(args.horizon, "horizon", HorizonConfig)
     overlaid, over_diags = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
     # one graph at a time: the baseline's is dropped before the scenario's is built

@@ -21,7 +21,6 @@ from .model import (
     AccessRef,
     AssetKind,
     AssetRecord,
-    BreakEstimate,
     ClassificationBinding,
     Configuration,
     CryptoObjectRecord,
@@ -46,7 +45,6 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "IngestError",
-    "DIAGNOSTIC_CODES",
     "parse_profiles",
     "builtin_profiles",
     "match_profile",
@@ -91,36 +89,6 @@ class Diagnostic:
             "code": self.code,
             "message": self.message,
         }
-
-
-DIAGNOSTIC_CODES = frozenset(
-    {
-        "ignored-column",
-        "blank-id",
-        "bad-security-level",
-        "bad-object-type",
-        "bad-retention",
-        "bad-flag",
-        "unknown-asset-kind",
-        "invalid-direction",
-        "field-not-applicable",
-        "missing-algorithm",
-        "missing-field",
-        "duplicate-id",
-        "duplicate-config",
-        "conflicting-level",
-        "conflicting-kind",
-        "registry-entry-invalid",
-        "unknown-registry-key",
-        "unknown-registry-value",
-        "unknown-classification",
-        "unknown-algorithm",
-        "dangling-reference",
-        "namespace-collision",
-        "label-collision",
-        "removed-but-referenced",
-    }
-)
 
 
 # --------------------------------------------------------------------------
@@ -432,11 +400,38 @@ def _error(diags: list[Diagnostic], fname: str, line: int, code: str, message: s
     diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
 
 
+def _record_problem(kind: RecordKind, ident: str, record=None) -> tuple[str, str] | None:
+    """The code and message of the first check a record fails, or None: a
+    blank id or label, then for a crypto ``record`` a certificate without
+    its signature algorithm or a field its object type does not carry.
+    Inventory rows and records an overlay adds both pass through here."""
+    if not ident:
+        noun = "label" if kind is RecordKind.CLASSIFICATION else "id"
+        return "blank-id", f"{kind.value} row has an empty {noun}"
+    if not isinstance(record, CryptoObjectRecord):
+        return None
+    if record.is_certificate and not record.algorithm:
+        return "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
+    if record.matched_key and not (record.is_certificate or record.object_type is CryptoObjectType.PUBLIC_KEY):
+        return (
+            "field-not-applicable",
+            f"matched_key is only valid for public keys and certificates, found on {ident!r}",
+        )
+    if record.issuer_cert and not record.is_certificate:
+        return "field-not-applicable", f"issuer_cert is only valid for certificates, found on {ident!r}"
+    return None
+
+
+def _rejected(problem, diags: list[Diagnostic], fname: str, line: int) -> bool:
+    if problem is not None:
+        _error(diags, fname, line, *problem)
+    return problem is not None
+
+
 def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[Diagnostic]):
     if kind is RecordKind.CLASSIFICATION:
         label = row.scalar(Role.CLASSIFICATION)
-        if not label:
-            _error(diags, fname, line, "blank-id", "classification row has an empty label")
+        if _rejected(_record_problem(kind, label), diags, fname, line):
             return None
         level = row.scalar(Role.SECURITY_LEVEL)
         rating = SecurityRating.parse(level) if level else None
@@ -450,8 +445,7 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
 
     if kind is RecordKind.DATA:
         ident = row.scalar(Role.ID)
-        if not ident:
-            _error(diags, fname, line, "blank-id", "data row has an empty id")
+        if _rejected(_record_problem(kind, ident), diags, fname, line):
             return None
         retention: float | None = None
         raw_retention = row.scalar(Role.RETENTION_YEARS)
@@ -477,8 +471,7 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
 
     if kind is RecordKind.ASSET:
         ident = row.scalar(Role.ID)
-        if not ident:
-            _error(diags, fname, line, "blank-id", "asset row has an empty id")
+        if _rejected(_record_problem(kind, ident), diags, fname, line):
             return None
         asset_kind: AssetKind | None = None
         raw_kind = row.scalar(Role.OBJECT_TYPE)
@@ -524,8 +517,7 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
 
     # crypto
     ident = row.scalar(Role.ID)
-    if not ident:
-        _error(diags, fname, line, "blank-id", "crypto row has an empty id")
+    if _rejected(_record_problem(kind, ident), diags, fname, line):
         return None
     raw_type = row.scalar(Role.OBJECT_TYPE)
     object_type = _OBJECT_TYPE_ALIASES.get(raw_type.lower()) if raw_type else None
@@ -535,47 +527,22 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
             f"object type {raw_type!r} for {ident!r} is not one of the supported kinds",
         )
         return None
-    algorithm = row.scalar(Role.ALGORITHM) or None
-    if object_type in (CryptoObjectType.CERTIFICATE, CryptoObjectType.CA_CERTIFICATE) and not algorithm:
-        _error(
-            diags, fname, line, "missing-algorithm",
-            f"certificate {ident!r} must name its signature algorithm",
-        )
-        return None
-    matched = row.scalar(Role.MATCHED_KEY) or None
-    if matched and object_type not in (
-        CryptoObjectType.PUBLIC_KEY,
-        CryptoObjectType.CERTIFICATE,
-        CryptoObjectType.CA_CERTIFICATE,
-    ):
-        _error(
-            diags, fname, line, "field-not-applicable",
-            f"matched_key is only valid for public keys and certificates, found on {ident!r}",
-        )
-        return None
-    issuer = row.scalar(Role.ISSUER_CERT) or None
-    if issuer and object_type not in (
-        CryptoObjectType.CERTIFICATE,
-        CryptoObjectType.CA_CERTIFICATE,
-    ):
-        _error(
-            diags, fname, line, "field-not-applicable",
-            f"issuer_cert is only valid for certificates, found on {ident!r}",
-        )
-        return None
-    return CryptoObjectRecord(
+    record = CryptoObjectRecord(
         id=ident,
         object_type=object_type,
         location=row.scalar(Role.LOCATION) or None,
         key_locations=tuple(row.many(Role.STORAGE_LOCATION)),
-        algorithm=algorithm,
+        algorithm=row.scalar(Role.ALGORITHM) or None,
         config_flags=tuple(normalise_flag(f) for f in row.many(Role.CONFIG_FLAG)),
-        matched_key=matched,
-        issuer_cert=issuer,
+        matched_key=row.scalar(Role.MATCHED_KEY) or None,
+        issuer_cert=row.scalar(Role.ISSUER_CERT) or None,
         created_by=row.scalar(Role.CREATED_BY) or None,
         name=row.scalar(Role.NAME) or None,
         source=Source(fname, ident),
     )
+    if _rejected(_record_problem(kind, ident, record), diags, fname, line):
+        return None
+    return record
 
 
 def _parse_direction(row: _Row, fname: str, line: int, ident: str, diags: list[Diagnostic]) -> Direction:
@@ -770,18 +737,15 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
                 )
             )
             vuln = _infer_vulnerability_class(name)
-    estimate = None
+    # break-qubits and break-time are accepted but not used
     qubits = obj.get("break-qubits")
-    if qubits is not None:
-        if isinstance(qubits, (int, float)) and not isinstance(qubits, bool):
-            estimate = BreakEstimate(float(qubits), str(obj.get("break-time", "")))
-        else:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, label, "unknown-registry-value",
-                    f"{primitive_key(name, flags)}: break-qubits must be numeric, got {qubits!r}",
-                )
+    if qubits is not None and (not isinstance(qubits, (int, float)) or isinstance(qubits, bool)):
+        diags.append(
+            Diagnostic(
+                Severity.WARNING, label, "unknown-registry-value",
+                f"{primitive_key(name, flags)}: break-qubits must be numeric, got {qubits!r}",
             )
+        )
     uses: list[str] = []
     for spec in obj.get("uses", []):
         try:
@@ -805,7 +769,6 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
         flags=flags,
         ratings=tuple(sorted(ratings, key=lambda r: r.sort_key())),
         vulnerability_class=vuln,
-        break_estimate=estimate,
         uses=tuple(sorted(uses)),
         source=source,
     )
@@ -1208,4 +1171,9 @@ def _record_from_dict(entry: dict):
             isinstance(value, list) and all(isinstance(v, str) for v in value)
         ):
             raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    return _RECORD_DESERIALIZERS[kind](entry)
+    record = _RECORD_DESERIALIZERS[kind](entry)
+    ident = record.label if kind is RecordKind.CLASSIFICATION else record.id
+    problem = _record_problem(kind, ident, record)
+    if problem is not None:
+        raise ValueError(problem[1])
+    return record

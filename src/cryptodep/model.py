@@ -26,11 +26,9 @@ __all__ = [
     "CryptoObjectType",
     "CryptoObjectRecord",
     "VulnerabilityClass",
-    "BreakEstimate",
     "Configuration",
     "CryptoRegistry",
     "InventoryBundle",
-    "lookup_configuration",
     "parse_primitive_spec",
     "primitive_key",
     "normalise_flag",
@@ -362,21 +360,12 @@ class VulnerabilityClass(str, Enum):
 
 
 @dataclass(frozen=True)
-class BreakEstimate:
-    """Published resource estimate for breaking a configuration."""
-
-    qubits: float
-    wall_time: str
-
-
-@dataclass(frozen=True)
 class Configuration:
     """One concrete parameterisation of an algorithm, e.g. RSA with 1024-bit keys."""
 
     flags: tuple[str, ...]
     ratings: tuple[SecurityRating, ...] = ()
     vulnerability_class: VulnerabilityClass = VulnerabilityClass.UNKNOWN
-    break_estimate: BreakEstimate | None = None
     uses: tuple[str, ...] = ()
     source: Source = Source("", "")
 
@@ -434,6 +423,8 @@ class CryptoRegistry:
     algorithms: dict[str, tuple[Configuration, ...]] = field(default_factory=dict)
 
     def lookup(self, algorithm: str, flags) -> Configuration | None:
+        """The configuration of ``algorithm`` whose flag set matches
+        ``flags``; flag order and ``.0`` spelling differences are ignored."""
         wanted = _flag_set(flags)
         for config in self.algorithms.get(algorithm, ()):
             if _flag_set(config.flags) == wanted:
@@ -442,15 +433,6 @@ class CryptoRegistry:
 
     def algorithm_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.algorithms))
-
-    def configuration_count(self) -> int:
-        return sum(len(v) for v in self.algorithms.values())
-
-
-def lookup_configuration(registry: CryptoRegistry, algorithm: str, flags) -> Configuration | None:
-    """Find the configuration for ``algorithm`` whose flag set matches
-    ``flags``; flag order and ``.0`` spelling differences are ignored."""
-    return registry.lookup(algorithm, flags)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ D2      data relies on the channels it moves over
 D3      data relies on the processes that use it
 K1      secret and private keys rely on the assets holding or using them,
         including key-management locations for any crypto object
-K2      private keys follow K1 (alias kept for catalogue completeness)
 K3      public keys rely on their matched private key and storage asset
 K4      keys rely on the primitive configuration they are used with
 K5      keys rely on the process that created them
@@ -48,6 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 from .model import (
     AssetKind,
@@ -69,6 +70,7 @@ __all__ = [
     "Vertex",
     "Edge",
     "DependencyGraph",
+    "GraphIndex",
     "UnknownVertexError",
     "RULES",
     "build_graph",
@@ -84,7 +86,6 @@ RULES: dict[str, str] = {
     "D2": "data -> channel carrying it",
     "D3": "data -> process using it",
     "K1": "secret/private key -> asset holding or using it",
-    "K2": "private keys follow K1",
     "K3": "public key -> matched private key / storage asset",
     "K4": "key -> primitive configuration",
     "K5": "key -> creating process",
@@ -151,6 +152,15 @@ class Edge:
     provenance: tuple[Source, ...] = ()
 
 
+class GraphIndex(NamedTuple):
+    """Vertex by id, each vertex's out-edges in graph order (so grouped by
+    target, then rule), and its predecessors, each listed once."""
+
+    vertices: dict[str, Vertex]
+    out_edges: dict[str, list[Edge]]
+    predecessors: dict[str, list[str]]
+
+
 @dataclass(frozen=True)
 class DependencyGraph:
     """Immutable digraph in canonical order: vertices sorted by id, edges by
@@ -159,18 +169,30 @@ class DependencyGraph:
     vertices: tuple[Vertex, ...] = ()
     edges: tuple[Edge, ...] = ()
 
+    @cached_property
+    def index(self) -> GraphIndex:
+        """Built on first use and kept with the graph, outside equality.  A
+        vertex without out-edges or predecessors has no entry there."""
+        out_edges: dict[str, list[Edge]] = {}
+        predecessors: dict[str, list[str]] = {}
+        for edge in self.edges:
+            out_edges.setdefault(edge.frm, []).append(edge)
+            preds = predecessors.setdefault(edge.to, [])
+            if not preds or preds[-1] != edge.frm:  # one entry per rule otherwise
+                preds.append(edge.frm)
+        return GraphIndex({v.id: v for v in self.vertices}, out_edges, predecessors)
+
     def vertex_map(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
+        """Vertex by id, shared with the index: do not modify."""
+        return self.index.vertices
 
     def adjacency(self) -> dict[str, list[str]]:
         """Sorted successor lists, deduplicated across rules."""
-        out: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        seen: set[tuple[str, str]] = set()
-        for edge in self.edges:
-            if (edge.frm, edge.to) not in seen:
-                seen.add((edge.frm, edge.to))
-                out[edge.frm].append(edge.to)
-        return out
+        out_edges = self.index.out_edges
+        return {v.id: sorted({e.to for e in out_edges.get(v.id, ())}) for v in self.vertices}
+
+    def edges_between(self, frm: str, to: str) -> list[Edge]:
+        return [e for e in self.index.out_edges.get(frm, ()) if e.to == to]
 
     def edges_by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -185,15 +207,10 @@ def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, S
     Returns an empty list when the vertices exist but the edge does not;
     raises UnknownVertexError when either vertex is absent.
     """
-    ids = {v.id for v in graph.vertices}
     for vertex_id in (frm, to):
-        if vertex_id not in ids:
+        if vertex_id not in graph.vertex_map():
             raise UnknownVertexError(f"no vertex {vertex_id!r} in the graph")
-    pairs = []
-    for edge in graph.edges:
-        if edge.frm == frm and edge.to == to:
-            pairs.extend((edge.rule, source) for source in edge.provenance)
-    return pairs
+    return [(edge.rule, source) for edge in graph.edges_between(frm, to) for source in edge.provenance]
 
 
 # --------------------------------------------------------------------------

@@ -243,14 +243,20 @@ def random_addition(rng: random.Random, records: list):
         )
     if flavour == "crypto":
         algorithm, flag = rng.choice(ALGORITHMS)
+        object_type = rng.choice(list(CryptoObjectType))
+        location = rng.choice(asset_ids + ["Zhost"])
+        key_locations = ("KMS",) if rng.random() < 0.5 else ()
+        matched = rng.choice(crypto_ids) if crypto_ids and rng.random() < 0.3 else None
+        if object_type in (CryptoObjectType.SYMMETRIC_KEY, CryptoObjectType.PRIVATE_KEY):
+            matched = None  # a row of these types may not carry a matched key
         return CryptoObjectRecord(
             id="Zkey",
-            object_type=rng.choice(list(CryptoObjectType)),
-            location=rng.choice(asset_ids + ["Zhost"]),
-            key_locations=("KMS",) if rng.random() < 0.5 else (),
+            object_type=object_type,
+            location=location,
+            key_locations=key_locations,
             algorithm=algorithm,
             config_flags=(flag,) if flag else (),
-            matched_key=rng.choice(crypto_ids) if crypto_ids and rng.random() < 0.3 else None,
+            matched_key=matched,
             source=Source("extra.csv", "Zkey"),
         )
     if flavour == "access":

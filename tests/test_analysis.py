@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -25,6 +26,7 @@ from cryptodep import (
     assemble_bundle,
     build_graph,
     check_longevity,
+    explain_edge,
     find_violations,
     load_default_registry,
     parse_overlay,
@@ -33,6 +35,7 @@ from cryptodep.ingest import parse_registry_text
 from cryptodep.model import RefOrigin
 from cryptodep.rules import Edge, Vertex, VertexKind
 
+import inventory_gen
 from oracle import best_witness_oracle, violation_pairs_oracle
 
 
@@ -177,7 +180,10 @@ def test_witness_is_the_level_free_shortest_lexicographic_path(graph):
     assert through == sum(1 for d in diags if d.code == "witness-through-level")
 
 
-def test_through_level_fallback_on_a_real_inventory():
+def crossing_records():
+    """Two classifications whose levels (128 and 112 bits) are provided by
+    weaker keys; the 128-bit level reaches 80 bits only through 112 bits.
+    Neither data record has a retention period."""
     registry, _ = parse_registry_text(
         '[{"name": "Y", "configurations": [{"flags": ["1"], "security": 112}]},'
         ' {"name": "X", "configurations": [{"flags": ["1"], "security": 80}]}]',
@@ -199,6 +205,11 @@ def test_through_level_fallback_on_a_real_inventory():
             algorithm="X", config_flags=("1",), source=src("k.csv", "K2"),
         ),
     ]
+    return records, registry
+
+
+def test_through_level_fallback_on_a_real_inventory():
+    records, registry = crossing_records()
     graph, findings, diags = scan_records(records, registry)
     pairs = {(f.required.key, f.provided.key): f for f in findings}
     assert set(pairs) == {
@@ -257,6 +268,47 @@ def test_witness_search_follows_a_1200_hop_process_chain():
     assert len(path) == hops + 5
     assert path[:4] == ("Approval:approved", "High", "D1", "P0000")
     assert path[-3:] == ("P1199", "RSA[1024]", "Approval:not-approved")
+
+
+def test_findings_and_diagnostics_come_out_in_pair_order():
+    # pairs in (required, provided) order are 112->80, 128->112, 128->80;
+    # the per-pair diagnostics follow that order, not the provided level's
+    records, registry = crossing_records()
+    _, findings, diags = scan_records(records, registry)
+    assert [(f.required.key, f.provided.key, f.score.total) for f in findings] == [
+        ("Bits:128", "Bits:80", 2.0),
+        ("Bits:128", "Bits:112", 2.0),
+        ("Bits:112", "Bits:80", 1.0),
+    ]
+    assert findings[0].path == (
+        "Bits:128", "A", "Da", "H1", "K1", "Y[1]", "Bits:112",
+        "B", "Db", "H2", "K2", "X[1]", "Bits:80",
+    )
+    assert [(d.code, d.message) for d in diags] == [
+        ("retention-unknown", "no retention period for Db, longevity not assessed"),
+        ("retention-unknown", "no retention period for Da, longevity not assessed"),
+        ("witness-through-level", "every path from 128-bit to 80-bit crosses another security level"),
+        ("retention-unknown", "no retention period for Da, longevity not assessed"),
+        ("retention-unknown", "no retention period for Db, longevity not assessed"),
+    ]
+
+
+def test_rule_trails_agree_with_explain_edge():
+    hops = 0
+    for seed in range(60):
+        bundle, _, _ = inventory_gen.random_bundle(random.Random(seed))
+        graph = build_graph(bundle)
+        findings, _ = find_violations(graph, bundle, max_witnesses=3)
+        for finding in findings:
+            assert finding.path == tuple(t.frm for t in finding.rule_trail) + (finding.path[-1],)
+            for trace in finding.rule_trail:
+                explained = explain_edge(graph, trace.frm, trace.to)
+                assert trace.rule == "/".join(sorted({rule for rule, _ in explained}))
+                assert trace.provenance == tuple(
+                    sorted({source for _, source in explained}, key=lambda s: (s.file, s.ref))
+                )
+                hops += 1
+    assert hops > 100
 
 
 # --------------------------------------------------------------------------

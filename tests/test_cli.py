@@ -281,6 +281,73 @@ def test_bad_horizon_is_fatal(tmp_path):
     assert err.startswith("error: bad horizon file")
 
 
+@pytest.mark.parametrize(
+    "flag,doc,message",
+    [
+        ("--policy", [1], "a policy must be a JSON object, got [1]"),
+        ("--policy", {"class_weights": [3]}, "class_weights must be a JSON object, got [3]"),
+        ("--policy", {"class_weights": {"PQC": "high"}}, "PQC must be a number, got 'high'"),
+        ("--policy", {"longevity_multiplier": None}, "longevity_multiplier must be a number, got None"),
+        ("--horizon", [], "a horizon must be a JSON object, got []"),
+        ("--horizon", {"migration_years": [1]}, "migration_years must be a number, got [1]"),
+        ("--horizon", {"quantum_horizon_years": True}, "quantum_horizon_years must be a number, got True"),
+    ],
+)
+def test_policy_and_horizon_shape_errors_exit_2_with_one_line(tmp_path, flag, doc, message):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(doc))
+    what = flag.lstrip("-")
+    code, out, err = run_cli(cloud_minimal_args("scan", flag, str(path)))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad {what} file {path}: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_witnesses_below_one_is_rejected(value):
+    code, out, err = run_cli(cloud_minimal_args("scan", "--witnesses", value))
+    assert code == 2
+    assert out == ""
+    assert f"argument --witnesses: must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ({"record_kind": "crypto", "id": "C9", "object_type": "Certificate", "location": "WWW1"},
+         "certificate 'C9' must name its signature algorithm"),
+        ({"record_kind": "crypto", "id": "C9", "object_type": "SymmetricKey", "algorithm": "AES",
+          "config_flags": ["128"], "issuer_cert": "certkey1"},
+         "issuer_cert is only valid for certificates, found on 'C9'"),
+        ({"record_kind": "crypto", "id": "C9", "object_type": "PrivateKey", "algorithm": "RSA",
+          "config_flags": ["1024"], "matched_key": "certkey1"},
+         "matched_key is only valid for public keys and certificates, found on 'C9'"),
+        ({"record_kind": "asset", "id": ""}, "asset row has an empty id"),
+        ({"record_kind": "data", "id": ""}, "data row has an empty id"),
+        ({"record_kind": "classification", "label": "", "required": ["128"]},
+         "classification row has an empty label"),
+    ],
+)
+def test_added_records_get_the_row_checks(tmp_path, record, message):
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"add_records": [record]}))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--overlay", str(overlay)))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad added record: {message}\n"
+
+
+def test_added_certificate_fails_like_the_same_csv_row(tmp_path):
+    rows = (CLOUD_MINIMAL / "cryptoinventory.csv").read_text()
+    edited = tmp_path / "cryptoinventory.csv"
+    edited.write_text(rows.rstrip("\n") + "\nC9,WWW1,certificate,,\n")
+    args = cloud_minimal_args("validate")
+    args[args.index(str(CLOUD_MINIMAL / "cryptoinventory.csv"))] = str(edited)
+    _, out, _ = run_cli(args)
+    message = "certificate 'C9' must name its signature algorithm"
+    assert f"missing-algorithm: {message}" in out
+
+
 # --------------------------------------------------------------------------
 # odds and ends
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from cryptodep.model import (
     RatingDimension,
     SecurityRating,
     compare_ratings,
-    lookup_configuration,
     normalise_flag,
     parse_primitive_spec,
     primitive_key,
@@ -173,9 +172,9 @@ def test_parse_primitive_spec_rejects(spec):
 def test_lookup_ignores_flag_order_and_float_spelling():
     config = Configuration(flags=("128", "GCM"))
     registry = CryptoRegistry({"AES": (config,)})
-    assert lookup_configuration(registry, "AES", ("GCM", "128.0")) is config
-    assert lookup_configuration(registry, "AES", ("128",)) is None
-    assert lookup_configuration(registry, "DES", ("128", "GCM")) is None
+    assert registry.lookup("AES", ("GCM", "128.0")) is config
+    assert registry.lookup("AES", ("128",)) is None
+    assert registry.lookup("DES", ("128", "GCM")) is None
 
 
 def test_asset_defaults():
