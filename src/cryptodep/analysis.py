@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -137,7 +138,7 @@ def _json_object(value, what: str) -> dict:
 
 def _number(raw: dict, key: str, default: float | None = None) -> float:
     value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -318,7 +319,7 @@ def find_violations(
 ) -> tuple[list[Finding], list[Diagnostic]]:
     """All pairs (required level, strictly lower provided level in the same
     dimension) connected by a directed path, each with up to
-    ``max_witnesses`` witness paths.
+    ``max_witnesses`` witness paths; a limit below 1 raises ValueError.
 
     One reverse search runs from each provided level; it gives the
     distance to that level from every required level whose path avoids the
@@ -330,6 +331,8 @@ def find_violations(
     ranking and data retention; otherwise all findings get neutral
     sensitivity.
     """
+    if max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
     policy = policy or ScoringPolicy()
     horizon = horizon or HorizonConfig()
     diagnostics: list[Diagnostic] = []
@@ -475,7 +478,7 @@ class Overlay:
 def parse_overlay(text: str) -> Overlay:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise OverlayError(f"overlay is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise OverlayError("overlay must be a JSON object")
@@ -586,7 +589,7 @@ def apply_overlay(
             added.append(_record_from_dict(entry))
         except KeyError as exc:
             problems.append(f"bad added record: missing field {exc}")
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"bad added record: {exc}")
 
     if problems:
@@ -599,7 +602,7 @@ def apply_overlay(
         if _record_key(record) not in drop
     ]
     edited.extend(added)
-    overlaid, diagnostics = assemble_bundle(edited, bundle.registry, bundle.profiles)
+    overlaid, diagnostics = assemble_bundle(edited, bundle.registry)
 
     readded = {_record_key(record) for record in added}
     for ident in overlay.remove_records:

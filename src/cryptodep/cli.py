@@ -6,8 +6,8 @@ report), ``whatif`` (scan twice, once with an overlay, and diff), ``graph``
 only).
 
 Exit codes are the machine contract: 0 for a clean run, 1 when findings or
-error diagnostics exist, 2 for fatal problems (unreadable files, bad
-profiles or overlays).  Stdout carries the report and nothing else;
+error diagnostics exist, 2 for fatal problems (unreadable or undecodable
+files, bad profiles or overlays).  Stdout carries the report and nothing else;
 diagnostics and errors go to stderr.
 """
 
@@ -34,21 +34,22 @@ from .ingest import (
     IngestError,
     Severity,
     default_registry_text,
+    file_digest,  # not called here: benchmark/traced.py wraps it by this name
     load_bundle,
-    parse_profiles,
+    parse_profiles_text,
     parse_registry_text,
+    read_input,
+    text_digest,
     validate_bundle,
 )
-from .model import CryptoRegistry, InventoryBundle
+from .model import InventoryBundle
 from .report import (
-    file_digest,
     make_report,
     render_dot,
     render_json,
     render_text,
     render_whatif_json,
     render_whatif_text,
-    text_digest,
 )
 from .rules import build_graph
 
@@ -139,13 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared pipeline pieces
 # --------------------------------------------------------------------------
 
-def _read_file(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _Fatal(f"cannot read {what} {path}: {exc}") from None
-
-
 def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], dict[str, str]]:
     """The bundle, its load diagnostics (registry, parsing, assembly), and
     the input digests.  Validation runs on the bundle that gets used."""
@@ -153,47 +147,25 @@ def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], dict[str, str
 
     profiles = []
     if args.profiles:
-        digests[args.profiles] = text_digest(_read_file(args.profiles, "profile file"))
-        try:
-            profiles = parse_profiles(args.profiles)
-        except IngestError as exc:
-            raise _Fatal(str(exc)) from None
+        text, digests[args.profiles] = read_input(args.profiles, "profile file")
+        profiles = parse_profiles_text(text, args.profiles)
 
-    registry: CryptoRegistry
-    registry_diags: list[Diagnostic] = []
     if args.registry:
-        text = _read_file(args.registry, "registry file")
-        digests[args.registry] = text_digest(text)
-        try:
-            registry, registry_diags = parse_registry_text(text, Path(args.registry).name)
-        except IngestError as exc:
-            raise _Fatal(str(exc)) from None
+        text, digests[args.registry] = read_input(args.registry, "registry file")
+        registry, registry_diags = parse_registry_text(text, Path(args.registry).name)
     else:
         text = default_registry_text()
         digests[DEFAULT_REGISTRY_LABEL] = text_digest(text)
         registry, registry_diags = parse_registry_text(text, DEFAULT_REGISTRY_LABEL)
 
-    for path in args.inventories:
-        digests[path] = file_digest_or_fatal(path)
-
-    try:
-        bundle, diags = load_bundle(
-            args.inventories,
-            profiles=profiles,
-            registry=registry,
-            use_builtin_profiles=args.paper_defaults,
-        )
-    except IngestError as exc:
-        raise _Fatal(str(exc)) from None
-
+    bundle, diags = load_bundle(
+        args.inventories,
+        profiles=profiles,
+        registry=registry,
+        use_builtin_profiles=args.paper_defaults,
+    )
+    digests.update(bundle.input_digests)
     return bundle, registry_diags + diags, digests
-
-
-def file_digest_or_fatal(path: str) -> str:
-    try:
-        return file_digest(path)
-    except OSError as exc:
-        raise _Fatal(f"cannot read inventory {path}: {exc}") from None
 
 
 def _load_settings(path: str | None, what: str, settings):
@@ -201,29 +173,22 @@ def _load_settings(path: str | None, what: str, settings):
     ``path``, or its defaults without one; a malformed file is fatal."""
     if not path:
         return settings()
-    text = _read_file(path, f"{what} file")
+    text, _ = read_input(path, f"{what} file")
     try:
         return settings.from_dict(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise _Fatal(f"bad {what} file {path}: {exc}") from None
 
 
 def _load_overlay(args, digests: dict[str, str]) -> Overlay:
-    text = _read_file(args.overlay, "overlay file")
-    digests[args.overlay] = text_digest(text)
-    try:
-        return parse_overlay(text)
-    except OverlayError as exc:
-        raise _Fatal(str(exc)) from None
+    text, digests[args.overlay] = read_input(args.overlay, "overlay file")
+    return parse_overlay(text)
 
 
 def _overlaid(bundle, diagnostics, overlay):
     """The overlaid bundle and its diagnostics before validation: the load
     diagnostics plus those of assembling the edit, each printed once."""
-    try:
-        overlaid, overlay_diags = apply_overlay(bundle, overlay)
-    except OverlayError as exc:
-        raise _Fatal(str(exc)) from None
+    overlaid, overlay_diags = apply_overlay(bundle, overlay)
     seen = set(diagnostics)
     return overlaid, diagnostics + [d for d in overlay_diags if d not in seen]
 
@@ -334,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _Fatal as exc:
+    except (_Fatal, IngestError, OverlayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

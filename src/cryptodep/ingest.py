@@ -3,16 +3,18 @@
 Tabular inventories arrive as CSV with a mandatory header row.  A mapping
 profile assigns a role to each column so arbitrary real-world headers can be
 consumed without code changes.  Parsing is total: malformed rows become
-diagnostics, only unusable inputs (missing files, unparseable registries,
-broken profiles) raise :class:`IngestError`.
+diagnostics, only unusable inputs (missing, undecodable or malformed files,
+unparseable registries, broken profiles) raise :class:`IngestError`.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import hashlib
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -45,7 +47,11 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "IngestError",
+    "read_input",
+    "file_digest",
+    "text_digest",
     "parse_profiles",
+    "parse_profiles_text",
     "builtin_profiles",
     "match_profile",
     "parse_tabular",
@@ -62,6 +68,32 @@ __all__ = [
 class IngestError(Exception):
     """Fatal input problem: unreadable file, broken profile, or unparseable
     registry.  Anything recoverable is reported as a Diagnostic instead."""
+
+
+def file_digest(data: bytes) -> str:
+    """SHA-256 of the bytes read from an input file, as ``sha256sum`` prints it."""
+    return hashlib.sha256(data).hexdigest()
+
+
+def text_digest(text: str) -> str:
+    return file_digest(text.encode("utf-8"))
+
+
+def read_input(path: str | Path, what: str) -> tuple[str, str]:
+    """The text of the file at ``path``, decoded as UTF-8 with or without a
+    byte-order mark, and the digest of its bytes.  This is the only code that
+    opens an input file, and it reads each once; a file that cannot be read
+    or decoded raises IngestError, whose message calls it ``what``."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"cannot read {what} {path}: line {line} is not UTF-8: {exc.reason}") from None
+    return text, file_digest(data)
 
 
 class Severity(str, Enum):
@@ -149,6 +181,9 @@ def _profile_from_dict(obj: dict, where: str) -> MappingProfile:
         kind = RecordKind(obj["kind"])
     except (KeyError, ValueError):
         raise IngestError(f"{where}: unknown record kind {obj.get('kind')!r}") from None
+    for key in ("columns", "defaults"):
+        if not isinstance(obj.get(key, {}), dict):
+            raise IngestError(f"{where}: {key} must be an object")
     columns: dict[str, Role] = {}
     for column, role_name in obj.get("columns", {}).items():
         try:
@@ -191,21 +226,24 @@ def _check_profile(profile: MappingProfile, where: str) -> None:
 
 
 def parse_profiles(path: str | Path) -> list[MappingProfile]:
-    """Load a profile document.  Raises IngestError on any structural problem
+    return parse_profiles_text(read_input(path, "profile file")[0], str(path))
+
+
+def parse_profiles_text(text: str, label: str) -> list[MappingProfile]:
+    """Parse a profile document.  Raises IngestError on any structural problem
     so bad profiles are rejected before an inventory file is opened."""
-    text = _read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}: invalid profile JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise IngestError(f"{label}: invalid profile JSON: {exc}") from None
     entries = doc.get("profiles") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
-        raise IngestError(f"{path}: profile document must contain a 'profiles' list")
+        raise IngestError(f"{label}: profile document must contain a 'profiles' list")
     profiles = []
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise IngestError(f"{path}: profile #{index + 1} is not an object")
-        profiles.append(_profile_from_dict(entry, where=f"{path}: profile #{index + 1}"))
+            raise IngestError(f"{label}: profile #{index + 1} is not an object")
+        profiles.append(_profile_from_dict(entry, where=f"{label}: profile #{index + 1}"))
     return profiles
 
 
@@ -324,73 +362,84 @@ _OBJECT_TYPE_ALIASES = {
 }
 
 
-def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from None
-
-
 class _Row:
-    """One CSV row seen through a profile: role-based cell access."""
+    """One CSV row seen through a profile: each role reads the columns bound
+    to it once per file, when the header was read."""
 
-    def __init__(self, profile: MappingProfile, header: list[str], cells: list[str]):
-        self._bound: dict[Role, list[str]] = {}
-        for index, column in enumerate(header):
-            role = profile.columns.get(column.strip())
-            if role is None or role is Role.IGNORE:
-                continue
+    def __init__(self, columns: dict[Role, list[int]], defaults: dict[Role, str], cells: list[str]):
+        self._columns = columns
+        self._defaults = defaults
+        self._cells = cells
+
+    def _values(self, role: Role) -> list[str]:
+        cells = self._cells
+        values = []
+        for index in self._columns.get(role, ()):
             value = cells[index].strip() if index < len(cells) else ""
-            if value == "-":  # spreadsheet convention for "none"
-                value = ""
-            self._bound.setdefault(role, []).append(value)
-        self._defaults = profile.defaults
+            values.append("" if value == "-" else value)  # spreadsheet convention for "none"
+        return values
 
     def scalar(self, role: Role) -> str:
-        for value in self._bound.get(role, ()):
+        for value in self._values(role):
             if value:
                 return value
         return self._defaults.get(role, "")
 
     def many(self, role: Role) -> list[str]:
         values = []
-        for cell in self._bound.get(role, ()):
+        for cell in self._values(role):
             values.extend(part.strip() for part in cell.split(";") if part.strip())
         if not values and role in self._defaults:
             values = [p.strip() for p in self._defaults[role].split(";") if p.strip()]
         return values
 
 
-def parse_tabular(path: str | Path, profile: MappingProfile):
-    """Parse one CSV inventory through ``profile``.
+def _csv_rows(text: str, path: str | Path):
+    """``(line, cells)`` for each row of CSV ``text`` (RFC 4180 quoting, so
+    a quoted cell may span lines), ``line`` being the row's first physical
+    line.  A malformed row raises IngestError naming its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
+    try:
+        for cells in reader:
+            yield line, cells
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise IngestError(f"cannot read inventory {path}: line {reader.line_num}: {exc}") from None
+
+
+def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], use_builtin_profiles: bool = False):
+    """Parse the CSV inventory ``text`` read from ``path`` in one pass: the
+    header row picks the profile (see :func:`match_profile`) and binds each
+    role to its columns, then each data row becomes one record.
 
     Returns ``(records, diagnostics)`` with one record per well-formed data
     row; malformed rows are reported and skipped.
     """
-    text = _read_text(path)
-    fname = Path(path).name
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    rows = _csv_rows(text, path)
+    _, header = next(rows, (1, None))
+    profile = match_profile(path, header or [], profiles, allow_builtin=use_builtin_profiles)
+    if profile is None:
+        raise IngestError(f"no mapping profile matches {path}")
+    if header is None:
         raise IngestError(f"{path}: missing header row")
-    header = [h.strip() for h in rows[0]]
+    fname = Path(path).name
     diags: list[Diagnostic] = []
-    for column in header:
-        if column and column not in profile.columns:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    fname,
-                    "ignored-column",
-                    f"column {column!r} is not named in the mapping profile and was ignored",
-                    line=1,
-                )
-            )
+    columns: dict[Role, list[int]] = {}
+    for index, column in enumerate(h.strip() for h in header):
+        role = profile.columns.get(column)
+        if role is None and column:
+            diags.append(Diagnostic(
+                Severity.WARNING, fname, "ignored-column",
+                f"column {column!r} is not named in the mapping profile and was ignored", line=1,
+            ))
+        elif role is not None and role is not Role.IGNORE:
+            columns.setdefault(role, []).append(index)
     records: list = []
-    for line, cells in enumerate(rows[1:], start=2):
+    for line, cells in rows:
         if not any(cell.strip() for cell in cells):
             continue
-        row = _Row(profile, header, cells)
-        record = _parse_row(profile.kind, row, fname, line, diags)
+        record = _parse_row(profile.kind, _Row(columns, profile.defaults, cells), fname, line, diags)
         if record is not None:
             records.append(record)
     return records, diags
@@ -626,7 +675,7 @@ def _infer_vulnerability_class(name: str) -> VulnerabilityClass:
 
 
 def parse_registry(path: str | Path) -> tuple[CryptoRegistry, list[Diagnostic]]:
-    return parse_registry_text(_read_text(path), Path(path).name)
+    return parse_registry_text(read_input(path, "registry file")[0], Path(path).name)
 
 
 def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Diagnostic]]:
@@ -638,25 +687,26 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         try:
             doc = ast.literal_eval(text)
-        except (SyntaxError, ValueError) as exc:
+        except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError) as exc:
             raise IngestError(f"{label}: registry is neither JSON nor a literal document: {exc}") from None
     entries = doc if isinstance(doc, list) else [doc]
     diags: list[Diagnostic] = []
     algorithms: dict[str, list[Configuration]] = {}
     for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not str(entry.get("name", "")).strip():
+        configs = entry.get("configurations", []) if isinstance(entry, dict) else None
+        if not isinstance(configs, list) or not str(entry.get("name", "")).strip():
             diags.append(
                 Diagnostic(
                     Severity.ERROR, label, "registry-entry-invalid",
-                    f"registry entry #{index + 1} has no usable name and was skipped",
+                    f"registry entry #{index + 1} has no usable name or configuration list and was skipped",
                 )
             )
             continue
         name = str(entry["name"]).strip()
-        for config_obj in entry.get("configurations", []):
+        for config_obj in configs:
             config = _parse_configuration(config_obj, name, label, diags)
             if config is None:
                 continue
@@ -681,11 +731,11 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
 
 
 def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) -> Configuration | None:
-    if not isinstance(obj, dict):
+    if not isinstance(obj, dict) or not all(isinstance(obj.get(k, []), list) for k in ("flags", "uses")):
         diags.append(
             Diagnostic(
                 Severity.ERROR, label, "registry-entry-invalid",
-                f"configuration of {name!r} is not an object and was skipped",
+                f"configuration of {name!r} is not an object with list flags and uses, and was skipped",
             )
         )
         return None
@@ -701,7 +751,7 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
     ratings: list[SecurityRating] = []
     security = obj.get("security")
     if security is not None:
-        if isinstance(security, (int, float)) and not isinstance(security, bool) and security >= 0:
+        if isinstance(security, (int, float)) and not isinstance(security, bool) and 0 <= security < float("inf"):
             ratings.append(SecurityRating.bits(int(security)))
         else:
             diags.append(
@@ -760,11 +810,8 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
             continue
         uses.append(primitive_key(member, member_flags))
     raw_source = obj.get("source")
-    source = (
-        Source.from_dict(raw_source)
-        if isinstance(raw_source, dict)
-        else Source(label, primitive_key(name, flags))
-    )
+    named = isinstance(raw_source, dict) and all(isinstance(raw_source.get(k), str) for k in ("file", "ref"))
+    source = Source(raw_source["file"], raw_source["ref"]) if named else Source(label, primitive_key(name, flags))
     return Configuration(
         flags=flags,
         ratings=tuple(sorted(ratings, key=lambda r: r.sort_key())),
@@ -795,26 +842,21 @@ def load_bundle(
     registry: CryptoRegistry,
     use_builtin_profiles: bool = False,
 ) -> tuple[InventoryBundle, list[Diagnostic]]:
-    """Parse every inventory file and assemble a canonical bundle."""
+    """Read and parse every inventory file and assemble a canonical bundle,
+    whose ``input_digests`` map each path to the digest of its bytes."""
     parsed: list = []
     diags: list[Diagnostic] = []
+    digests: dict[str, str] = {}
     for path in inventory_paths:
-        text = _read_text(path)
-        first_line = text.splitlines()[0] if text.splitlines() else ""
-        header = next(csv.reader([first_line]), [])
-        profile = match_profile(path, header, profiles, allow_builtin=use_builtin_profiles)
-        if profile is None:
-            raise IngestError(f"no mapping profile matches {path}")
-        records, file_diags = parse_tabular(path, profile)
+        text, digests[str(path)] = read_input(path, "inventory")
+        records, file_diags = parse_tabular(text, path, profiles, use_builtin_profiles)
         parsed.extend(records)
         diags.extend(file_diags)
-    bundle, assembly_diags = assemble_bundle(parsed, registry, tuple(profiles))
-    return bundle, diags + assembly_diags
+    bundle, assembly_diags = assemble_bundle(parsed, registry)
+    return replace(bundle, input_digests=digests), diags + assembly_diags
 
 
-def assemble_bundle(
-    records, registry: CryptoRegistry, profiles=()
-) -> tuple[InventoryBundle, list[Diagnostic]]:
+def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle, list[Diagnostic]]:
     """Merge parsed records into a canonical, order-independent bundle.
 
     Asset records with the same id merge (union of references); duplicate
@@ -901,7 +943,6 @@ def assemble_bundle(
         assets=tuple(assets[k] for k in sorted(assets)),
         crypto_objects=tuple(crypto[k] for k in sorted(crypto)),
         registry=registry,
-        profiles=tuple(profiles),
         records=records,
     )
     return bundle, diags

@@ -132,7 +132,7 @@ class SecurityRating:
         if low in _QUANTUM_ALIASES:
             return SecurityRating.quantum(_QUANTUM_ALIASES[low])
         digits = low.removesuffix("bits").removesuffix("bit").rstrip(" -")
-        if digits.isdigit():
+        if digits.isdecimal() and len(digits) < 20:  # sort_key pads to 20 digits
             return SecurityRating.bits(int(digits))
         return None
 
@@ -445,8 +445,10 @@ class InventoryBundle:
     (sorted) order so downstream output is independent of file ordering.
 
     ``records`` holds the parsed records the bundle was assembled from, in
-    input order; overlays edit that list and assemble it again.  It takes no
-    part in equality, which compares what the records assembled into.
+    input order; overlays edit that list and assemble it again.
+    ``input_digests`` maps each inventory file the records were read from to
+    the SHA-256 of its bytes.  Neither takes part in equality, which
+    compares what the records assembled into.
     """
 
     classifications: tuple[ClassificationBinding, ...] = ()
@@ -454,8 +456,8 @@ class InventoryBundle:
     assets: tuple[AssetRecord, ...] = ()
     crypto_objects: tuple[CryptoObjectRecord, ...] = ()
     registry: CryptoRegistry = field(default_factory=CryptoRegistry)
-    profiles: tuple = ()
     records: tuple = field(default=(), compare=False, repr=False)
+    input_digests: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     # The maps are memoised: the bundle is immutable and graph construction
     # asks for them once per record, which is quadratic if rebuilt each time.

@@ -12,10 +12,8 @@ The JSON report carries them for provenance.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import __version__
 from .analysis import Finding, HorizonConfig, ScoringPolicy
@@ -31,19 +29,9 @@ __all__ = [
     "render_text",
     "render_whatif_text",
     "render_whatif_json",
-    "file_digest",
-    "text_digest",
 ]
 
 SCHEMA_VERSION = 1
-
-
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,13 @@ def test_max_witnesses_enumerates_equal_length_paths():
     assert len({f.id for f in wide}) == 2
 
 
+@pytest.mark.parametrize("limit", [0, -2])
+def test_max_witnesses_below_one_is_rejected(cloud_minimal_bundle, limit):
+    graph = build_graph(cloud_minimal_bundle)
+    with pytest.raises(ValueError, match=f"max_witnesses must be at least 1, got {limit}"):
+        find_violations(graph, cloud_minimal_bundle, max_witnesses=limit)
+
+
 def test_witness_search_follows_a_1200_hop_process_chain():
     hops = 1200
     records = [

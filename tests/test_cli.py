@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from conftest import CLOUD_MINIMAL, cloud_minimal_args, hybrid_args, run_cli
+from cryptodep import cli, ingest
+
+from conftest import CLOUD_FILES, CLOUD_MINIMAL, cloud_minimal_args, hybrid_args, run_cli
 from oracle import read_dot
 
 CLEARING_OVERLAY = json.dumps(
@@ -246,6 +252,7 @@ def test_bad_overlay_is_fatal(tmp_path):
         {"add_records": [{"record_kind": "data", "id": "Z", "source": {"file": 1, "ref": "Z"}}]},
         {"add_records": 5},
         {"replace_algorithms": [{"from": 1024, "to": "RSA[2048]"}]},
+        {"add_records": [{"record_kind": "data", "id": "D9", "retention_years": 10**400}]},
     ],
 )
 def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc):
@@ -291,6 +298,8 @@ def test_bad_horizon_is_fatal(tmp_path):
         ("--horizon", [], "a horizon must be a JSON object, got []"),
         ("--horizon", {"migration_years": [1]}, "migration_years must be a number, got [1]"),
         ("--horizon", {"quantum_horizon_years": True}, "quantum_horizon_years must be a number, got True"),
+        ("--policy", {"class_weights": {"PQC": float("nan")}}, "PQC must be a number, got nan"),
+        ("--horizon", {"migration_years": float("inf")}, "migration_years must be a number, got inf"),
     ],
 )
 def test_policy_and_horizon_shape_errors_exit_2_with_one_line(tmp_path, flag, doc, message):
@@ -346,6 +355,100 @@ def test_added_certificate_fails_like_the_same_csv_row(tmp_path):
     _, out, _ = run_cli(args)
     message = "certificate 'C9' must name its signature algorithm"
     assert f"missing-algorithm: {message}" in out
+
+
+# --------------------------------------------------------------------------
+# input files: read once, decoded as spreadsheets write them
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--profiles", "--registry", "--policy", "--horizon", "--overlay"])
+@pytest.mark.parametrize("doc", ["[" * 100_000, "9" * 5000], ids=["deep", "long-int"])
+def test_json_past_the_parser_limits_exits_2_with_one_line(tmp_path, flag, doc):
+    path = tmp_path / "input.json"
+    path.write_text(doc)
+    code, out, err = run_cli(cloud_minimal_args("scan", flag, str(path)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def _cloud_copy(tmp_path) -> list:
+    """A copy of the cloud fixture with a profile, policy, horizon and
+    overlay file, and the ``whatif`` arguments that read all nine files."""
+    for name in [*CLOUD_FILES, "crypto.json"]:
+        (tmp_path / name).write_bytes((CLOUD_MINIMAL / name).read_bytes())
+    (tmp_path / "profiles.json").write_text('{"profiles": []}')
+    (tmp_path / "policy.json").write_text('{"longevity_multiplier": 2}')
+    (tmp_path / "horizon.json").write_text('{"migration_years": 5}')
+    (tmp_path / "overlay.json").write_text('{"remove_records": ["certkey1"]}')
+    return ["whatif", *(tmp_path / f for f in CLOUD_FILES), "--paper-defaults"] + [
+        arg for flag, name in (
+            ("--registry", "crypto.json"), ("--profiles", "profiles.json"), ("--policy", "policy.json"),
+            ("--horizon", "horizon.json"), ("--overlay", "overlay.json"),
+        ) for arg in (flag, tmp_path / name)
+    ]
+
+
+def test_each_input_file_is_opened_once(tmp_path, monkeypatch):
+    args = _cloud_copy(tmp_path)
+    opened, reads = Counter(), Counter()
+    real_open, real_read = io.open, ingest.read_input
+
+    def counting_open(file, *rest, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *rest, **kwargs)
+
+    def counting_read(path, *rest):
+        reads[str(path)] += 1
+        return real_read(path, *rest)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(ingest, "read_input", counting_read)
+    monkeypatch.setattr(cli, "read_input", counting_read)
+    code, out, err = run_cli(args)
+    assert (code, err) == (0, "")
+    assert "resolved" in out
+    inputs = {str(tmp_path / f) for f in [*CLOUD_FILES, "crypto.json"]} | {
+        str(tmp_path / f"{name}.json") for name in ("profiles", "policy", "horizon", "overlay")
+    }
+    assert reads == {path: 1 for path in inputs}
+    assert {path: n for path, n in opened.items() if path.startswith(str(tmp_path))} == reads
+
+
+def test_bom_inventory_scans_like_the_plain_one(tmp_path):
+    args = _cloud_copy(tmp_path)
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    golden = Path(__file__).parent / "golden"
+    code, out, err = run_cli(["scan", *args[1:6], "--registry", tmp_path / "crypto.json", "-v"])
+    assert code == 1
+    assert out == (golden / "cloud_scan_v.out").read_text(encoding="utf-8")
+    assert err == (golden / "cloud_scan_v.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, tail, message",
+    [
+        ("data.csv", b"\xff\n", "cannot read inventory {path}: line 3 is not UTF-8: invalid start byte"),
+        ("cryptoinventory.csv", b"k2,WWW1,\xe9,RSA,1024\n", "cannot read inventory {path}: line 3 is not UTF-8"),
+        ("crypto.json", b"\xff", "cannot read registry file {path}: line "),
+        ("profiles.json", b"\xff", "cannot read profile file {path}: line 1 is not UTF-8"),
+        ("policy.json", b"\xff", "cannot read policy file {path}: line 1 is not UTF-8"),
+        ("horizon.json", b"\xc3", "cannot read horizon file {path}: line 1 is not UTF-8"),
+        ("overlay.json", b"\xff", "cannot read overlay file {path}: line 1 is not UTF-8"),
+        ("data.csv", b"D9," + b"x" * 140_000 + b"\n", "cannot read inventory {path}: line 3: field larger"),
+    ],
+    ids=["data", "crypto", "registry", "profiles", "policy", "horizon", "overlay", "long-cell"],
+)
+def test_undecodable_or_oversized_input_exits_2_with_one_line(tmp_path, name, tail, message):
+    args = _cloud_copy(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + tail)
+    code, out, err = run_cli(args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=path))
+    assert err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

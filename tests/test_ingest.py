@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -26,14 +27,18 @@ from cryptodep.ingest import (
     RecordKind,
     Role,
     Severity,
+    file_digest,
     match_profile,
     parse_profiles,
     parse_registry_text,
     parse_tabular,
+    read_input,
+    text_digest,
 )
 from cryptodep.model import RefOrigin
 
 import inventory_gen
+from conftest import HYBRID, HYBRID_FILES
 
 
 def codes(diags, severity=None):
@@ -72,6 +77,8 @@ def test_parse_profiles_accepts_wrapper_and_bare_list(tmp_path):
         '[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "serial"}}]',
         '[{"inventory": "x.csv", "kind": "data", "columns": {"Name": "name"}}]',
         '[{"inventory": "x.csv", "kind": "data", "columns": {"A": "id", "B": "id"}}]',
+        '[{"inventory": "x.csv", "kind": "data", "columns": [["ID", "id"]]}]',
+        '[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "id"}, "defaults": 3}]',
         'not json',
     ],
 )
@@ -105,11 +112,9 @@ def test_match_profile_precedence(tmp_path):
 # --------------------------------------------------------------------------
 
 def _parse(tmp_path, filename, text, profile=None):
-    path = tmp_path / filename
-    path.write_text(text)
     if profile is None:
         profile = next(p for p in builtin_profiles() if p.inventory == filename)
-    return parse_tabular(path, profile)
+    return parse_tabular(text, tmp_path / filename, [profile])
 
 
 def test_parse_classifications(tmp_path):
@@ -255,6 +260,23 @@ def test_parse_crypto_field_applicability(tmp_path):
     assert codes(diags) == ["field-not-applicable", "field-not-applicable"]
 
 
+def test_quoted_newline_stays_in_the_cell(tmp_path):
+    records, diags = _parse(
+        tmp_path,
+        "data.csv",
+        'ID,Location,Classification\n"Data\n1",S1,High\n,S2,High\n"D3",S3,"Hi,gh"\n',
+    )
+    assert [(r.id, r.classification) for r in records] == [("Data\n1", "High"), ("D3", "Hi,gh")]
+    assert [(d.code, d.line) for d in diags] == [("blank-id", 4)]
+
+
+def test_rows_spanning_lines_keep_later_line_numbers(tmp_path):
+    text = 'ID,Location,Classification\r\n"a\r\nb\r\nc",S1,High\r\n\r\n,S2,High\r\nD4,S4,High\r\n,S5,High\r\n'
+    records, diags = _parse(tmp_path, "data.csv", text)
+    assert [r.id for r in records] == ["a\r\nb\r\nc", "D4"]
+    assert [d.line for d in diags] == [6, 8]
+
+
 def test_parse_tabular_reports_unmapped_columns(tmp_path):
     records, diags = _parse(
         tmp_path,
@@ -267,10 +289,8 @@ def test_parse_tabular_reports_unmapped_columns(tmp_path):
 
 
 def test_parse_tabular_requires_header(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("")
-    with pytest.raises(IngestError):
-        parse_tabular(path, builtin_profiles()[1])
+    with pytest.raises(IngestError, match="missing header row"):
+        parse_tabular("", tmp_path / "data.csv", [builtin_profiles()[1]])
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +318,24 @@ def test_registry_single_entry_document():
 
 
 def test_registry_rejects_garbage():
-    with pytest.raises(IngestError):
-        parse_registry_text("][ nope", "r")
+    for text in ("][ nope", "{[]: 1}", "[" * 100_000, "-" * 100_000 + "1"):
+        with pytest.raises(IngestError):
+            parse_registry_text(text, "r")
+
+
+def test_registry_skips_malformed_parts():
+    doc = """[
+      {"name": "DES", "configurations": 5},
+      {"name": "RSA", "configurations": [
+         {"flags": "1024"}, {"flags": ["2048"], "uses": 3},
+         {"flags": ["3072"], "security": Infinity},
+         {"flags": ["4096"], "source": {"file": {"x": 1}, "ref": "t"}}
+      ]}
+    ]"""
+    registry, diags = parse_registry_text(doc, "r")
+    assert codes(diags) == ["registry-entry-invalid"] * 3 + ["unknown-registry-value"]
+    assert registry.algorithm_names() == ("RSA",)
+    assert registry.lookup("RSA", ("4096",)).source == Source("r", "RSA[4096]")
 
 
 def test_registry_entry_diagnostics():
@@ -538,6 +574,41 @@ def test_validate_clean_fixture(cloud_minimal_bundle):
 
 
 # --------------------------------------------------------------------------
+# reading input files
+# --------------------------------------------------------------------------
+
+def test_digest_helpers(tmp_path):
+    assert text_digest("abc") == hashlib.sha256(b"abc").hexdigest()
+    raw = b"\xef\xbb\xbfID,Location\r\nD1,S1\r\n"
+    path = tmp_path / "x.csv"
+    path.write_bytes(raw)
+    assert read_input(path, "inventory") == ("ID,Location\r\nD1,S1\r\n", hashlib.sha256(raw).hexdigest())
+    assert file_digest(raw) == hashlib.sha256(raw).hexdigest()
+
+
+def test_bom_and_crlf_inventories_load_like_plain_ones(tmp_path):
+    for variant in ("lf", "bom", "crlf"):
+        (tmp_path / variant).mkdir()
+        for name in HYBRID_FILES:
+            raw = (HYBRID / name).read_bytes()
+            raw = {"lf": raw, "bom": b"\xef\xbb\xbf" + raw, "crlf": raw.replace(b"\n", b"\r\n")}[variant]
+            (tmp_path / variant / name).write_bytes(raw)
+    profiles = parse_profiles(HYBRID / "profiles.json")
+    loaded = {
+        variant: load_bundle(
+            [tmp_path / variant / f for f in HYBRID_FILES], profiles=profiles, registry=_registry()
+        )
+        for variant in ("lf", "bom", "crlf")
+    }
+    assert loaded["bom"] == loaded["crlf"] == loaded["lf"]
+    for variant, (bundle, _) in loaded.items():
+        assert bundle.input_digests == {
+            str(tmp_path / variant / f): hashlib.sha256((tmp_path / variant / f).read_bytes()).hexdigest()
+            for f in HYBRID_FILES
+        }
+
+
+# --------------------------------------------------------------------------
 # round trip through the parsed records
 # --------------------------------------------------------------------------
 
@@ -545,7 +616,7 @@ def test_validate_clean_fixture(cloud_minimal_bundle):
 def test_bundle_round_trip(seed):
     bundle, records, _ = inventory_gen.random_bundle(random.Random(seed))
     assert bundle.records == tuple(records)
-    clone, _ = assemble_bundle(bundle.records, bundle.registry, bundle.profiles)
+    clone, _ = assemble_bundle(bundle.records, bundle.registry)
     assert clone == bundle
     assert clone.records == bundle.records
 

@@ -47,7 +47,7 @@ def test_rating_parse(text, dimension, value):
     assert rating.value == value
 
 
-@pytest.mark.parametrize("text", ["", "secure", "12.5", "NIST", "bits"])
+@pytest.mark.parametrize("text", ["", "secure", "12.5", "NIST", "bits", "²", "1" * 25])
 def test_rating_parse_rejects_junk(text):
     assert SecurityRating.parse(text) is None
 

@@ -135,7 +135,7 @@ def test_overlay_equals_the_hand_edit_on_random_inventories():
         overlaid, diags = apply_overlay(bundle, overlay)
         edited, rewritten = hand_edit(bundle, records, set(removed), replacements, added)
         cases_rewriting_a_reference += rewritten > 0
-        expected, expected_diags = assemble_bundle(edited, bundle.registry, bundle.profiles)
+        expected, expected_diags = assemble_bundle(edited, bundle.registry)
 
         assert overlaid == expected, case
         assert build_graph(overlaid) == build_graph(expected), case

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 
 from cryptodep import (
@@ -13,14 +12,12 @@ from cryptodep import (
 )
 from cryptodep.report import (
     ScanReport,
-    file_digest,
     make_report,
     render_dot,
     render_json,
     render_text,
     render_whatif_json,
     render_whatif_text,
-    text_digest,
 )
 from cryptodep.rules import Edge, Vertex, VertexKind
 
@@ -188,14 +185,3 @@ def test_whatif_json(cloud_minimal_bundle):
     assert doc["diff"]["introduced"] == []
     assert doc["diff"]["unchanged"] == []
     assert doc["baseline"]["graph_stats"]["vertices"] == 8
-
-
-# --------------------------------------------------------------------------
-# digests
-# --------------------------------------------------------------------------
-
-def test_digest_helpers(tmp_path):
-    assert text_digest("abc") == hashlib.sha256(b"abc").hexdigest()
-    path = tmp_path / "x.txt"
-    path.write_text("abc")
-    assert file_digest(path) == text_digest("abc")
