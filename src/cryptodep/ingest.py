@@ -449,14 +449,27 @@ def _error(diags: list[Diagnostic], fname: str, line: int, code: str, message: s
     diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
 
 
-def _record_problem(kind: RecordKind, ident: str, record=None) -> tuple[str, str] | None:
+def _retention_years(raw) -> float | None:
+    """Years from a retention cell or overlay value; None when ``raw`` is
+    absent or is not a non-negative number."""
+    try:
+        years = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(raw, bool) or years < 0 else years
+
+
+def _record_problem(kind: RecordKind, ident: str, record=None, retention=None) -> tuple[str, str] | None:
     """The code and message of the first check a record fails, or None: a
-    blank id or label, then for a crypto ``record`` a certificate without
-    its signature algorithm or a field its object type does not carry.
-    Inventory rows and records an overlay adds both pass through here."""
+    blank id or label, a given data ``retention`` that is not a non-negative
+    number, then for a crypto ``record`` a certificate without its signature
+    algorithm or a field its object type does not carry.  Inventory rows and
+    records an overlay adds both pass through here."""
     if not ident:
         noun = "label" if kind is RecordKind.CLASSIFICATION else "id"
         return "blank-id", f"{kind.value} row has an empty {noun}"
+    if retention is not None and _retention_years(retention) is None:
+        return "bad-retention", f"retention for {ident!r} must be a non-negative number, got {retention!r}"
     if not isinstance(record, CryptoObjectRecord):
         return None
     if record.is_certificate and not record.algorithm:
@@ -494,26 +507,14 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
 
     if kind is RecordKind.DATA:
         ident = row.scalar(Role.ID)
-        if _rejected(_record_problem(kind, ident), diags, fname, line):
+        retention = row.scalar(Role.RETENTION_YEARS) or None
+        if _rejected(_record_problem(kind, ident, retention=retention), diags, fname, line):
             return None
-        retention: float | None = None
-        raw_retention = row.scalar(Role.RETENTION_YEARS)
-        if raw_retention:
-            try:
-                retention = float(raw_retention)
-            except ValueError:
-                retention = -1.0
-            if retention < 0:
-                _error(
-                    diags, fname, line, "bad-retention",
-                    f"retention for {ident!r} must be a non-negative number, got {raw_retention!r}",
-                )
-                return None
         return DataRecord(
             id=ident,
             storage_locations=tuple(row.many(Role.STORAGE_LOCATION)),
             classification=row.scalar(Role.CLASSIFICATION) or None,
-            retention_years=retention,
+            retention_years=_retention_years(retention),
             name=row.scalar(Role.NAME) or None,
             source=Source(fname, ident),
         )
@@ -697,7 +698,8 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
     algorithms: dict[str, list[Configuration]] = {}
     for index, entry in enumerate(entries):
         configs = entry.get("configurations", []) if isinstance(entry, dict) else None
-        if not isinstance(configs, list) or not str(entry.get("name", "")).strip():
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(configs, list) or not isinstance(name, str) or not name.strip():
             diags.append(
                 Diagnostic(
                     Severity.ERROR, label, "registry-entry-invalid",
@@ -705,7 +707,7 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
                 )
             )
             continue
-        name = str(entry["name"]).strip()
+        name = name.strip()
         for config_obj in configs:
             config = _parse_configuration(config_obj, name, label, diags)
             if config is None:
@@ -731,11 +733,16 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
 
 
 def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) -> Configuration | None:
-    if not isinstance(obj, dict) or not all(isinstance(obj.get(k, []), list) for k in ("flags", "uses")):
+    if not (
+        isinstance(obj, dict)
+        and all(isinstance(obj.get(k, []), list) for k in ("flags", "uses"))
+        and all(isinstance(f, str) for f in obj.get("flags", []))
+    ):
         diags.append(
             Diagnostic(
                 Severity.ERROR, label, "registry-entry-invalid",
-                f"configuration of {name!r} is not an object with list flags and uses, and was skipped",
+                f"configuration of {name!r} is not an object with a list of string flags "
+                "and a list of uses, and was skipped",
             )
         )
         return None
@@ -747,7 +754,7 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
                     f"configuration of {name!r} carries unrecognised key {key!r}",
                 )
             )
-    flags = tuple(normalise_flag(str(f)) for f in obj.get("flags", []))
+    flags = tuple(normalise_flag(f) for f in obj.get("flags", []))
     ratings: list[SecurityRating] = []
     security = obj.get("security")
     if security is not None:
@@ -799,7 +806,9 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
     uses: list[str] = []
     for spec in obj.get("uses", []):
         try:
-            member, member_flags = parse_primitive_spec(str(spec))
+            if not isinstance(spec, str):
+                raise ValueError
+            member, member_flags = parse_primitive_spec(spec)
         except ValueError:
             diags.append(
                 Diagnostic(
@@ -1141,15 +1150,23 @@ def _classification_from_dict(obj: dict) -> ClassificationBinding:
 
 
 def _data_from_dict(obj: dict) -> DataRecord:
-    retention = obj.get("retention_years")
     return DataRecord(
         id=obj["id"],
         name=obj.get("name"),
         classification=obj.get("classification"),
         storage_locations=tuple(obj.get("storage_locations", [])),
-        retention_years=float(retention) if retention is not None else None,
+        retention_years=_retention_years(obj.get("retention_years")),
         source=_source_from(obj, obj["id"]),
     )
+
+
+def _asset_kind(obj: dict) -> AssetKind:
+    # the aliases of the CSV Type column; an unknown kind is an error here,
+    # where the CSV warns and treats it as a processor
+    kind = _ASSET_KIND_ALIASES.get(obj["kind"].lower())
+    if kind is None:
+        raise ValueError(f"asset kind {obj['kind']!r} for {obj['id']!r} is not recognised")
+    return kind
 
 
 def _asset_from_dict(obj: dict) -> AssetRecord:
@@ -1159,7 +1176,7 @@ def _asset_from_dict(obj: dict) -> AssetRecord:
     return AssetRecord(
         id=obj["id"],
         name=obj.get("name"),
-        kind=AssetKind(obj["kind"]) if obj.get("kind") else None,
+        kind=_asset_kind(obj) if obj.get("kind") else None,
         serves=tuple(obj.get("serves", [])),
         accesses=accesses,
         source=_source_from(obj, obj["id"]),
@@ -1214,7 +1231,8 @@ def _record_from_dict(entry: dict):
             raise ValueError(f"{key} must be a list of strings, got {value!r}")
     record = _RECORD_DESERIALIZERS[kind](entry)
     ident = record.label if kind is RecordKind.CLASSIFICATION else record.id
-    problem = _record_problem(kind, ident, record)
+    retention = entry.get("retention_years") if kind is RecordKind.DATA else None
+    problem = _record_problem(kind, ident, record, retention)
     if problem is not None:
         raise ValueError(problem[1])
     return record

@@ -185,7 +185,7 @@ def compare_ratings(a: SecurityRating, b: SecurityRating) -> Comparison:
 # inventory records
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Source:
     """Where a record came from: file basename plus a stable record key."""
 
@@ -203,7 +203,7 @@ class Source:
         return Source(obj["file"], obj["ref"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationBinding:
     """Maps an organisational classification label to the security levels it
     requires.  ``rank`` is the position in the classification map; earlier
@@ -215,7 +215,7 @@ class ClassificationBinding:
     source: Source = Source("", "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataRecord:
     id: str
     storage_locations: tuple[str, ...] = ()
@@ -253,7 +253,7 @@ class RefOrigin(str, Enum):
     ASSET_FIELD = "asset-field"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessRef:
     target: str
     direction: Direction = Direction.TWO_WAY
@@ -272,7 +272,7 @@ class AccessRef:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssetRecord:
     """A machine, service, channel, process, or piece of software.
 
@@ -312,7 +312,7 @@ CERTIFICATE_OBJECT_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CryptoObjectRecord:
     """A key or certificate from a cryptographic inventory.
 

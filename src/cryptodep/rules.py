@@ -45,7 +45,7 @@ produce AC1 edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -131,12 +131,16 @@ _DATA_LOCATION_RULE = {
     VertexKind.PROCESS: "D3",
 }
 
+# reference columns naming a crypto object or an algorithm; M3 otherwise
+_CRYPTO_REF_RULE = {VertexKind.PROCESS: "PR4", VertexKind.CHANNEL: "CH1"}
+_ALGORITHM_REF_RULE = {VertexKind.PROCESS: "PR1", VertexKind.CHANNEL: "CH1"}
+
 
 class UnknownVertexError(KeyError):
     """Raised when an operation names a vertex that is not in the graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: str
     kind: VertexKind
@@ -144,7 +148,7 @@ class Vertex:
     payload: SecurityRating | Configuration | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     frm: str
     to: str
@@ -217,13 +221,21 @@ def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, S
 # construction
 # --------------------------------------------------------------------------
 
-@dataclass
 class _Builder:
-    bundle: InventoryBundle
-    active_dims: frozenset[RatingDimension]
-    vertices: dict[str, Vertex] = field(default_factory=dict)
-    edges: dict[tuple[str, str, str], set[Source]] = field(default_factory=dict)
-    _expanded_configs: set[str] = field(default_factory=set)
+    """Vertices and edges as the rules add them.  An edge holds the one
+    ``Source`` that forced it, or a set once a second, different source
+    arrives: almost every edge has one, so most need neither set nor sort."""
+
+    def __init__(self, bundle: InventoryBundle, active_dims: frozenset[RatingDimension]):
+        self.bundle = bundle
+        self.active_dims = active_dims
+        # bound once: the rules consult them for nearly every record
+        self.assets = bundle.asset_map()
+        self.crypto = bundle.crypto_map()
+        self.data = bundle.data_map()
+        self.vertices: dict[str, Vertex] = {}
+        self.edges: dict[tuple[str, str, str], Source | set[Source]] = {}
+        self._configs: dict[tuple[str, tuple[str, ...]], str] = {}
 
     def vertex(self, vertex_id: str, kind: VertexKind, display: str | None = None, payload=None) -> str:
         # first registration wins, so record processing order (canonical
@@ -235,7 +247,14 @@ class _Builder:
     def edge(self, frm: str, to: str, rule: str, source: Source) -> None:
         if frm == to:
             return
-        self.edges.setdefault((frm, to, rule), set()).add(source)
+        key = (frm, to, rule)
+        held = self.edges.get(key)
+        if held is None:
+            self.edges[key] = source
+        elif isinstance(held, set):
+            held.add(source)
+        elif held != source:
+            self.edges[key] = {held, source}
 
     # -- vertex helpers ----------------------------------------------------
 
@@ -243,21 +262,25 @@ class _Builder:
         return self.vertex(rating.key, VertexKind.SECURITY_LEVEL, rating.display, rating)
 
     def asset(self, asset_id: str) -> str:
-        record = self.bundle.asset_map().get(asset_id)
+        if asset_id in self.vertices:
+            return asset_id
+        record = self.assets.get(asset_id)
         if record is None:
             return self.vertex(asset_id, VertexKind.PROCESSOR)
         kind = _ASSET_VERTEX_KIND[record.effective_kind]
         return self.vertex(asset_id, kind, record.display)
 
-    def config(self, algorithm: str, flags) -> str:
+    def config(self, algorithm: str, flags: tuple[str, ...]) -> str:
         """Vertex for a primitive configuration, expanding registry ratings
-        (SL2) and protocol members (P2) exactly once."""
-        key = primitive_key(algorithm, flags)
+        (SL2) and protocol members (P2) once per spelling of it; a second
+        spelling adds nothing new, and the memo entry, made before the
+        members expand, ends protocol cycles."""
+        key = self._configs.get((algorithm, flags))
+        if key is not None:
+            return key
+        key = self._configs[algorithm, flags] = primitive_key(algorithm, flags)
         configuration = self.bundle.registry.lookup(algorithm, flags)
         self.vertex(key, VertexKind.PRIMITIVE_CONFIG, payload=configuration)
-        if key in self._expanded_configs:
-            return key
-        self._expanded_configs.add(key)
         if configuration is None:
             return key
         for rating in configuration.ratings:
@@ -270,12 +293,15 @@ class _Builder:
         return key
 
     def finish(self) -> DependencyGraph:
-        vertices = tuple(sorted(self.vertices.values(), key=lambda v: v.id))
-        edges = tuple(
-            Edge(frm, to, rule, tuple(sorted(sources, key=lambda s: (s.file, s.ref))))
-            for (frm, to, rule), sources in sorted(self.edges.items())
-        )
-        return DependencyGraph(vertices, edges)
+        vertices = tuple(self.vertices[v] for v in sorted(self.vertices))
+        edges = []
+        for key in sorted(self.edges):
+            sources = self.edges[key]
+            if isinstance(sources, Source):
+                edges.append(Edge(*key, (sources,)))
+            else:
+                edges.append(Edge(*key, tuple(sorted(sources, key=lambda s: (s.file, s.ref)))))
+        return DependencyGraph(vertices, tuple(edges))
 
 
 def build_graph(bundle: InventoryBundle) -> DependencyGraph:
@@ -339,28 +365,23 @@ def _access_pair(builder: _Builder, asset: str, service: str, direction: Directi
 
 def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, source: Source) -> None:
     """Interpret a reference column on an asset row by its target's type."""
-    bundle = builder.bundle
     target = ref.target
 
-    if target in bundle.crypto_map():
-        obj = bundle.crypto_map()[target]
+    obj = builder.crypto.get(target)
+    if obj is not None:
         kind = VertexKind.KEY if obj.is_key else VertexKind.CERTIFICATE
         target_vertex = builder.vertex(target, kind, obj.display)
-        rule = {
-            VertexKind.PROCESS: "PR4",
-            VertexKind.CHANNEL: "CH1",
-        }.get(src_kind, "M3")
-        builder.edge(src, target_vertex, rule, source)
+        builder.edge(src, target_vertex, _CRYPTO_REF_RULE.get(src_kind, "M3"), source)
         return
 
-    if target in bundle.data_map():
-        record = bundle.data_map()[target]
+    record = builder.data.get(target)
+    if record is not None:
         data_vertex = builder.vertex(target, VertexKind.DATA_ASSET, record.display)
         rule = _DATA_LOCATION_RULE.get(src_kind, "D1")
         builder.edge(data_vertex, src, rule, source)
         return
 
-    if target in bundle.asset_map():
+    if target in builder.assets:
         target_vertex = builder.asset(target)
         target_kind = builder.vertices[target_vertex].kind
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
@@ -373,14 +394,10 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, sou
             _access_pair(builder, src, target_vertex, ref.direction, source)
         return
 
-    algorithm = _algorithm_reference(bundle, target)
+    algorithm = _algorithm_reference(builder.bundle, target)
     if algorithm is not None:
         target_vertex = builder.config(*algorithm)
-        rule = {
-            VertexKind.PROCESS: "PR1",
-            VertexKind.CHANNEL: "CH1",
-        }.get(src_kind, "M3")
-        builder.edge(src, target_vertex, rule, source)
+        builder.edge(src, target_vertex, _ALGORITHM_REF_RULE.get(src_kind, "M3"), source)
         return
 
     # unresolvable reference: behave like an access to an undeclared asset
@@ -436,7 +453,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
 
     if record.matched_key:
         rule = "K6" if record.is_certificate else "K3"
-        matched = builder.bundle.crypto_map().get(record.matched_key)
+        matched = builder.crypto.get(record.matched_key)
         matched_kind = (
             VertexKind.KEY if matched is None or matched.is_key else VertexKind.CERTIFICATE
         )
@@ -446,7 +463,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
         builder.edge(obj, target, rule, record.source)
 
     if record.is_certificate and record.issuer_cert and record.issuer_cert != record.id:
-        issuer = builder.bundle.crypto_map().get(record.issuer_cert)
+        issuer = builder.crypto.get(record.issuer_cert)
         target = builder.vertex(
             record.issuer_cert,
             VertexKind.CERTIFICATE,

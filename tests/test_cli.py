@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import gc
 import io
 import json
 from collections import Counter
@@ -229,6 +230,19 @@ def test_bad_registry_is_fatal(tmp_path):
     assert err.startswith("error: ")
 
 
+def test_registry_names_and_flags_must_be_strings(tmp_path):
+    registry = tmp_path / "reg.json"
+    registry.write_text(json.dumps([
+        {"name": ["RSA"], "configurations": [{"flags": ["1024"], "security": 80}]},
+        {"name": "RSA", "configurations": [{"flags": [[1]], "security": 80}, {"flags": [1024], "security": 80}]},
+    ]))
+    code, out, _ = run_cli(cloud_minimal_args("validate")[:-3] + ["--registry", str(registry), "--paper-defaults"])
+    assert code == 1
+    assert out.count("registry-entry-invalid") == 3
+    assert "unknown-algorithm: RSA[1024] used by 'certkey1' is not rated" in out
+    assert "['RSA']" not in out
+
+
 def test_bad_overlay_is_fatal(tmp_path):
     overlay = tmp_path / "bad.json"
     overlay.write_text(json.dumps({"replace_algorithms": [{"from": "RSA[1024]"}]}))
@@ -335,6 +349,14 @@ def test_witnesses_below_one_is_rejected(value):
         ({"record_kind": "data", "id": ""}, "data row has an empty id"),
         ({"record_kind": "classification", "label": "", "required": ["128"]},
          "classification row has an empty label"),
+        ({"record_kind": "data", "id": "D-neg", "retention_years": -5},
+         "retention for 'D-neg' must be a non-negative number, got -5"),
+        ({"record_kind": "data", "id": "D-x", "retention_years": "abc"},
+         "retention for 'D-x' must be a non-negative number, got 'abc'"),
+        ({"record_kind": "data", "id": "D-x", "retention_years": [5]},
+         "retention for 'D-x' must be a non-negative number, got [5]"),
+        ({"record_kind": "asset", "id": "srv-x", "kind": "toaster"},
+         "asset kind 'toaster' for 'srv-x' is not recognised"),
     ],
 )
 def test_added_records_get_the_row_checks(tmp_path, record, message):
@@ -344,6 +366,16 @@ def test_added_records_get_the_row_checks(tmp_path, record, message):
     assert code == 2
     assert out == ""
     assert err == f"error: bad added record: {message}\n"
+
+
+def test_added_asset_kind_takes_the_csv_aliases(tmp_path):
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"add_records": [{"record_kind": "asset", "id": "srv-x", "kind": "server"}]}))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--format", "dot", "--overlay", str(overlay)))
+    assert code == 1
+    assert "error" not in err
+    nodes, _ = read_dot(out)
+    assert "srv-x" in nodes
 
 
 def test_added_certificate_fails_like_the_same_csv_row(tmp_path):
@@ -454,6 +486,38 @@ def test_undecodable_or_oversized_input_exits_2_with_one_line(tmp_path, name, ta
 # --------------------------------------------------------------------------
 # odds and ends
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "args,expected,loads",
+    [
+        (cloud_minimal_args("validate"), 0, True),
+        (cloud_minimal_args("scan"), 1, True),
+        (["scan", "missing.csv"], 2, True),
+        (["scan", "--witnesses", "0", "missing.csv"], 2, False),  # argparse exits
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "argparse"],
+)
+def test_main_sets_one_gc_policy_and_restores_the_callers(monkeypatch, args, expected, loads):
+    during = []
+    real_load = cli.load_bundle
+
+    def load_bundle(*a, **k):
+        during.append((gc.get_threshold(), gc.isenabled()))
+        return real_load(*a, **k)
+
+    monkeypatch.setattr(cli, "load_bundle", load_bundle)
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 5, 6)
+    try:
+        before = (gc.get_threshold(), gc.isenabled())
+        code, _, _ = run_cli(args)
+        after = (gc.get_threshold(), gc.isenabled())
+    finally:
+        gc.set_threshold(*saved)
+    assert code == expected
+    assert after == before
+    assert during == [(cli._GC_THRESHOLDS, before[1])] * loads
+
 
 def test_version_flag():
     code, out, _ = run_cli(["--version"])

@@ -338,6 +338,23 @@ def test_registry_skips_malformed_parts():
     assert registry.lookup("RSA", ("4096",)).source == Source("r", "RSA[4096]")
 
 
+def test_registry_names_and_flags_are_not_stringified():
+    doc = """[
+      {"name": ["RSA"], "configurations": [{"flags": ["1"], "security": 80}]},
+      {"name": 7, "configurations": []},
+      {"name": "RSA", "configurations": [
+         {"flags": [[1]], "security": 80}, {"flags": [1024]},
+         {"flags": ["2048"], "security": 112, "uses": [3, "AES[128]"]}
+      ]}
+    ]"""
+    registry, diags = parse_registry_text(doc, "r")
+    assert codes(diags) == ["registry-entry-invalid"] * 4 + ["unknown-registry-value"]
+    assert "cannot parse member primitive 3" in diags[-1].message
+    assert registry.algorithm_names() == ("RSA",)
+    [config] = registry.algorithms["RSA"]
+    assert (config.flags, config.uses) == (("2048",), ("AES[128]",))
+
+
 def test_registry_entry_diagnostics():
     doc = """[
       {"configurations": []},

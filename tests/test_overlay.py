@@ -24,6 +24,7 @@ from cryptodep import (
     find_violations,
     load_default_registry,
 )
+from cryptodep.ingest import _ASSET_KIND_ALIASES
 from cryptodep.model import RefOrigin, parse_primitive_spec, primitive_key
 
 import inventory_gen
@@ -199,6 +200,15 @@ def test_added_records_with_existing_ids_merge_or_clash():
     merged = overlaid.asset_map()["P1"]
     assert (merged.kind, merged.name) == (AssetKind.PROCESS, "Payroll")
     assert [(d.severity, d.code) for d in diags] == [(Severity.ERROR, "duplicate-id")] * 2
+
+
+def test_added_asset_kind_takes_the_csv_type_aliases():
+    bundle = _bundle()
+    for spelling in ("server", "Server", "Processor", "vm", "workflow", "network", "Software"):
+        entry = {"record_kind": "asset", "id": "X", "kind": spelling}
+        overlaid, diags = apply_overlay(bundle, Overlay(add_records=(entry,)))
+        assert diags == []
+        assert overlaid.asset_map()["X"].kind is _ASSET_KIND_ALIASES[spelling.lower()]
 
 
 def test_removing_a_referenced_asset_warns_that_it_comes_back():

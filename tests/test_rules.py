@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
 from cryptodep import (
@@ -22,6 +25,8 @@ from cryptodep import (
 )
 from cryptodep.ingest import parse_registry_text
 from cryptodep.model import RefOrigin
+
+import inventory_gen
 
 
 def triples(graph):
@@ -333,6 +338,30 @@ def test_protocol_configurations_expand_to_members():
     assert ("RSA[2048]", "Approval:approved", "SL2") in got
 
 
+def test_protocol_cycles_and_respelt_flags_expand_to_one_vertex():
+    registry, diags = parse_registry_text(
+        '[{"name": "P", "configurations": [{"flags": ["2", "1"], "NIST-approval": "approved", "uses": ["Q"]}]},'
+        ' {"name": "Q", "configurations": [{"flags": [], "uses": ["P[2,1.0]"]}]}]',
+        "r",
+    )
+    assert diags == []
+    records = [HIGH] + [
+        CryptoObjectRecord(
+            id=ident, object_type=CryptoObjectType.SYMMETRIC_KEY, algorithm="P", config_flags=flags, source=src()
+        )
+        for ident, flags in (("K1", ("1", "2")), ("K2", ("2", "1")))
+    ]
+    graph = graph_from(records, registry)
+    assert [v.id for v in graph.vertices if v.kind is VertexKind.PRIMITIVE_CONFIG] == ["P[1,2]", "Q[]"]
+    assert {t for t in triples(graph) if t[2] in ("P2", "SL2", "K4")} == {
+        ("P[1,2]", "Q[]", "P2"),
+        ("Q[]", "P[1,2]", "P2"),
+        ("P[1,2]", "Approval:approved", "SL2"),
+        ("K1", "P[1,2]", "K4"),
+        ("K2", "P[1,2]", "K4"),
+    }
+
+
 # --------------------------------------------------------------------------
 # typed reference columns
 # --------------------------------------------------------------------------
@@ -448,6 +477,43 @@ def test_duplicate_references_merge_provenance():
     graph = graph_from([ref("one.csv"), ref("two.csv")])
     edge = next(e for e in graph.edges if (e.frm, e.to) == ("A", "S"))
     assert [s.file for s in edge.provenance] == ["one.csv", "two.csv"]
+
+
+def test_provenance_is_one_source_or_every_source_in_file_ref_order():
+    def access(fname, ref):
+        source = src(fname, ref)
+        return AssetRecord(
+            id="A", accesses=(AccessRef("S", origin=RefOrigin.ACCESS_RECORD, source=source),), source=source
+        )
+
+    records = [
+        access("z.csv", "A->S"), access("a.csv", "r2"), access("z.csv", "A->S"), access("a.csv", "r1"),
+        AssetRecord(id="B", kind=AssetKind.PROCESSOR, serves=("C",), source=src("b.csv", "B")),
+    ]
+    graph = graph_from(records)
+    provenance = {(e.frm, e.to): e.provenance for e in graph.edges}
+    assert provenance["A", "S"] == (src("a.csv", "r1"), src("a.csv", "r2"), src("z.csv", "A->S"))
+    assert provenance["B", "C"] == (src("b.csv", "B"),)
+    assert all(type(e.provenance) is tuple for e in graph.edges)
+
+
+def test_graph_is_the_same_with_cyclic_gc_on_or_off():
+    bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=400, n_assets=400, n_crypto=400)
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    collections = sum(stats["collections"] for stats in gc.get_stats())
+    try:
+        gc.enable()
+        gc.set_threshold(50, 2, 2)  # collect often while the builder holds its tables
+        with_gc = build_graph(bundle)
+        assert sum(stats["collections"] for stats in gc.get_stats()) > collections
+        gc.disable()
+        without_gc = build_graph(bundle)
+    finally:
+        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
+    assert with_gc == without_gc  # edges compare with their provenance
+    assert len(with_gc.edges) > 1000
 
 
 def test_no_self_loops():
