@@ -21,7 +21,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .ingest import Diagnostic, Severity, _record_from_dict, assemble_bundle
+from .ingest import Diagnostic, Severity, assemble_bundle, parse_entry
 from .model import (
     AssetRecord,
     ClassificationBinding,
@@ -586,7 +586,7 @@ def apply_overlay(
     added = []
     for entry in overlay.add_records:
         try:
-            added.append(_record_from_dict(entry))
+            added.append(parse_entry(entry))
         except KeyError as exc:
             problems.append(f"bad added record: missing field {exc}")
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:

@@ -59,6 +59,7 @@ __all__ = [
     "parse_registry_text",
     "load_default_registry",
     "DEFAULT_REGISTRY_LABEL",
+    "parse_entry",
     "load_bundle",
     "assemble_bundle",
     "validate_bundle",
@@ -147,7 +148,7 @@ class Role(str, Enum):
     IGNORE = "ignore"
 
 
-#: roles that may be fed by several columns (or ``;``-separated cells)
+#: roles that may be fed by several columns, each split at ``;``
 LIST_ROLES = frozenset(
     {Role.STORAGE_LOCATION, Role.CONFIG_FLAG, Role.ACCESSES_TARGET, Role.SERVES}
 )
@@ -197,8 +198,13 @@ def _profile_from_dict(obj: dict, where: str) -> MappingProfile:
             role = Role(role_name)
         except ValueError:
             raise IngestError(f"{where}: unknown role {role_name!r} in defaults") from None
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise IngestError(f"{where}: default for {role_name!r} must be a string or a number, got {value!r}")
         defaults[role] = str(value)
-    profile = MappingProfile(str(obj.get("inventory", "")), kind, columns, defaults)
+    inventory = obj.get("inventory", "")
+    if not isinstance(inventory, str):
+        raise IngestError(f"{where}: inventory must be a string, got {inventory!r}")
+    profile = MappingProfile(inventory, kind, columns, defaults)
     _check_profile(profile, where)
     return profile
 
@@ -344,13 +350,14 @@ _DIRECTION_ALIASES = {
     "ro": Direction.READ_ONLY,
 }
 
+#: the CSV ``Type`` spellings, which overlay ``object_type`` values share
 _OBJECT_TYPE_ALIASES = {
+    **{object_type.value.lower(): object_type for object_type in CryptoObjectType},
     "symmetric key": CryptoObjectType.SYMMETRIC_KEY,
     "secret key": CryptoObjectType.SYMMETRIC_KEY,
     "symmetric": CryptoObjectType.SYMMETRIC_KEY,
     "private key": CryptoObjectType.PRIVATE_KEY,
     "public key": CryptoObjectType.PUBLIC_KEY,
-    "certificate": CryptoObjectType.CERTIFICATE,
     "cert": CryptoObjectType.CERTIFICATE,
     "ssl/tls certificate": CryptoObjectType.CERTIFICATE,
     "ssl certificate": CryptoObjectType.CERTIFICATE,
@@ -362,36 +369,49 @@ _OBJECT_TYPE_ALIASES = {
 }
 
 
-class _Row:
-    """One CSV row seen through a profile: each role reads the columns bound
-    to it once per file, when the header was read."""
+def _cell(value: str) -> str:
+    value = value.strip()
+    return "" if value == "-" else value  # spreadsheet convention for "none"
 
-    def __init__(self, columns: dict[Role, list[int]], defaults: dict[Role, str], cells: list[str]):
-        self._columns = columns
-        self._defaults = defaults
-        self._cells = cells
 
-    def _values(self, role: Role) -> list[str]:
-        cells = self._cells
-        values = []
-        for index in self._columns.get(role, ()):
-            value = cells[index].strip() if index < len(cells) else ""
-            values.append("" if value == "-" else value)  # spreadsheet convention for "none"
-        return values
+def _members(cells) -> list[str]:
+    """The members of list cells: each cell split at ``;``, blanks dropped."""
+    return [part for cell in cells for part in map(str.strip, cell.split(";")) if part]
+
+
+class _Columns:
+    """A CSV header bound to the roles of its profile, compiled once per file:
+    each role reads a constant default, one column or several.  A row is read
+    by setting ``cells``; ``scalar`` and ``many`` then read one role of it."""
+
+    def __init__(self, columns: dict[Role, list[int]], defaults: dict[Role, str]):
+        self.cells: list[str] = []
+        self._scalar = {role: _scalar_reader(columns.get(role, ()), defaults.get(role, "")) for role in Role}
+        self._many = {role: _many_reader(columns.get(role, ()), defaults.get(role, "")) for role in Role}
 
     def scalar(self, role: Role) -> str:
-        for value in self._values(role):
-            if value:
-                return value
-        return self._defaults.get(role, "")
+        return self._scalar[role](self.cells)
 
-    def many(self, role: Role) -> list[str]:
-        values = []
-        for cell in self._values(role):
-            values.extend(part.strip() for part in cell.split(";") if part.strip())
-        if not values and role in self._defaults:
-            values = [p.strip() for p in self._defaults[role].split(";") if p.strip()]
-        return values
+    def many(self, role: Role):
+        return self._many[role](self.cells)
+
+
+def _scalar_reader(indices, default: str):
+    """Reads the first non-empty cell of ``indices``, else ``default``."""
+    if not indices:
+        return lambda cells: default
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda cells: (_cell(cells[index]) if index < len(cells) else "") or default
+    return lambda cells: next(filter(None, (_cell(cells[i]) for i in indices if i < len(cells))), default)
+
+
+def _many_reader(indices, default: str):
+    """Reads the members of the cells of ``indices``, else of ``default``."""
+    fallback = tuple(_members([default]))
+    if not indices:
+        return lambda cells: fallback
+    return lambda cells: _members(_cell(cells[i]) for i in indices if i < len(cells)) or fallback
 
 
 def _csv_rows(text: str, path: str | Path):
@@ -435,94 +455,87 @@ def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], u
             ))
         elif role is not None and role is not Role.IGNORE:
             columns.setdefault(role, []).append(index)
+    row = _Columns(columns, profile.defaults)
     records: list = []
     for line, cells in rows:
         if not any(cell.strip() for cell in cells):
             continue
-        record = _parse_row(profile.kind, _Row(columns, profile.defaults, cells), fname, line, diags)
+        row.cells = cells
+        record = _parse_row(profile.kind, row, fname, line, diags)
         if record is not None:
             records.append(record)
     return records, diags
 
 
-def _error(diags: list[Diagnostic], fname: str, line: int, code: str, message: str) -> None:
+def _error(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
     diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
 
 
 def _retention_years(raw) -> float | None:
     """Years from a retention cell or overlay value; None when ``raw`` is
-    absent or is not a non-negative number."""
+    not a non-negative number.  NaN is not one (it compares false with every
+    horizon); infinity is."""
     try:
         years = float(raw)
     except (TypeError, ValueError, OverflowError):
         return None
-    return None if isinstance(raw, bool) or years < 0 else years
+    return None if isinstance(raw, bool) or not years >= 0 else years
 
 
-def _record_problem(kind: RecordKind, ident: str, record=None, retention=None) -> tuple[str, str] | None:
-    """The code and message of the first check a record fails, or None: a
-    blank id or label, a given data ``retention`` that is not a non-negative
-    number, then for a crypto ``record`` a certificate without its signature
-    algorithm or a field its object type does not carry.  Inventory rows and
-    records an overlay adds both pass through here."""
+def _parse_row(kind: RecordKind, row, fname: str, line: int | None, diags: list[Diagnostic]):
+    """The record of one row, read through ``row``: a CSV row (``_Columns``)
+    or an overlay entry (``_Entry``), whose ``scalar(role)`` and
+    ``many(role)`` give one role's value.  A rejected row gives None and an
+    error in ``diags``; no other code builds a record from input."""
+    if kind is RecordKind.ACCESS:
+        owner = row.scalar(Role.ID)
+        targets = row.many(Role.ACCESSES_TARGET)
+        if not owner or not targets:
+            return _error(diags, fname, line, "blank-id", "access row needs both an asset and a service")
+        direction = _parse_direction(row, fname, line, owner, diags)
+        row_source = Source(fname, f"{owner}->{','.join(targets)}")
+        refs = tuple(
+            AccessRef(target, direction, RefOrigin.ACCESS_RECORD, row_source)
+            for target in targets
+            if target != owner
+        )
+        return AssetRecord(id=owner, accesses=refs, source=row_source)
+
+    ident = row.scalar(Role.CLASSIFICATION if kind is RecordKind.CLASSIFICATION else Role.ID)
     if not ident:
         noun = "label" if kind is RecordKind.CLASSIFICATION else "id"
-        return "blank-id", f"{kind.value} row has an empty {noun}"
-    if retention is not None and _retention_years(retention) is None:
-        return "bad-retention", f"retention for {ident!r} must be a non-negative number, got {retention!r}"
-    if not isinstance(record, CryptoObjectRecord):
-        return None
-    if record.is_certificate and not record.algorithm:
-        return "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
-    if record.matched_key and not (record.is_certificate or record.object_type is CryptoObjectType.PUBLIC_KEY):
-        return (
-            "field-not-applicable",
-            f"matched_key is only valid for public keys and certificates, found on {ident!r}",
-        )
-    if record.issuer_cert and not record.is_certificate:
-        return "field-not-applicable", f"issuer_cert is only valid for certificates, found on {ident!r}"
-    return None
+        return _error(diags, fname, line, "blank-id", f"{kind.value} row has an empty {noun}")
+    source = Source(fname, ident)
 
-
-def _rejected(problem, diags: list[Diagnostic], fname: str, line: int) -> bool:
-    if problem is not None:
-        _error(diags, fname, line, *problem)
-    return problem is not None
-
-
-def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[Diagnostic]):
     if kind is RecordKind.CLASSIFICATION:
-        label = row.scalar(Role.CLASSIFICATION)
-        if _rejected(_record_problem(kind, label), diags, fname, line):
-            return None
-        level = row.scalar(Role.SECURITY_LEVEL)
-        rating = SecurityRating.parse(level) if level else None
-        if rating is None:
-            _error(
-                diags, fname, line, "bad-security-level",
-                f"cannot interpret security level {level!r} for classification {label!r}",
-            )
-            return None
-        return ClassificationBinding(label, (rating,), source=Source(fname, label))
+        levels = row.many(Role.SECURITY_LEVEL) or ("",)
+        ratings = tuple(SecurityRating.parse(level) for level in levels)
+        for level, rating in zip(levels, ratings):
+            if rating is None:
+                return _error(
+                    diags, fname, line, "bad-security-level",
+                    f"cannot interpret security level {level!r} for classification {ident!r}",
+                )
+        return ClassificationBinding(ident, ratings, source=source)
 
     if kind is RecordKind.DATA:
-        ident = row.scalar(Role.ID)
-        retention = row.scalar(Role.RETENTION_YEARS) or None
-        if _rejected(_record_problem(kind, ident, retention=retention), diags, fname, line):
-            return None
+        retention = row.scalar(Role.RETENTION_YEARS)
+        years = None if retention == "" else _retention_years(retention)
+        if years is None and retention != "":
+            return _error(
+                diags, fname, line, "bad-retention",
+                f"retention for {ident!r} must be a non-negative number, got {retention!r}",
+            )
         return DataRecord(
             id=ident,
             storage_locations=tuple(row.many(Role.STORAGE_LOCATION)),
             classification=row.scalar(Role.CLASSIFICATION) or None,
-            retention_years=_retention_years(retention),
+            retention_years=years,
             name=row.scalar(Role.NAME) or None,
-            source=Source(fname, ident),
+            source=source,
         )
 
     if kind is RecordKind.ASSET:
-        ident = row.scalar(Role.ID)
-        if _rejected(_record_problem(kind, ident), diags, fname, line):
-            return None
         asset_kind: AssetKind | None = None
         raw_kind = row.scalar(Role.OBJECT_TYPE)
         if raw_kind:
@@ -537,7 +550,7 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
                 )
         direction = _parse_direction(row, fname, line, ident, diags)
         accesses = tuple(
-            AccessRef(target, direction, RefOrigin.ASSET_FIELD, Source(fname, ident))
+            AccessRef(target, direction, RefOrigin.ASSET_FIELD, source)
             for target in row.many(Role.ACCESSES_TARGET)
             if target != ident
         )
@@ -547,36 +560,17 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
             serves=tuple(t for t in row.many(Role.SERVES) if t != ident),
             accesses=accesses,
             name=row.scalar(Role.NAME) or None,
-            source=Source(fname, ident),
+            source=source,
         )
-
-    if kind is RecordKind.ACCESS:
-        owner = row.scalar(Role.ID)
-        targets = row.many(Role.ACCESSES_TARGET)
-        if not owner or not targets:
-            _error(diags, fname, line, "blank-id", "access row needs both an asset and a service")
-            return None
-        direction = _parse_direction(row, fname, line, owner, diags)
-        row_source = Source(fname, f"{owner}->{','.join(targets)}")
-        refs = tuple(
-            AccessRef(target, direction, RefOrigin.ACCESS_RECORD, row_source)
-            for target in targets
-            if target != owner
-        )
-        return AssetRecord(id=owner, accesses=refs, source=row_source)
 
     # crypto
-    ident = row.scalar(Role.ID)
-    if _rejected(_record_problem(kind, ident), diags, fname, line):
-        return None
     raw_type = row.scalar(Role.OBJECT_TYPE)
-    object_type = _OBJECT_TYPE_ALIASES.get(raw_type.lower()) if raw_type else None
+    object_type = _OBJECT_TYPE_ALIASES.get(raw_type.lower())
     if object_type is None:
-        _error(
+        return _error(
             diags, fname, line, "bad-object-type",
             f"object type {raw_type!r} for {ident!r} is not one of the supported kinds",
         )
-        return None
     record = CryptoObjectRecord(
         id=ident,
         object_type=object_type,
@@ -588,14 +582,26 @@ def _parse_row(kind: RecordKind, row: _Row, fname: str, line: int, diags: list[D
         issuer_cert=row.scalar(Role.ISSUER_CERT) or None,
         created_by=row.scalar(Role.CREATED_BY) or None,
         name=row.scalar(Role.NAME) or None,
-        source=Source(fname, ident),
+        source=source,
     )
-    if _rejected(_record_problem(kind, ident, record), diags, fname, line):
-        return None
+    if record.is_certificate and not record.algorithm:
+        return _error(
+            diags, fname, line, "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
+        )
+    if record.matched_key and not (record.is_certificate or object_type is CryptoObjectType.PUBLIC_KEY):
+        return _error(
+            diags, fname, line, "field-not-applicable",
+            f"matched_key is only valid for public keys and certificates, found on {ident!r}",
+        )
+    if record.issuer_cert and not record.is_certificate:
+        return _error(
+            diags, fname, line, "field-not-applicable",
+            f"issuer_cert is only valid for certificates, found on {ident!r}",
+        )
     return record
 
 
-def _parse_direction(row: _Row, fname: str, line: int, ident: str, diags: list[Diagnostic]) -> Direction:
+def _parse_direction(row, fname: str, line: int | None, ident: str, diags: list[Diagnostic]) -> Direction:
     raw = row.scalar(Role.ACCESS_DIRECTION)
     if not raw:
         return Direction.TWO_WAY
@@ -818,9 +824,7 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
             )
             continue
         uses.append(primitive_key(member, member_flags))
-    raw_source = obj.get("source")
-    named = isinstance(raw_source, dict) and all(isinstance(raw_source.get(k), str) for k in ("file", "ref"))
-    source = Source(raw_source["file"], raw_source["ref"]) if named else Source(label, primitive_key(name, flags))
+    source = _named_source(obj.get("source")) or Source(label, primitive_key(name, flags))
     return Configuration(
         flags=flags,
         ratings=tuple(sorted(ratings, key=lambda r: r.sort_key())),
@@ -1115,124 +1119,126 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
 
 
 # --------------------------------------------------------------------------
-# overlay records: one record from a JSON object with a ``record_kind``
+# overlay records: an ``add_records`` entry read as a row
 # --------------------------------------------------------------------------
 
-def _source_from(obj: dict, fallback_ref: str) -> Source:
+#: the fields of an ``add_records`` entry as the columns of one fixed
+#: profile: each field's role and the JSON type its value must have (a
+#: retention of any type gets the row's ``bad-retention`` check instead)
+_ENTRY_FIELDS = {
+    "id": (Role.ID, str),
+    "label": (Role.CLASSIFICATION, str),
+    "classification": (Role.CLASSIFICATION, str),
+    "name": (Role.NAME, str),
+    "kind": (Role.OBJECT_TYPE, str),
+    "object_type": (Role.OBJECT_TYPE, str),
+    "location": (Role.LOCATION, str),
+    "algorithm": (Role.ALGORITHM, str),
+    "matched_key": (Role.MATCHED_KEY, str),
+    "issuer_cert": (Role.ISSUER_CERT, str),
+    "created_by": (Role.CREATED_BY, str),
+    "storage_locations": (Role.STORAGE_LOCATION, list),
+    "key_locations": (Role.STORAGE_LOCATION, list),
+    "serves": (Role.SERVES, list),
+    "config_flags": (Role.CONFIG_FLAG, list),
+    "retention_years": (Role.RETENTION_YEARS, object),
+}
+
+#: the kinds an overlay may add, and the fields an entry of each must carry
+_ENTRY_REQUIRED = {
+    RecordKind.CLASSIFICATION: ("label", "required"),
+    RecordKind.DATA: ("id",),
+    RecordKind.ASSET: ("id",),
+    RecordKind.CRYPTO: ("id", "object_type"),
+}
+
+
+class _Entry(dict):
+    """An overlay entry seen as a row: each role maps to its cells, one per
+    field or list member, under the CSV cell rules; a retention keeps its
+    JSON value."""
+
+    def add(self, role: Role, value) -> None:
+        self.setdefault(role, []).append(_cell(value) if isinstance(value, str) else value)
+
+    def scalar(self, role: Role):
+        return next((v for v in self.get(role, ()) if v != ""), "")
+
+    def many(self, role: Role) -> list[str]:
+        return _members(self.get(role, ()))
+
+
+def _named_source(raw) -> Source | None:
+    """``raw`` as a Source when it is an object with a string file and ref."""
+    if isinstance(raw, dict) and all(isinstance(raw.get(k), str) for k in ("file", "ref")):
+        return Source(raw["file"], raw["ref"])
+    return None
+
+
+def _entry_source(obj: dict, default: Source) -> Source:
     if "source" not in obj:
-        return Source("overlay", fallback_ref)
-    source = Source.from_dict(obj["source"])
-    if not (isinstance(source.file, str) and isinstance(source.ref, str)):
+        return default
+    source = _named_source(obj["source"])
+    if source is None:
         raise ValueError(f"source must name a file and a ref as strings, got {obj['source']!r}")
     return source
 
 
-def _rating_from(raw) -> SecurityRating:
-    if isinstance(raw, dict):
-        return SecurityRating.from_dict(raw)
-    rating = SecurityRating.parse(str(raw))
-    if rating is None:
-        raise ValueError(f"cannot interpret security level {raw!r}")
-    return rating
-
-
-def _classification_from_dict(obj: dict) -> ClassificationBinding:
-    # rank follows order, as for rows of the classification sheet
-    if "rank" in obj:
-        raise ValueError(f"classification {obj.get('label')!r} may not set a rank")
-    if not isinstance(obj["required"], list):
-        raise ValueError(f"classification {obj['label']!r} needs a list of required levels")
-    return ClassificationBinding(
-        label=obj["label"],
-        required=tuple(_rating_from(r) for r in obj["required"]),
-        source=_source_from(obj, obj["label"]),
-    )
-
-
-def _data_from_dict(obj: dict) -> DataRecord:
-    return DataRecord(
-        id=obj["id"],
-        name=obj.get("name"),
-        classification=obj.get("classification"),
-        storage_locations=tuple(obj.get("storage_locations", [])),
-        retention_years=_retention_years(obj.get("retention_years")),
-        source=_source_from(obj, obj["id"]),
-    )
-
-
-def _asset_kind(obj: dict) -> AssetKind:
-    # the aliases of the CSV Type column; an unknown kind is an error here,
-    # where the CSV warns and treats it as a processor
-    kind = _ASSET_KIND_ALIASES.get(obj["kind"].lower())
-    if kind is None:
-        raise ValueError(f"asset kind {obj['kind']!r} for {obj['id']!r} is not recognised")
-    return kind
-
-
-def _asset_from_dict(obj: dict) -> AssetRecord:
-    accesses = tuple(AccessRef.from_dict(r) for r in obj.get("accesses", []))
-    if not all(isinstance(ref.target, str) for ref in accesses):
-        raise ValueError(f"access targets of {obj['id']!r} must be strings")
-    return AssetRecord(
-        id=obj["id"],
-        name=obj.get("name"),
-        kind=_asset_kind(obj) if obj.get("kind") else None,
-        serves=tuple(obj.get("serves", [])),
-        accesses=accesses,
-        source=_source_from(obj, obj["id"]),
-    )
-
-
-def _crypto_from_dict(obj: dict) -> CryptoObjectRecord:
-    return CryptoObjectRecord(
-        id=obj["id"],
-        name=obj.get("name"),
-        object_type=CryptoObjectType(obj["object_type"]),
-        location=obj.get("location"),
-        key_locations=tuple(obj.get("key_locations", [])),
-        algorithm=obj.get("algorithm"),
-        config_flags=tuple(normalise_flag(f) for f in obj.get("config_flags", [])),
-        matched_key=obj.get("matched_key"),
-        issuer_cert=obj.get("issuer_cert"),
-        created_by=obj.get("created_by"),
-        source=_source_from(obj, obj["id"]),
-    )
-
-
-_TEXT_FIELDS = frozenset({
-    "id", "label", "name", "classification", "kind", "object_type", "location",
-    "algorithm", "matched_key", "issuer_cert", "created_by",
-})
-_TEXT_LIST_FIELDS = frozenset({"storage_locations", "serves", "key_locations", "config_flags"})
-
-_RECORD_DESERIALIZERS = {
-    RecordKind.CLASSIFICATION: _classification_from_dict,
-    RecordKind.DATA: _data_from_dict,
-    RecordKind.ASSET: _asset_from_dict,
-    RecordKind.CRYPTO: _crypto_from_dict,
-}
-
-
-def _record_from_dict(entry: dict):
-    """One record from an overlay's ``add_records`` entry, whose
-    ``record_kind`` names the record type."""
+def parse_entry(entry: dict):
+    """The record an overlay ``add_records`` entry stands for, which is the
+    record the same CSV row gives: its fields are read as the cells of their
+    roles (``_ENTRY_FIELDS``) by ``_parse_row``.  A classification's
+    ``required`` levels, an asset's ``accesses`` and a ``source`` are read
+    apart.  Raises KeyError or ValueError naming the first problem."""
     try:
         kind = RecordKind(entry["record_kind"])
     except ValueError:
         raise ValueError(f"unknown record_kind {entry['record_kind']!r}") from None
-    if kind not in _RECORD_DESERIALIZERS:
+    if kind not in _ENTRY_REQUIRED:
         raise ValueError(f"cannot add records of kind {kind.value!r}")
+    row = _Entry()
     for key, value in entry.items():
-        if key in _TEXT_FIELDS and value is not None and not isinstance(value, str):
+        if key not in _ENTRY_FIELDS or value is None:
+            continue
+        role, shape = _ENTRY_FIELDS[key]
+        if shape is str and not isinstance(value, str):
             raise ValueError(f"{key} must be a string, got {value!r}")
-        if key in _TEXT_LIST_FIELDS and not (
-            isinstance(value, list) and all(isinstance(v, str) for v in value)
-        ):
+        if shape is list and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    record = _RECORD_DESERIALIZERS[kind](entry)
-    ident = record.label if kind is RecordKind.CLASSIFICATION else record.id
-    retention = entry.get("retention_years") if kind is RecordKind.DATA else None
-    problem = _record_problem(kind, ident, record, retention)
-    if problem is not None:
-        raise ValueError(problem[1])
+        for cell in value if shape is list else [value]:
+            row.add(role, cell)
+    for key in _ENTRY_REQUIRED[kind]:
+        if key not in entry:
+            raise KeyError(key)
+    if kind is RecordKind.CLASSIFICATION:
+        # rank follows order, as for rows of the classification sheet
+        if "rank" in entry:
+            raise ValueError(f"classification {entry['label']!r} may not set a rank")
+        if not isinstance(entry["required"], list):
+            raise ValueError(f"classification {entry['label']!r} needs a list of required levels")
+        for level in entry["required"]:  # the {"dimension", "value"} form reads as its value
+            level = SecurityRating.from_dict(level).value if isinstance(level, dict) else level
+            row.add(Role.SECURITY_LEVEL, str(level))
+
+    diags: list[Diagnostic] = []
+    record = _parse_row(kind, row, "overlay", None, diags)
+    if diags:
+        # a warning ends in the fallback a CSV row takes; an added record
+        # has none, so the warning rejects it
+        problem = diags[0]
+        raise ValueError(problem.message if record is None else problem.message.rpartition("; ")[0])
+    record = replace(record, source=_entry_source(entry, record.source))
+    if kind is RecordKind.ASSET:
+        refs = []
+        for ref in entry.get("accesses", []):
+            if not isinstance(ref["target"], str):
+                raise ValueError(f"access targets of {record.id!r} must be strings")
+            direction, origin = Direction(ref["direction"]), RefOrigin(ref["origin"])
+            ref_source = _entry_source(ref, record.source)
+            refs.extend(
+                AccessRef(target, direction, origin, ref_source)
+                for target in _members([_cell(ref["target"])])
+                if target != record.id
+            )
+        record = replace(record, accesses=tuple(refs))
     return record

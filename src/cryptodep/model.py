@@ -198,10 +198,6 @@ class Source:
     def to_dict(self) -> dict:
         return {"file": self.file, "ref": self.ref}
 
-    @staticmethod
-    def from_dict(obj: dict) -> Source:
-        return Source(obj["file"], obj["ref"])
-
 
 @dataclass(frozen=True, slots=True)
 class ClassificationBinding:
@@ -261,15 +257,6 @@ class AccessRef:
     #: the row that declared the reference; asset records merge rows, so the
     #: merged record's own source may name a different row
     source: Source | None = None
-
-    @staticmethod
-    def from_dict(obj: dict) -> AccessRef:
-        return AccessRef(
-            obj["target"],
-            Direction(obj["direction"]),
-            RefOrigin(obj["origin"]),
-            Source.from_dict(obj["source"]) if "source" in obj else None,
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -357,6 +357,8 @@ def test_witnesses_below_one_is_rejected(value):
          "retention for 'D-x' must be a non-negative number, got [5]"),
         ({"record_kind": "asset", "id": "srv-x", "kind": "toaster"},
          "asset kind 'toaster' for 'srv-x' is not recognised"),
+        ({"record_kind": "data", "id": "D-nan", "retention_years": float("nan")},
+         "retention for 'D-nan' must be a non-negative number, got nan"),
     ],
 )
 def test_added_records_get_the_row_checks(tmp_path, record, message):
@@ -376,6 +378,43 @@ def test_added_asset_kind_takes_the_csv_aliases(tmp_path):
     assert "error" not in err
     nodes, _ = read_dot(out)
     assert "srv-x" in nodes
+
+
+def test_unknown_object_type_gets_the_csv_message_in_both_paths(tmp_path):
+    message = "object type 'hologram' for 'C9' is not one of the supported kinds"
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"add_records": [
+        {"record_kind": "crypto", "id": "C9", "object_type": "hologram", "location": "WWW1"},
+    ]}))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--overlay", str(overlay)))
+    assert (code, out, err) == (2, "", f"error: bad added record: {message}\n")
+
+    rows = (CLOUD_MINIMAL / "cryptoinventory.csv").read_text()
+    edited = tmp_path / "cryptoinventory.csv"
+    edited.write_text(rows.rstrip("\n") + "\nC9,WWW1,hologram,AES,128\n")
+    args = cloud_minimal_args("validate")
+    args[args.index(str(CLOUD_MINIMAL / "cryptoinventory.csv"))] = str(edited)
+    _, out, _ = run_cli(args)
+    assert f"bad-object-type: {message}" in out
+
+
+@pytest.mark.parametrize(
+    "profile,message",
+    [
+        ({"defaults": {"classification": ["High"]}},
+         "default for 'classification' must be a string or a number, got ['High']"),
+        ({"defaults": {"retention_years": None}},
+         "default for 'retention_years' must be a string or a number, got None"),
+        ({"inventory": ["data.csv"]}, "inventory must be a string, got ['data.csv']"),
+    ],
+)
+def test_profile_values_that_are_not_strings_exit_2_with_one_line(tmp_path, profile, message):
+    path = tmp_path / "profiles.json"
+    entry = {"inventory": "data.csv", "kind": "data", "columns": {"ID": "id"}, **profile}
+    path.write_text(json.dumps({"profiles": [entry]}))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--profiles", str(path)))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: profile #1: {message}\n"
 
 
 def test_added_certificate_fails_like_the_same_csv_row(tmp_path):

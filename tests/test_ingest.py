@@ -80,6 +80,11 @@ def test_parse_profiles_accepts_wrapper_and_bare_list(tmp_path):
         '[{"inventory": "x.csv", "kind": "data", "columns": [["ID", "id"]]}]',
         '[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "id"}, "defaults": 3}]',
         'not json',
+        '[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "id"}, "defaults": {"name": ["High"]}}]',
+        '[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "id"}, "defaults": {"retention_years": null}}]',
+        '[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "id"}, "defaults": {"name": true}}]',
+        '[{"inventory": ["x.csv"], "kind": "data", "columns": {"ID": "id"}}]',
+        '[{"inventory": null, "kind": "data", "columns": {"ID": "id"}}]',
     ],
 )
 def test_parse_profiles_rejects_bad_documents(tmp_path, doc):
@@ -148,10 +153,17 @@ def test_parse_data_retention(tmp_path):
         {"ID": Role.ID, "Keep": Role.RETENTION_YEARS},
     )
     records, diags = _parse(
-        tmp_path, "d.csv", "ID,Keep\nD1,7\nD2,\nD3,soon\nD4,-3\n", profile
+        tmp_path, "d.csv", "ID,Keep\nD1,7\nD2,\nD3,soon\nD4,-3\nD5,nan\nD6,inf\n", profile
     )
-    assert [(r.id, r.retention_years) for r in records] == [("D1", 7.0), ("D2", None)]
-    assert codes(diags) == ["bad-retention", "bad-retention"]
+    assert [(r.id, r.retention_years) for r in records] == [("D1", 7.0), ("D2", None), ("D6", float("inf"))]
+    assert codes(diags) == ["bad-retention", "bad-retention", "bad-retention"]
+    assert diags[-1].message == "retention for 'D5' must be a non-negative number, got 'nan'"
+
+
+def test_profile_defaults_may_be_numbers(tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_text('[{"inventory": "x.csv", "kind": "data", "columns": {"ID": "id"}, "defaults": {"name": 7}}]')
+    assert parse_profiles(path)[0].defaults == {Role.NAME: "7"}
 
 
 def test_parse_asset_rows(tmp_path):
@@ -233,6 +245,24 @@ def test_parse_crypto_rows(tmp_path):
     assert records[0].config_flags == ("1024",)
     assert records[1].location is None
     assert codes(diags) == ["missing-algorithm"]
+
+
+@pytest.mark.parametrize(
+    "spelling,object_type",
+    [
+        ("SymmetricKey", CryptoObjectType.SYMMETRIC_KEY),
+        ("PrivateKey", CryptoObjectType.PRIVATE_KEY),
+        ("PublicKey", CryptoObjectType.PUBLIC_KEY),
+        ("CACertificate", CryptoObjectType.CA_CERTIFICATE),
+        ("cacertificate", CryptoObjectType.CA_CERTIFICATE),
+    ],
+)
+def test_crypto_type_column_takes_the_overlay_spellings(tmp_path, spelling, object_type):
+    records, diags = _parse(
+        tmp_path, "cryptoinventory.csv", f"ID,Location,Type,Algorithm,Keysize\nK1,WWW1,{spelling},RSA,2048\n"
+    )
+    assert diags == []
+    assert records[0].object_type is object_type
 
 
 def test_parse_crypto_field_applicability(tmp_path):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
+
 from cryptodep import (
     AccessRef,
     AssetKind,
@@ -24,7 +26,7 @@ from cryptodep import (
     find_violations,
     load_default_registry,
 )
-from cryptodep.ingest import _ASSET_KIND_ALIASES
+from cryptodep.ingest import _ASSET_KIND_ALIASES, MappingProfile, RecordKind, Role, parse_tabular
 from cryptodep.model import RefOrigin, parse_primitive_spec, primitive_key
 
 import inventory_gen
@@ -211,6 +213,19 @@ def test_added_asset_kind_takes_the_csv_type_aliases():
         assert overlaid.asset_map()["X"].kind is _ASSET_KIND_ALIASES[spelling.lower()]
 
 
+def test_added_object_type_takes_the_csv_type_aliases():
+    bundle = _bundle()
+    for spelling, object_type in (
+        ("private key", CryptoObjectType.PRIVATE_KEY), ("Secret Key", CryptoObjectType.SYMMETRIC_KEY),
+        ("cert", CryptoObjectType.CERTIFICATE), ("root certificate", CryptoObjectType.CA_CERTIFICATE),
+        ("PublicKey", CryptoObjectType.PUBLIC_KEY),
+    ):
+        entry = {"record_kind": "crypto", "id": "X", "object_type": spelling, "algorithm": "RSA"}
+        overlaid, diags = apply_overlay(bundle, Overlay(add_records=(entry,)))
+        assert diags == []
+        assert overlaid.crypto_map()["X"].object_type is object_type
+
+
 def test_removing_a_referenced_asset_warns_that_it_comes_back():
     bundle = _bundle()
     overlaid, diags = apply_overlay(bundle, Overlay(remove_records=("P1",)))
@@ -235,3 +250,83 @@ def test_a_reference_naming_an_asset_is_not_rewritten():
     bundle = _bundle(AssetRecord(id="Gw", accesses=(AccessRef("RSA[1024]", source=row),), source=row))
     overlaid, _ = apply_overlay(bundle, Overlay(replace_algorithms=(("RSA[1024]", "RSA[2048]"),)))
     assert [ref.target for ref in overlaid.asset_map()["P1"].accesses] == ["RSA[1024]"]
+
+
+# --------------------------------------------------------------------------
+# an added record is the record the same CSV row gives
+# --------------------------------------------------------------------------
+
+CLASSIFICATION_SHEET = {"label": Role.CLASSIFICATION, "level": Role.SECURITY_LEVEL}
+DATA_SHEET = {
+    "id": Role.ID, "name": Role.NAME, "classification": Role.CLASSIFICATION,
+    "storage": Role.STORAGE_LOCATION, "retention": Role.RETENTION_YEARS,
+}
+ASSET_SHEET = {"id": Role.ID, "kind": Role.OBJECT_TYPE, "serves": Role.SERVES, "uses": Role.ACCESSES_TARGET}
+CRYPTO_SHEET = {
+    "id": Role.ID, "type": Role.OBJECT_TYPE, "location": Role.LOCATION, "keys": Role.STORAGE_LOCATION,
+    "algorithm": Role.ALGORITHM, "flags": Role.CONFIG_FLAG, "matched": Role.MATCHED_KEY,
+    "issuer": Role.ISSUER_CERT, "creator": Role.CREATED_BY,
+}
+
+
+def _asset_field(target: str) -> dict:
+    return {"target": target, "direction": "two-way", "origin": "asset-field"}
+
+
+@pytest.mark.parametrize(
+    "kind,columns,row,entry",
+    [
+        (RecordKind.CLASSIFICATION, CLASSIFICATION_SHEET, [" Secret ", " NIST-approved "],
+         {"label": " Secret ", "required": [" NIST-approved "]}),
+        (RecordKind.CLASSIFICATION, CLASSIFICATION_SHEET, ["Secret", "128 bits"],
+         {"label": "Secret", "required": [{"dimension": "Bits", "value": 128}]}),
+        (RecordKind.CLASSIFICATION, CLASSIFICATION_SHEET, ["Secret", "128; quantum-safe"],
+         {"label": "Secret", "required": ["128", "quantum-safe"]}),
+        (RecordKind.DATA, DATA_SHEET, [" D1 ", "-", " High ", "S1; S2", "7"],
+         {"id": " D1 ", "name": "-", "classification": " High ", "storage_locations": ["S1", " S2 "],
+          "retention_years": 7}),
+        (RecordKind.DATA, DATA_SHEET, ["D1", "Payroll", "-", "S1;S2", "-"],
+         {"id": "D1", "name": "Payroll", "classification": "-", "storage_locations": ["S1;S2", "-"],
+          "retention_years": "-"}),
+        (RecordKind.ASSET, ASSET_SHEET, [" A1 ", "server", "A1; B1", "K1;RSA[2048]"],
+         {"id": " A1 ", "kind": "server", "serves": ["A1", "B1"],
+          "accesses": [_asset_field(" K1 "), _asset_field("RSA[2048]"), _asset_field("A1")]}),
+        (RecordKind.ASSET, ASSET_SHEET, ["A1", "-", "-", "-"],
+         {"id": "A1", "kind": "-", "serves": ["-"], "accesses": [_asset_field("-")]}),
+        (RecordKind.CRYPTO, CRYPTO_SHEET, [" K1 ", "PrivateKey", "A1", "-", "RSA", "2048.0", "", "", "A2"],
+         {"object_type": "private key", "id": " K1 ", "location": "A1", "key_locations": ["-"],
+          "algorithm": "RSA", "config_flags": ["2048.0"], "created_by": "A2"}),
+        (RecordKind.CRYPTO, CRYPTO_SHEET,
+         ["C1", "root certificate", "A1", "KMS; HSM", "ECDSA", "P-256", "-", "C0", ""],
+         {"object_type": "CACertificate", "id": "C1", "location": "A1", "key_locations": ["KMS", "HSM"],
+          "algorithm": "ECDSA", "config_flags": ["P-256"], "matched_key": "-", "issuer_cert": " C0 "}),
+        (RecordKind.CRYPTO, CRYPTO_SHEET, ["C2", "cert", "-", "", "RSA", "3072", "K1", "C1", ""],
+         {"object_type": "Certificate", "id": "C2", "location": "-", "algorithm": "RSA",
+          "config_flags": ["3072"], "matched_key": "K1", "issuer_cert": "C1"}),
+    ],
+)
+def test_an_added_record_equals_the_same_csv_row(kind, columns, row, entry):
+    profile = MappingProfile("sheet.csv", kind, columns)
+    text = ",".join(columns) + "\n" + ",".join(f'"{cell}"' for cell in row) + "\n"
+    parsed, diags = parse_tabular(text, "sheet.csv", [profile])
+    assert diags == []
+    overlaid, diags = apply_overlay(
+        _bundle(), Overlay(add_records=({"record_kind": kind.value, **entry},))
+    )
+    added = overlaid.records[-1]
+    assert _without_sources(added) == _without_sources(parsed[0])
+
+
+def _without_sources(record):
+    if isinstance(record, AssetRecord):
+        record = replace(record, accesses=tuple(replace(ref, source=None) for ref in record.accesses))
+    return replace(record, source=Source("", ""))
+
+
+def test_an_added_access_without_a_source_takes_the_records():
+    entry = {
+        "record_kind": "asset", "id": "Z", "accesses": [_asset_field("P1")],
+        "source": {"file": "z.csv", "ref": "Z"},
+    }
+    overlaid, _ = apply_overlay(_bundle(), Overlay(add_records=(entry,)))
+    assert overlaid.records[-1].accesses[0].source == Source("z.csv", "Z")
