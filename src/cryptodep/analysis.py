@@ -36,6 +36,7 @@ from .model import (
     compare_ratings,
     parse_primitive_spec,
     primitive_key,
+    spec_key,
 )
 from .rules import DependencyGraph, VertexKind
 
@@ -470,10 +471,6 @@ class Overlay:
     remove_records: tuple[str, ...] = ()
     add_records: tuple[dict, ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.replace_algorithms or self.remove_records or self.add_records)
-
 
 def parse_overlay(text: str) -> Overlay:
     try:
@@ -539,17 +536,10 @@ def _rewrite_ref(ref, replacements: dict[str, str], resolved):
     # rules._typed_reference reads a target as an algorithm only when it
     # names no crypto object, data or asset (the ids in ``resolved``)
     if ref.origin is RefOrigin.ASSET_FIELD and ref.target not in resolved:
-        new = replacements.get(_spec_key(ref.target))
+        new = replacements.get(spec_key(ref.target))
         if new is not None:
             return replace(ref, target=new)
     return ref
-
-
-def _spec_key(target: str) -> str | None:
-    try:
-        return primitive_key(*parse_primitive_spec(target))
-    except ValueError:
-        return None
 
 
 def apply_overlay(
@@ -576,7 +566,7 @@ def apply_overlay(
         new_name, new_flags = parse_primitive_spec(new)
         if bundle.registry.lookup(new_name, new_flags) is None:
             problems.append(f"replacement {new} is not in the registry")
-        replacements[_spec_key(old)] = new
+        replacements[spec_key(old)] = new
 
     resolved = bundle.crypto_map().keys() | bundle.data_map().keys() | bundle.asset_map().keys()
     ids = resolved | bundle.classification_map().keys()

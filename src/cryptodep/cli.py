@@ -59,10 +59,6 @@ EXIT_FINDINGS = 1
 EXIT_FATAL = 2
 
 
-class _Fatal(Exception):
-    """Internal: unwinds to main() which prints the message and exits 2."""
-
-
 def _at_least_one(text: str) -> int:
     try:
         value = int(text)
@@ -178,7 +174,7 @@ def _load_settings(path: str | None, what: str, settings):
     try:
         return settings.from_dict(json.loads(text))
     except (ValueError, RecursionError) as exc:
-        raise _Fatal(f"bad {what} file {path}: {exc}") from None
+        raise IngestError(f"bad {what} file {path}: {exc}") from None
 
 
 def _load_overlay(args, digests: dict[str, str]) -> Overlay:
@@ -309,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_Fatal, IngestError, OverlayError) as exc:
+    except (IngestError, OverlayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
     finally:

@@ -36,8 +36,8 @@ from .model import (
     Source,
     VulnerabilityClass,
     normalise_flag,
-    parse_primitive_spec,
     primitive_key,
+    spec_key,
 )
 
 __all__ = [
@@ -702,6 +702,7 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
     entries = doc if isinstance(doc, list) else [doc]
     diags: list[Diagnostic] = []
     algorithms: dict[str, list[Configuration]] = {}
+    seen: set[str] = set()
     for index, entry in enumerate(entries):
         configs = entry.get("configurations", []) if isinstance(entry, dict) else None
         name = entry.get("name") if isinstance(entry, dict) else None
@@ -718,19 +719,17 @@ def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Dia
             config = _parse_configuration(config_obj, name, label, diags)
             if config is None:
                 continue
-            bucket = algorithms.setdefault(name, [])
-            clash = next(
-                (c for c in bucket if frozenset(c.flags) == frozenset(config.flags)), None
-            )
-            if clash is not None:
+            key = primitive_key(name, config.flags)
+            if key in seen:
                 diags.append(
                     Diagnostic(
                         Severity.ERROR, label, "duplicate-config",
-                        f"duplicate configuration {primitive_key(name, config.flags)}; first definition kept",
+                        f"duplicate configuration {key}; first definition kept",
                     )
                 )
                 continue
-            bucket.append(config)
+            seen.add(key)
+            algorithms.setdefault(name, []).append(config)
     canonical = {
         name: tuple(sorted(configs, key=lambda c: sorted(c.flags)))
         for name, configs in sorted(algorithms.items())
@@ -811,11 +810,8 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
         )
     uses: list[str] = []
     for spec in obj.get("uses", []):
-        try:
-            if not isinstance(spec, str):
-                raise ValueError
-            member, member_flags = parse_primitive_spec(spec)
-        except ValueError:
+        member = spec_key(spec) if isinstance(spec, str) else None
+        if member is None:
             diags.append(
                 Diagnostic(
                     Severity.WARNING, label, "unknown-registry-value",
@@ -823,7 +819,7 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
                 )
             )
             continue
-        uses.append(primitive_key(member, member_flags))
+        uses.append(member)
     source = _named_source(obj.get("source")) or Source(label, primitive_key(name, flags))
     return Configuration(
         flags=flags,
@@ -909,19 +905,10 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
         elif isinstance(record, AssetRecord):
             asset_parts.setdefault(record.id, []).append(record)
 
-    # Asset-to-asset relations never dangle: serves targets and access-record
-    # targets materialise as undeclared assets.  Reference columns on asset
-    # rows stay untouched when they point at crypto objects, data, or
-    # algorithms; those are resolved type-directedly by the rules engine.
-    def _is_algorithm_ref(target: str) -> bool:
-        try:
-            name, _ = parse_primitive_spec(target)
-        except ValueError:
-            return False
-        return name in registry.algorithms
-
-    crypto_ids = set(crypto)
-    data_ids = set(data)
+    # Every reference resolves here.  Serves targets, access-record targets
+    # and reference cells naming no crypto object, data record or registry
+    # algorithm materialise as undeclared assets, so the rules engine reads
+    # a reference cell as crypto, data, asset, or else an algorithm.
     for parts in list(asset_parts.values()):
         for part in list(parts):
             for target in part.serves:
@@ -930,9 +917,9 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
                 )
             for ref in part.accesses:
                 plain_asset = ref.origin is RefOrigin.ACCESS_RECORD or (
-                    ref.target not in crypto_ids
-                    and ref.target not in data_ids
-                    and not _is_algorithm_ref(ref.target)
+                    ref.target not in crypto
+                    and ref.target not in data
+                    and registry.algorithm_ref(ref.target) is None
                 )
                 if plain_asset:
                     asset_parts.setdefault(ref.target, []).append(
@@ -1144,7 +1131,11 @@ _ENTRY_FIELDS = {
     "retention_years": (Role.RETENTION_YEARS, object),
 }
 
-#: the kinds an overlay may add, and the fields an entry of each must carry
+#: the fields of an entry read apart from the row; any other field is an error
+_ENTRY_OTHER_FIELDS = frozenset({"record_kind", "required", "accesses", "source"})
+
+#: the kinds an overlay may add, and the fields an entry of each must carry,
+#: the first naming the record
 _ENTRY_REQUIRED = {
     RecordKind.CLASSIFICATION: ("label", "required"),
     RecordKind.DATA: ("id",),
@@ -1189,7 +1180,8 @@ def parse_entry(entry: dict):
     record the same CSV row gives: its fields are read as the cells of their
     roles (``_ENTRY_FIELDS``) by ``_parse_row``.  A classification's
     ``required`` levels, an asset's ``accesses`` and a ``source`` are read
-    apart.  Raises KeyError or ValueError naming the first problem."""
+    apart; any other field is an error.  Raises KeyError or ValueError
+    naming the first problem."""
     try:
         kind = RecordKind(entry["record_kind"])
     except ValueError:
@@ -1219,6 +1211,10 @@ def parse_entry(entry: dict):
         for level in entry["required"]:  # the {"dimension", "value"} form reads as its value
             level = SecurityRating.from_dict(level).value if isinstance(level, dict) else level
             row.add(Role.SECURITY_LEVEL, str(level))
+    unknown = sorted(entry.keys() - _ENTRY_FIELDS.keys() - _ENTRY_OTHER_FIELDS)
+    if unknown:
+        ident = entry[_ENTRY_REQUIRED[kind][0]]
+        raise ValueError(f"unknown field {unknown[0]!r} in {kind.value} record {ident!r}")
 
     diags: list[Diagnostic] = []
     record = _parse_row(kind, row, "overlay", None, diags)
@@ -1229,8 +1225,14 @@ def parse_entry(entry: dict):
         raise ValueError(problem.message if record is None else problem.message.rpartition("; ")[0])
     record = replace(record, source=_entry_source(entry, record.source))
     if kind is RecordKind.ASSET:
+        accesses = entry.get("accesses", [])
+        fields = {"target", "direction", "origin"}
+        if not (isinstance(accesses, list) and all(isinstance(r, dict) and fields <= r.keys() for r in accesses)):
+            raise ValueError(
+                f"the accesses of {record.id!r} must be a list of objects with target, direction and origin"
+            )
         refs = []
-        for ref in entry.get("accesses", []):
+        for ref in accesses:
             if not isinstance(ref["target"], str):
                 raise ValueError(f"access targets of {record.id!r} must be strings")
             direction, origin = Direction(ref["direction"]), RefOrigin(ref["origin"])

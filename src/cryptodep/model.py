@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 __all__ = [
     "RatingDimension",
@@ -31,6 +32,7 @@ __all__ = [
     "InventoryBundle",
     "parse_primitive_spec",
     "primitive_key",
+    "spec_key",
     "normalise_flag",
     "APPROVED",
     "NOT_APPROVED",
@@ -356,12 +358,6 @@ class Configuration:
     uses: tuple[str, ...] = ()
     source: Source = Source("", "")
 
-    def rating_for(self, dimension: RatingDimension) -> SecurityRating | None:
-        for rating in self.ratings:
-            if rating.dimension is dimension:
-                return rating
-        return None
-
 
 def normalise_flag(flag: str) -> str:
     """Canonicalise a configuration flag; key sizes exported as floats
@@ -372,14 +368,21 @@ def normalise_flag(flag: str) -> str:
     return text
 
 
-def _flag_set(flags) -> frozenset[str]:
-    return frozenset(normalise_flag(f) for f in flags)
-
-
 def primitive_key(algorithm: str, flags) -> str:
-    """Canonical vertex identifier for a configuration, e.g. ``RSA[1024]``."""
-    parts = sorted(normalise_flag(f) for f in flags)
+    """The identity of a configuration, and its vertex id, e.g.
+    ``RSA[1024]``: the name and the sorted set of normalised flags, so flag
+    order, ``1024.0`` spellings and repeated flags do not change it."""
+    parts = sorted({normalise_flag(f) for f in flags})
     return f"{algorithm}[{','.join(parts)}]"
+
+
+def spec_key(spec: str) -> str | None:
+    """The :func:`primitive_key` of ``NAME[f1,f2]`` notation, or None when
+    ``spec`` is malformed."""
+    try:
+        return primitive_key(*parse_primitive_spec(spec))
+    except ValueError:
+        return None
 
 
 def parse_primitive_spec(spec: str) -> tuple[str, tuple[str, ...]]:
@@ -409,17 +412,28 @@ class CryptoRegistry:
 
     algorithms: dict[str, tuple[Configuration, ...]] = field(default_factory=dict)
 
-    def lookup(self, algorithm: str, flags) -> Configuration | None:
-        """The configuration of ``algorithm`` whose flag set matches
-        ``flags``; flag order and ``.0`` spelling differences are ignored."""
-        wanted = _flag_set(flags)
-        for config in self.algorithms.get(algorithm, ()):
-            if _flag_set(config.flags) == wanted:
-                return config
-        return None
+    @cached_property
+    def _by_key(self) -> dict[str, Configuration]:
+        return {
+            primitive_key(name, config.flags): config
+            for name, configs in self.algorithms.items()
+            for config in configs
+        }
 
-    def algorithm_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.algorithms))
+    def lookup(self, algorithm: str, flags) -> Configuration | None:
+        """The configuration of ``algorithm`` with the same
+        :func:`primitive_key` as ``flags``."""
+        return self._by_key.get(primitive_key(algorithm, flags))
+
+    def algorithm_ref(self, target: str) -> tuple[str, tuple[str, ...]] | None:
+        """``(name, flags)`` when ``target`` spells a configuration of an
+        algorithm the registry names, rated or not; None otherwise.  This
+        decides which asset reference cells name an algorithm."""
+        try:
+            name, flags = parse_primitive_spec(target)
+        except ValueError:
+            return None
+        return (name, flags) if name in self.algorithms else None
 
 
 # --------------------------------------------------------------------------

@@ -305,7 +305,8 @@ class _Builder:
 
 
 def build_graph(bundle: InventoryBundle) -> DependencyGraph:
-    """Apply the rule catalogue to every record in the bundle.
+    """Apply the rule catalogue to every record in the bundle, which
+    ``assemble_bundle`` made, so every reference resolves.
 
     Construction is additive: each record only ever contributes vertices and
     edges, so growing the bundle grows the graph.  Security levels are
@@ -364,7 +365,9 @@ def _access_pair(builder: _Builder, asset: str, service: str, direction: Directi
 
 
 def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, source: Source) -> None:
-    """Interpret a reference column on an asset row by its target's type."""
+    """Interpret a reference column on an asset row by its target's type,
+    as ``assemble_bundle`` resolved it: a crypto object, data, an asset, or
+    else a registry algorithm."""
     target = ref.target
 
     obj = builder.crypto.get(target)
@@ -394,24 +397,9 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, sou
             _access_pair(builder, src, target_vertex, ref.direction, source)
         return
 
-    algorithm = _algorithm_reference(builder.bundle, target)
-    if algorithm is not None:
-        target_vertex = builder.config(*algorithm)
-        builder.edge(src, target_vertex, _ALGORITHM_REF_RULE.get(src_kind, "M3"), source)
-        return
-
-    # unresolvable reference: behave like an access to an undeclared asset
-    _access_pair(builder, src, builder.asset(target), ref.direction, source)
-
-
-def _algorithm_reference(bundle: InventoryBundle, target: str) -> tuple[str, tuple[str, ...]] | None:
-    try:
-        name, flags = parse_primitive_spec(target)
-    except ValueError:
-        return None
-    if name in bundle.registry.algorithms:
-        return name, flags
-    return None
+    # assembly made every other target an asset, so this one names an algorithm
+    target_vertex = builder.config(*builder.bundle.registry.algorithm_ref(target))
+    builder.edge(src, target_vertex, _ALGORITHM_REF_RULE.get(src_kind, "M3"), source)
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:

@@ -453,8 +453,8 @@ def test_parse_overlay_shapes():
     )
     assert overlay.replace_algorithms == (("RSA[1024]", "ML-KEM[768]"),)
     assert overlay.remove_records == ("K1",)
-    assert not overlay.is_empty
-    assert parse_overlay("{}").is_empty
+    assert overlay != Overlay()
+    assert parse_overlay("{}") == Overlay()
 
 
 @pytest.mark.parametrize(

@@ -161,6 +161,31 @@ def test_whatif_exit_follows_the_scenario(tmp_path):
     assert "unchanged (1):" in out
 
 
+def test_a_repeated_key_size_is_the_same_configuration(tmp_path):
+    # a Keysize cell of "1024;1024" names RSA[1024]: the graph, the registry
+    # rating and the overlay's replacement all agree on it
+    for name in CLOUD_FILES:
+        text = (CLOUD_MINIMAL / name).read_text()
+        (tmp_path / name).write_text(text.replace("RSA,1024", "RSA,1024;1024"))
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"name": "RSA", "configurations": [
+        {"flags": ["1024"], "security": 80, "NIST-approval": "not-approved"},
+        {"flags": ["3072"], "security": 128, "NIST-approval": "approved"},
+    ]}))
+    overlay = tmp_path / "fix.json"
+    overlay.write_text(json.dumps({"replace_algorithms": [{"from": "RSA[1024]", "to": "RSA[3072]"}]}))
+    args = [tmp_path / name for name in CLOUD_FILES] + ["--registry", registry, "--paper-defaults"]
+
+    code, out, _ = run_cli(["scan", *args])
+    assert code == 1
+    assert "    approved → High → Data1 → DB1 → WWW1 → certkey1 → RSA[1024] → not-approved" in out.splitlines()
+    code, out, _ = run_cli(["whatif", *args, "--overlay", overlay])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "what-if comparison: baseline 1 finding, scenario 0"
+    assert "resolved (1):" in lines
+
+
 def test_whatif_requires_an_overlay():
     code, _, err = run_cli(cloud_minimal_args("whatif"))
     assert code == 2
@@ -267,9 +292,15 @@ def test_bad_overlay_is_fatal(tmp_path):
         {"add_records": 5},
         {"replace_algorithms": [{"from": 1024, "to": "RSA[2048]"}]},
         {"add_records": [{"record_kind": "data", "id": "D9", "retention_years": 10**400}]},
+        pytest.param({"add_records": [{"record_kind": "data", "id": "D9", "storage_location": ["Nowhere"]}]},
+                     id="unknown-field"),
+        pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "accesses": "DB1"}]},
+                     id="accesses-string"),
+        pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "accesses": ["DB1"]}]},
+                     id="accesses-strings"),
     ],
 )
-def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc):
+def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
     overlay = tmp_path / "overlay.json"
     overlay.write_text(json.dumps(doc))
     for command in ("scan", "whatif"):
@@ -279,6 +310,16 @@ def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc):
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        if request.node.callspec.id in OVERLAY_ERRORS:
+            assert err == f"error: bad added record: {OVERLAY_ERRORS[request.node.callspec.id]}\n"
+
+
+#: the error of the cases above whose wording is pinned, by case id
+OVERLAY_ERRORS = {
+    "unknown-field": "unknown field 'storage_location' in data record 'D9'",
+    "accesses-string": "the accesses of 'Z' must be a list of objects with target, direction and origin",
+    "accesses-strings": "the accesses of 'Z' must be a list of objects with target, direction and origin",
+}
 
 
 def test_overlay_is_validated_with_the_scenario(tmp_path):

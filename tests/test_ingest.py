@@ -333,10 +333,10 @@ def test_registry_accepts_json_and_python_literal_forms():
     a, da = parse_registry_text(json_doc, "a")
     b, db = parse_registry_text(literal_doc, "b")
     assert not da and not db
-    assert a.algorithm_names() == b.algorithm_names() == ("RSA",)
+    assert list(a.algorithms) == list(b.algorithms) == ["RSA"]
     config = a.lookup("RSA", ("1024",))
     assert config is not None
-    assert config.rating_for(SecurityRating.bits(80).dimension) == SecurityRating.bits(80)
+    assert config.ratings == (SecurityRating.bits(80),)
 
 
 def test_registry_single_entry_document():
@@ -364,7 +364,7 @@ def test_registry_skips_malformed_parts():
     ]"""
     registry, diags = parse_registry_text(doc, "r")
     assert codes(diags) == ["registry-entry-invalid"] * 3 + ["unknown-registry-value"]
-    assert registry.algorithm_names() == ("RSA",)
+    assert list(registry.algorithms) == ["RSA"]
     assert registry.lookup("RSA", ("4096",)).source == Source("r", "RSA[4096]")
 
 
@@ -380,7 +380,7 @@ def test_registry_names_and_flags_are_not_stringified():
     registry, diags = parse_registry_text(doc, "r")
     assert codes(diags) == ["registry-entry-invalid"] * 4 + ["unknown-registry-value"]
     assert "cannot parse member primitive 3" in diags[-1].message
-    assert registry.algorithm_names() == ("RSA",)
+    assert list(registry.algorithms) == ["RSA"]
     [config] = registry.algorithms["RSA"]
     assert (config.flags, config.uses) == (("2048",), ("AES[128]",))
 
@@ -445,10 +445,10 @@ def test_registry_break_estimate_and_uses():
 def test_default_registry_is_clean_and_rates_the_usual_suspects():
     registry = load_default_registry()
     rsa1024 = registry.lookup("RSA", ("1024",))
-    assert rsa1024.rating_for(SecurityRating.approval("approved").dimension).value == "not-approved"
+    assert SecurityRating.approval("not-approved") in rsa1024.ratings
     assert rsa1024.vulnerability_class is VulnerabilityClass.INTEGER_FACTORING
     mlkem = registry.lookup("ML-KEM", ("768",))
-    assert mlkem.rating_for(SecurityRating.approval("approved").dimension).value == "approved"
+    assert SecurityRating.approval("approved") in mlkem.ratings
     assert registry.lookup("TLS", ("1.2",)).uses != ()
 
 

@@ -146,6 +146,7 @@ def test_primitive_key_sorts_and_normalises():
     assert primitive_key("RSA", ("1024",)) == "RSA[1024]"
     assert primitive_key("AES", ("GCM", "128.0")) == "AES[128,GCM]"
     assert primitive_key("SHA-256", ()) == "SHA-256[]"
+    assert primitive_key("RSA", ("1024", "1024")) == "RSA[1024]"
 
 
 @pytest.mark.parametrize(
@@ -171,8 +172,10 @@ def test_parse_primitive_spec_rejects(spec):
 
 def test_lookup_ignores_flag_order_and_float_spelling():
     config = Configuration(flags=("128", "GCM"))
-    registry = CryptoRegistry({"AES": (config,)})
+    rsa = Configuration(flags=("1024",))
+    registry = CryptoRegistry({"AES": (config,), "RSA": (rsa,)})
     assert registry.lookup("AES", ("GCM", "128.0")) is config
+    assert registry.lookup("RSA", ("1024", "1024")) is rsa
     assert registry.lookup("AES", ("128",)) is None
     assert registry.lookup("DES", ("128", "GCM")) is None
 

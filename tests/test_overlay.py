@@ -185,6 +185,17 @@ def test_replacing_an_algorithm_rewrites_a_process_uses_reference():
     assert "RSA[1024]" not in build_graph(overlaid).vertex_map()
 
 
+def test_a_reference_repeating_a_flag_is_rewritten():
+    *others, process = _records()
+    respelt = replace(process, accesses=(replace(process.accesses[0], target="RSA[1024,1024]"),))
+    bundle, _ = assemble_bundle([*others, respelt], load_default_registry())
+    assert "RSA[1024]" in build_graph(bundle).vertex_map()
+    overlaid, diags = apply_overlay(bundle, Overlay(replace_algorithms=(("RSA[1024]", "RSA[2048]"),)))
+    assert diags == []
+    assert [ref.target for ref in overlaid.asset_map()["P1"].accesses] == ["RSA[2048]"]
+    assert _findings(overlaid) == []
+
+
 def test_added_records_with_existing_ids_merge_or_clash():
     bundle = _bundle(
         CryptoObjectRecord(
