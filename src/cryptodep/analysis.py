@@ -327,10 +327,10 @@ def find_violations(
     other levels.  A required level it misses is checked by a plain reverse
     search, run at most once per provided level, which gives the
     through-level witnesses.  Pairs and their diagnostics come out in
-    (required, provided) order; findings are sorted by descending score,
-    then by id.  When ``bundle`` is given the scores use its classification
-    ranking and data retention; otherwise all findings get neutral
-    sensitivity.
+    (required, provided) order, each diagnostic once, where it first
+    arises; findings are sorted by descending score, then by id.  When
+    ``bundle`` is given the scores use its classification ranking and data
+    retention; otherwise all findings get neutral sensitivity.
     """
     if max_witnesses < 1:
         raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
@@ -381,7 +381,7 @@ def find_violations(
             findings.append(score_finding(finding, graph, bundle, policy, horizon, diagnostics))
 
     findings.sort(key=lambda f: (-(f.score.total if f.score else 0.0), f.id))
-    return findings, diagnostics
+    return findings, list(dict.fromkeys(diagnostics))
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .model import (
+    CERTIFICATE_OBJECT_TYPES,
     AccessRef,
     AssetKind,
     AssetRecord,
@@ -374,44 +375,75 @@ def _cell(value: str) -> str:
     return "" if value == "-" else value  # spreadsheet convention for "none"
 
 
-def _members(cells) -> list[str]:
+def _members(cells) -> tuple[str, ...]:
     """The members of list cells: each cell split at ``;``, blanks dropped."""
-    return [part for cell in cells for part in map(str.strip, cell.split(";")) if part]
+    return tuple([part for cell in cells for part in map(str.strip, cell.split(";")) if part])
+
+
+#: the roles read as a tuple of members, each cell split at ``;``
+_MEMBER_ROLES = LIST_ROLES | {Role.SECURITY_LEVEL}
+
+#: each record kind's row builder and the roles it reads, in the order of
+#: its parameters after ``(fname, line, diags)``; filled by ``_row``
+_ROWS: dict[RecordKind, tuple[tuple[Role, ...], object]] = {}
+
+
+def _row(kind: RecordKind, *roles: Role):
+    """Registers the decorated function as the row builder of ``kind``."""
+    def register(build):
+        _ROWS[kind] = (roles, build)
+        return build
+    return register
+
+
+def _reader(role: Role, indices: list[int], default: str):
+    """How ``role`` reads a row's cells, padded to every column: the first
+    non-empty cell of ``indices``, or for a member role the members of all
+    of them, else ``default``.  A cell is stripped and ``-`` is empty; a
+    member cell is split only when it holds a ``;``."""
+    if role in _MEMBER_ROLES:
+        fallback = _members([default])
+        if not indices:
+            return lambda cells: fallback
+        if len(indices) > 1:
+            return lambda cells: _members([_cell(cells[i]) for i in indices]) or fallback
+        index = indices[0]
+
+        def members(cells):
+            value = cells[index].strip()
+            if value == "" or value == "-":
+                return fallback
+            if ";" in value:
+                return _members([value]) or fallback
+            return (value,)
+
+        return members
+    if not indices:
+        return lambda cells: default
+    if len(indices) > 1:
+        return lambda cells: next(filter(None, [_cell(cells[i]) for i in indices]), default)
+    index = indices[0]
+
+    def scalar(cells):
+        value = cells[index].strip()
+        return default if value == "" or value == "-" else value
+
+    return scalar
 
 
 class _Columns:
-    """A CSV header bound to the roles of its profile, compiled once per file:
-    each role reads a constant default, one column or several.  A row is read
-    by setting ``cells``; ``scalar`` and ``many`` then read one role of it."""
+    """A CSV header bound to the roles its profile's kind reads, compiled
+    once per file: each role reads a constant default, one column or
+    several.  ``read(cells)`` gives one row's values of those roles."""
 
-    def __init__(self, columns: dict[Role, list[int]], defaults: dict[Role, str]):
-        self.cells: list[str] = []
-        self._scalar = {role: _scalar_reader(columns.get(role, ()), defaults.get(role, "")) for role in Role}
-        self._many = {role: _many_reader(columns.get(role, ()), defaults.get(role, "")) for role in Role}
+    def __init__(self, roles, columns: dict[Role, list[int]], defaults: dict[Role, str]):
+        self._width = 1 + max((i for indices in columns.values() for i in indices), default=-1)
+        self._readers = [_reader(role, columns.get(role, []), defaults.get(role, "")) for role in roles]
 
-    def scalar(self, role: Role) -> str:
-        return self._scalar[role](self.cells)
-
-    def many(self, role: Role):
-        return self._many[role](self.cells)
-
-
-def _scalar_reader(indices, default: str):
-    """Reads the first non-empty cell of ``indices``, else ``default``."""
-    if not indices:
-        return lambda cells: default
-    if len(indices) == 1:
-        index = indices[0]
-        return lambda cells: (_cell(cells[index]) if index < len(cells) else "") or default
-    return lambda cells: next(filter(None, (_cell(cells[i]) for i in indices if i < len(cells))), default)
-
-
-def _many_reader(indices, default: str):
-    """Reads the members of the cells of ``indices``, else of ``default``."""
-    fallback = tuple(_members([default]))
-    if not indices:
-        return lambda cells: fallback
-    return lambda cells: _members(_cell(cells[i]) for i in indices if i < len(cells)) or fallback
+    def read(self, cells: list[str]) -> list:
+        if len(cells) < self._width:
+            cells = cells + [""] * (self._width - len(cells))
+        return [read(cells) for read in self._readers]
 
 
 def _csv_rows(text: str, path: str | Path):
@@ -455,13 +487,13 @@ def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], u
             ))
         elif role is not None and role is not Role.IGNORE:
             columns.setdefault(role, []).append(index)
-    row = _Columns(columns, profile.defaults)
+    kind = profile.kind
+    read = _Columns(_ROWS[kind][0], columns, profile.defaults).read
     records: list = []
     for line, cells in rows:
-        if not any(cell.strip() for cell in cells):
+        if not "".join(cells).strip():
             continue
-        row.cells = cells
-        record = _parse_row(profile.kind, row, fname, line, diags)
+        record = _parse_row(kind, read(cells), fname, line, diags)
         if record is not None:
             records.append(record)
     return records, diags
@@ -482,127 +514,141 @@ def _retention_years(raw) -> float | None:
     return None if isinstance(raw, bool) or not years >= 0 else years
 
 
-def _parse_row(kind: RecordKind, row, fname: str, line: int | None, diags: list[Diagnostic]):
-    """The record of one row, read through ``row``: a CSV row (``_Columns``)
-    or an overlay entry (``_Entry``), whose ``scalar(role)`` and
-    ``many(role)`` give one role's value.  A rejected row gives None and an
-    error in ``diags``; no other code builds a record from input."""
-    if kind is RecordKind.ACCESS:
-        owner = row.scalar(Role.ID)
-        targets = row.many(Role.ACCESSES_TARGET)
-        if not owner or not targets:
-            return _error(diags, fname, line, "blank-id", "access row needs both an asset and a service")
-        direction = _parse_direction(row, fname, line, owner, diags)
-        row_source = Source(fname, f"{owner}->{','.join(targets)}")
-        refs = tuple(
-            AccessRef(target, direction, RefOrigin.ACCESS_RECORD, row_source)
-            for target in targets
-            if target != owner
-        )
-        return AssetRecord(id=owner, accesses=refs, source=row_source)
+def _parse_row(kind: RecordKind, values, fname: str, line: int | None, diags: list[Diagnostic]):
+    """The record of one row of ``kind``, built from ``values``: the values
+    of the roles its builder reads (``_ROWS``), read from a CSV row
+    (``_Columns``) or an overlay entry (``_Entry``).  A member role's value
+    is a tuple, any other a string (an overlay retention keeps its JSON
+    value).  A rejected row gives None and an error in ``diags``; no other
+    code builds a record from input."""
+    return _ROWS[kind][1](fname, line, diags, *values)
 
-    ident = row.scalar(Role.CLASSIFICATION if kind is RecordKind.CLASSIFICATION else Role.ID)
-    if not ident:
-        noun = "label" if kind is RecordKind.CLASSIFICATION else "id"
-        return _error(diags, fname, line, "blank-id", f"{kind.value} row has an empty {noun}")
-    source = Source(fname, ident)
 
-    if kind is RecordKind.CLASSIFICATION:
-        levels = row.many(Role.SECURITY_LEVEL) or ("",)
-        ratings = tuple(SecurityRating.parse(level) for level in levels)
-        for level, rating in zip(levels, ratings):
-            if rating is None:
-                return _error(
-                    diags, fname, line, "bad-security-level",
-                    f"cannot interpret security level {level!r} for classification {ident!r}",
-                )
-        return ClassificationBinding(ident, ratings, source=source)
+@_row(RecordKind.ACCESS, Role.ID, Role.ACCESSES_TARGET, Role.ACCESS_DIRECTION)
+def _access_row(fname, line, diags, owner, targets, raw_direction):
+    if not owner or not targets:
+        return _error(diags, fname, line, "blank-id", "access row needs both an asset and a service")
+    direction = _parse_direction(raw_direction, fname, line, owner, diags)
+    row_source = Source(fname, f"{owner}->{','.join(targets)}")
+    refs = tuple(
+        AccessRef(target, direction, RefOrigin.ACCESS_RECORD, row_source)
+        for target in targets
+        if target != owner
+    )
+    return AssetRecord(id=owner, accesses=refs, source=row_source)
 
-    if kind is RecordKind.DATA:
-        retention = row.scalar(Role.RETENTION_YEARS)
-        years = None if retention == "" else _retention_years(retention)
-        if years is None and retention != "":
+
+@_row(RecordKind.CLASSIFICATION, Role.CLASSIFICATION, Role.SECURITY_LEVEL)
+def _classification_row(fname, line, diags, label, levels):
+    if not label:
+        return _error(diags, fname, line, "blank-id", "classification row has an empty label")
+    levels = levels or ("",)
+    ratings = tuple(SecurityRating.parse(level) for level in levels)
+    for level, rating in zip(levels, ratings):
+        if rating is None:
             return _error(
-                diags, fname, line, "bad-retention",
-                f"retention for {ident!r} must be a non-negative number, got {retention!r}",
+                diags, fname, line, "bad-security-level",
+                f"cannot interpret security level {level!r} for classification {label!r}",
             )
-        return DataRecord(
-            id=ident,
-            storage_locations=tuple(row.many(Role.STORAGE_LOCATION)),
-            classification=row.scalar(Role.CLASSIFICATION) or None,
-            retention_years=years,
-            name=row.scalar(Role.NAME) or None,
-            source=source,
-        )
+    return ClassificationBinding(label, ratings, source=Source(fname, label))
 
-    if kind is RecordKind.ASSET:
-        asset_kind: AssetKind | None = None
-        raw_kind = row.scalar(Role.OBJECT_TYPE)
-        if raw_kind:
-            asset_kind = _ASSET_KIND_ALIASES.get(raw_kind.lower())
-            if asset_kind is None:
-                diags.append(
-                    Diagnostic(
-                        Severity.WARNING, fname, "unknown-asset-kind",
-                        f"asset kind {raw_kind!r} for {ident!r} is not recognised; treating as processor",
-                        line=line,
-                    )
+
+@_row(RecordKind.DATA, Role.ID, Role.STORAGE_LOCATION, Role.CLASSIFICATION, Role.RETENTION_YEARS, Role.NAME)
+def _data_row(fname, line, diags, ident, locations, label, retention, name):
+    if not ident:
+        return _error(diags, fname, line, "blank-id", "data row has an empty id")
+    years = None if retention == "" else _retention_years(retention)
+    if years is None and retention != "":
+        return _error(
+            diags, fname, line, "bad-retention",
+            f"retention for {ident!r} must be a non-negative number, got {retention!r}",
+        )
+    return DataRecord(
+        id=ident,
+        storage_locations=locations,
+        classification=label or None,
+        retention_years=years,
+        name=name or None,
+        source=Source(fname, ident),
+    )
+
+
+@_row(RecordKind.ASSET, Role.ID, Role.OBJECT_TYPE, Role.ACCESS_DIRECTION, Role.ACCESSES_TARGET, Role.SERVES, Role.NAME)
+def _asset_row(fname, line, diags, ident, raw_kind, raw_direction, targets, serves, name):
+    if not ident:
+        return _error(diags, fname, line, "blank-id", "asset row has an empty id")
+    source = Source(fname, ident)
+    asset_kind: AssetKind | None = None
+    if raw_kind:
+        asset_kind = _ASSET_KIND_ALIASES.get(raw_kind.lower())
+        if asset_kind is None:
+            diags.append(
+                Diagnostic(
+                    Severity.WARNING, fname, "unknown-asset-kind",
+                    f"asset kind {raw_kind!r} for {ident!r} is not recognised; treating as processor",
+                    line=line,
                 )
-        direction = _parse_direction(row, fname, line, ident, diags)
-        accesses = tuple(
-            AccessRef(target, direction, RefOrigin.ASSET_FIELD, source)
-            for target in row.many(Role.ACCESSES_TARGET)
-            if target != ident
-        )
-        return AssetRecord(
-            id=ident,
-            kind=asset_kind,
-            serves=tuple(t for t in row.many(Role.SERVES) if t != ident),
-            accesses=accesses,
-            name=row.scalar(Role.NAME) or None,
-            source=source,
-        )
+            )
+    direction = _parse_direction(raw_direction, fname, line, ident, diags)
+    return AssetRecord(
+        id=ident,
+        kind=asset_kind,
+        serves=tuple(t for t in serves if t != ident) if ident in serves else serves,
+        accesses=tuple(
+            [AccessRef(target, direction, RefOrigin.ASSET_FIELD, source) for target in targets if target != ident]
+        ),
+        name=name or None,
+        source=source,
+    )
 
-    # crypto
-    raw_type = row.scalar(Role.OBJECT_TYPE)
+
+@_row(
+    RecordKind.CRYPTO, Role.ID, Role.OBJECT_TYPE, Role.LOCATION, Role.STORAGE_LOCATION, Role.ALGORITHM,
+    Role.CONFIG_FLAG, Role.MATCHED_KEY, Role.ISSUER_CERT, Role.CREATED_BY, Role.NAME,
+)
+def _crypto_row(
+    fname, line, diags, ident, raw_type, location, key_locations, algorithm, flags,
+    matched_key, issuer_cert, created_by, name,
+):
+    if not ident:
+        return _error(diags, fname, line, "blank-id", "crypto row has an empty id")
     object_type = _OBJECT_TYPE_ALIASES.get(raw_type.lower())
     if object_type is None:
         return _error(
             diags, fname, line, "bad-object-type",
             f"object type {raw_type!r} for {ident!r} is not one of the supported kinds",
         )
-    record = CryptoObjectRecord(
-        id=ident,
-        object_type=object_type,
-        location=row.scalar(Role.LOCATION) or None,
-        key_locations=tuple(row.many(Role.STORAGE_LOCATION)),
-        algorithm=row.scalar(Role.ALGORITHM) or None,
-        config_flags=tuple(normalise_flag(f) for f in row.many(Role.CONFIG_FLAG)),
-        matched_key=row.scalar(Role.MATCHED_KEY) or None,
-        issuer_cert=row.scalar(Role.ISSUER_CERT) or None,
-        created_by=row.scalar(Role.CREATED_BY) or None,
-        name=row.scalar(Role.NAME) or None,
-        source=source,
-    )
-    if record.is_certificate and not record.algorithm:
+    certificate = object_type in CERTIFICATE_OBJECT_TYPES
+    if certificate and not algorithm:
         return _error(
             diags, fname, line, "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
         )
-    if record.matched_key and not (record.is_certificate or object_type is CryptoObjectType.PUBLIC_KEY):
+    if matched_key and not (certificate or object_type is CryptoObjectType.PUBLIC_KEY):
         return _error(
             diags, fname, line, "field-not-applicable",
             f"matched_key is only valid for public keys and certificates, found on {ident!r}",
         )
-    if record.issuer_cert and not record.is_certificate:
+    if issuer_cert and not certificate:
         return _error(
             diags, fname, line, "field-not-applicable",
             f"issuer_cert is only valid for certificates, found on {ident!r}",
         )
-    return record
+    return CryptoObjectRecord(
+        id=ident,
+        object_type=object_type,
+        location=location or None,
+        key_locations=key_locations,
+        algorithm=algorithm or None,
+        config_flags=tuple(map(normalise_flag, flags)),
+        matched_key=matched_key or None,
+        issuer_cert=issuer_cert or None,
+        created_by=created_by or None,
+        name=name or None,
+        source=Source(fname, ident),
+    )
 
 
-def _parse_direction(row, fname: str, line: int | None, ident: str, diags: list[Diagnostic]) -> Direction:
-    raw = row.scalar(Role.ACCESS_DIRECTION)
+def _parse_direction(raw: str, fname: str, line: int | None, ident: str, diags: list[Diagnostic]) -> Direction:
     if not raw:
         return Direction.TWO_WAY
     direction = _DIRECTION_ALIASES.get(raw.lower())
@@ -879,7 +925,7 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
     bindings: dict[str, dict] = {}
     data: dict[str, DataRecord] = {}
     crypto: dict[str, CryptoObjectRecord] = {}
-    asset_parts: dict[str, list[AssetRecord]] = {}
+    asset_rows: dict[str, list[AssetRecord]] = {}
 
     for record in records:
         if isinstance(record, ClassificationBinding):
@@ -903,30 +949,34 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
         elif isinstance(record, CryptoObjectRecord):
             _insert_unique(crypto, record, "crypto", diags)
         elif isinstance(record, AssetRecord):
-            asset_parts.setdefault(record.id, []).append(record)
+            asset_rows.setdefault(record.id, []).append(record)
 
     # Every reference resolves here.  Serves targets, access-record targets
     # and reference cells naming no crypto object, data record or registry
-    # algorithm materialise as undeclared assets, so the rules engine reads
-    # a reference cell as crypto, data, asset, or else an algorithm.
-    for parts in list(asset_parts.values()):
-        for part in list(parts):
-            for target in part.serves:
-                asset_parts.setdefault(target, []).append(
-                    AssetRecord(id=target, source=part.source)
-                )
-            for ref in part.accesses:
-                plain_asset = ref.origin is RefOrigin.ACCESS_RECORD or (
-                    ref.target not in crypto
-                    and ref.target not in data
-                    and registry.algorithm_ref(ref.target) is None
-                )
-                if plain_asset:
-                    asset_parts.setdefault(ref.target, []).append(
-                        AssetRecord(id=ref.target, source=part.source)
-                    )
+    # algorithm are assets, declared or not, so the rules engine reads a
+    # reference cell as crypto, data, asset, or else an algorithm.  Each
+    # such target keeps the first row, by file and ref, that refers to it.
+    referrers: dict[str, Source] = {}
+    access_record = RefOrigin.ACCESS_RECORD
+    for rows in asset_rows.values():
+        for row in rows:
+            targets = [*row.serves]
+            for ref in row.accesses:
+                target = ref.target
+                if ref.origin is access_record or (
+                    target not in crypto and target not in data and registry.algorithm_ref(target) is None
+                ):
+                    targets.append(target)
+            source = row.source
+            for target in targets:
+                held = referrers.get(target)
+                if held is None or (source.file, source.ref) < (held.file, held.ref):
+                    referrers[target] = source
 
-    assets = {ident: _merge_assets(ident, parts, diags) for ident, parts in asset_parts.items()}
+    assets = {ident: _merge_assets(ident, rows, referrers.get(ident), diags) for ident, rows in asset_rows.items()}
+    for ident, source in referrers.items():
+        if ident not in assets:
+            assets[ident] = AssetRecord(id=ident, source=source)
 
     classifications = tuple(
         ClassificationBinding(
@@ -965,48 +1015,57 @@ def _insert_unique(table: dict, record, noun: str, diags: list[Diagnostic]) -> N
     )
 
 
-def _merge_assets(ident: str, parts: list[AssetRecord], diags: list[Diagnostic]) -> AssetRecord:
-    kinds = sorted({p.kind for p in parts if p.kind is not None}, key=lambda k: k.value)
+def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, diags: list[Diagnostic]):
+    """The asset the rows declaring ``ident`` give, with ``referrer`` the
+    first row that refers to it, if any.  A row equal to the merge is
+    returned itself, so the bundle and its records hold one copy of an
+    asset declared by one row."""
+    if len(rows) == 1:
+        # one row is its own merge, unless its references need sorting or
+        # a referrer sorts before a row that gives nothing but the id
+        row = rows[0]
+        if len(row.serves) < 2 and len(row.accesses) < 2 and (
+            row.kind is not None or row.name or row.serves or row.accesses
+            or referrer is None or (row.source.file, row.source.ref) <= (referrer.file, referrer.ref)
+        ):
+            return row
+    kinds = sorted({r.kind for r in rows if r.kind is not None}, key=lambda k: k.value)
     if len(kinds) > 1:
         diags.append(
             Diagnostic(
-                Severity.ERROR, sorted(p.source.file for p in parts)[0], "conflicting-kind",
+                Severity.ERROR, min(r.source.file for r in rows if r.kind is not None), "conflicting-kind",
                 f"asset {ident!r} is declared with kinds {', '.join(k.value for k in kinds)}; "
                 f"keeping {kinds[0].value}",
             )
         )
-    serves = tuple(sorted({t for p in parts for t in p.serves}))
+    serves = tuple(sorted({t for r in rows for t in r.serves}))
     accesses = tuple(
         sorted(
-            {ref for p in parts for ref in p.accesses},
-            key=lambda r: (
-                r.target,
-                r.direction.value,
-                r.origin.value,
-                (r.source.file, r.source.ref) if r.source else ("", ""),
+            {ref for r in rows for ref in r.accesses},
+            key=lambda ref: (
+                ref.target,
+                ref.direction.value,
+                ref.origin.value,
+                (ref.source.file, ref.source.ref) if ref.source else ("", ""),
             ),
         )
     )
-    names = sorted({p.name for p in parts if p.name})
+    names = sorted({r.name for r in rows if r.name})
     # rows that declare the asset itself beat rows that merely relate it to
-    # something, and both beat materialized reference stubs
-    identity = [p for p in parts if p.kind is not None or p.name]
-    relation = [p for p in parts if p.serves or p.accesses]
-    source = min(
-        (p.source for p in (identity or relation or parts)),
-        key=lambda s: (s.file, s.ref),
-    )
+    # something, and both beat rows that only name it and rows that refer
+    # to it
+    identity = [r.source for r in rows if r.kind is not None or r.name]
+    relation = [r.source for r in rows if r.serves or r.accesses]
+    mentions = [r.source for r in rows] + ([referrer] if referrer else [])
     merged = AssetRecord(
         id=ident,
         kind=kinds[0] if kinds else None,
         serves=serves,
         accesses=accesses,
         name=names[0] if names else None,
-        source=source,
+        source=min(identity or relation or mentions, key=lambda s: (s.file, s.ref)),
     )
-    # share a part equal to the merge, so the bundle and its records hold
-    # one copy of an asset declared by one row
-    return next((p for p in parts if p == merged), merged)
+    return next((r for r in rows if r == merged), merged)
 
 
 def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
@@ -1109,30 +1168,26 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
 # overlay records: an ``add_records`` entry read as a row
 # --------------------------------------------------------------------------
 
-#: the fields of an ``add_records`` entry as the columns of one fixed
-#: profile: each field's role and the JSON type its value must have (a
-#: retention of any type gets the row's ``bad-retention`` check instead)
+#: the fields an ``add_records`` entry of each kind takes, as the columns of
+#: one fixed profile per kind.  A field of a member role takes a list of
+#: strings, a retention any JSON value (it gets the row's ``bad-retention``
+#: check), any other field a string.  A field mapped to None is read apart
+#: from the row; every kind also takes ``record_kind`` and ``source``.
 _ENTRY_FIELDS = {
-    "id": (Role.ID, str),
-    "label": (Role.CLASSIFICATION, str),
-    "classification": (Role.CLASSIFICATION, str),
-    "name": (Role.NAME, str),
-    "kind": (Role.OBJECT_TYPE, str),
-    "object_type": (Role.OBJECT_TYPE, str),
-    "location": (Role.LOCATION, str),
-    "algorithm": (Role.ALGORITHM, str),
-    "matched_key": (Role.MATCHED_KEY, str),
-    "issuer_cert": (Role.ISSUER_CERT, str),
-    "created_by": (Role.CREATED_BY, str),
-    "storage_locations": (Role.STORAGE_LOCATION, list),
-    "key_locations": (Role.STORAGE_LOCATION, list),
-    "serves": (Role.SERVES, list),
-    "config_flags": (Role.CONFIG_FLAG, list),
-    "retention_years": (Role.RETENTION_YEARS, object),
+    RecordKind.CLASSIFICATION: {"label": Role.CLASSIFICATION, "required": None},
+    RecordKind.DATA: {
+        "id": Role.ID, "name": Role.NAME, "classification": Role.CLASSIFICATION,
+        "storage_locations": Role.STORAGE_LOCATION, "retention_years": Role.RETENTION_YEARS,
+    },
+    RecordKind.ASSET: {
+        "id": Role.ID, "name": Role.NAME, "kind": Role.OBJECT_TYPE, "serves": Role.SERVES, "accesses": None,
+    },
+    RecordKind.CRYPTO: {
+        "id": Role.ID, "name": Role.NAME, "object_type": Role.OBJECT_TYPE, "location": Role.LOCATION,
+        "key_locations": Role.STORAGE_LOCATION, "algorithm": Role.ALGORITHM, "config_flags": Role.CONFIG_FLAG,
+        "matched_key": Role.MATCHED_KEY, "issuer_cert": Role.ISSUER_CERT, "created_by": Role.CREATED_BY,
+    },
 }
-
-#: the fields of an entry read apart from the row; any other field is an error
-_ENTRY_OTHER_FIELDS = frozenset({"record_kind", "required", "accesses", "source"})
 
 #: the kinds an overlay may add, and the fields an entry of each must carry,
 #: the first naming the record
@@ -1152,11 +1207,13 @@ class _Entry(dict):
     def add(self, role: Role, value) -> None:
         self.setdefault(role, []).append(_cell(value) if isinstance(value, str) else value)
 
-    def scalar(self, role: Role):
-        return next((v for v in self.get(role, ()) if v != ""), "")
-
-    def many(self, role: Role) -> list[str]:
-        return _members(self.get(role, ()))
+    def read(self, roles) -> list:
+        """The values of ``roles``, as ``_Columns.read`` gives a row's."""
+        return [
+            _members(self.get(role, ())) if role in _MEMBER_ROLES
+            else next((v for v in self.get(role, ()) if v != ""), "")
+            for role in roles
+        ]
 
 
 def _named_source(raw) -> Source | None:
@@ -1180,25 +1237,29 @@ def parse_entry(entry: dict):
     record the same CSV row gives: its fields are read as the cells of their
     roles (``_ENTRY_FIELDS``) by ``_parse_row``.  A classification's
     ``required`` levels, an asset's ``accesses`` and a ``source`` are read
-    apart; any other field is an error.  Raises KeyError or ValueError
-    naming the first problem."""
+    apart; a field its kind does not take is an error.  Raises KeyError or
+    ValueError naming the first problem."""
     try:
         kind = RecordKind(entry["record_kind"])
     except ValueError:
         raise ValueError(f"unknown record_kind {entry['record_kind']!r}") from None
     if kind not in _ENTRY_REQUIRED:
         raise ValueError(f"cannot add records of kind {kind.value!r}")
+    kind_fields = _ENTRY_FIELDS[kind]
     row = _Entry()
     for key, value in entry.items():
-        if key not in _ENTRY_FIELDS or value is None:
+        role = kind_fields.get(key)
+        if role is None or value is None:
             continue
-        role, shape = _ENTRY_FIELDS[key]
-        if shape is str and not isinstance(value, str):
+        if role in _MEMBER_ROLES:
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{key} must be a list of strings, got {value!r}")
+            for cell in value:
+                row.add(role, cell)
+        elif role is Role.RETENTION_YEARS or isinstance(value, str):
+            row.add(role, value)
+        else:
             raise ValueError(f"{key} must be a string, got {value!r}")
-        if shape is list and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise ValueError(f"{key} must be a list of strings, got {value!r}")
-        for cell in value if shape is list else [value]:
-            row.add(role, cell)
     for key in _ENTRY_REQUIRED[kind]:
         if key not in entry:
             raise KeyError(key)
@@ -1211,13 +1272,13 @@ def parse_entry(entry: dict):
         for level in entry["required"]:  # the {"dimension", "value"} form reads as its value
             level = SecurityRating.from_dict(level).value if isinstance(level, dict) else level
             row.add(Role.SECURITY_LEVEL, str(level))
-    unknown = sorted(entry.keys() - _ENTRY_FIELDS.keys() - _ENTRY_OTHER_FIELDS)
+    unknown = sorted(entry.keys() - kind_fields.keys() - {"record_kind", "source"})
     if unknown:
         ident = entry[_ENTRY_REQUIRED[kind][0]]
         raise ValueError(f"unknown field {unknown[0]!r} in {kind.value} record {ident!r}")
 
     diags: list[Diagnostic] = []
-    record = _parse_row(kind, row, "overlay", None, diags)
+    record = _parse_row(kind, row.read(_ROWS[kind][0]), "overlay", None, diags)
     if diags:
         # a warning ends in the fallback a CSV row takes; an added record
         # has none, so the warning rejects it
@@ -1225,7 +1286,8 @@ def parse_entry(entry: dict):
         raise ValueError(problem.message if record is None else problem.message.rpartition("; ")[0])
     record = replace(record, source=_entry_source(entry, record.source))
     if kind is RecordKind.ASSET:
-        accesses = entry.get("accesses", [])
+        accesses = entry.get("accesses")
+        accesses = [] if accesses is None else accesses  # null is empty, as for the other fields
         fields = {"target", "direction", "origin"}
         if not (isinstance(accesses, list) and all(isinstance(r, dict) and fields <= r.keys() for r in accesses)):
             raise ValueError(

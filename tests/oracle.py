@@ -2,16 +2,30 @@
 
 Everything here trades speed for obviousness: a cubic Floyd-Warshall closure
 instead of per-pair BFS, exhaustive simple-path enumeration instead of the
-guided witness search, and a from-scratch reader for the DOT subset the
-renderer emits.  None of it imports the search or rendering internals it
-checks.
+guided witness search, a from-scratch reader for the DOT subset the
+renderer emits, and an assembly that turns every asset reference into a
+stub record and merges all rows of an id.  None of it imports the search,
+rendering or assembly internals it checks.
 """
 
 from __future__ import annotations
 
 import re
 
-from cryptodep import Comparison, DependencyGraph, VertexKind, compare_ratings
+from cryptodep import (
+    AssetRecord,
+    ClassificationBinding,
+    Comparison,
+    CryptoObjectRecord,
+    DataRecord,
+    DependencyGraph,
+    Diagnostic,
+    InventoryBundle,
+    Severity,
+    VertexKind,
+    compare_ratings,
+)
+from cryptodep.model import RefOrigin
 
 
 def closure_matrix(vertex_ids, edge_pairs):
@@ -145,3 +159,99 @@ def read_dot(text: str):
         if frm not in nodes or to not in nodes:
             raise AssertionError(f"edge {frm!r} -> {to!r} references an undeclared node")
     return nodes, edges
+
+
+def _source_key(source):
+    return (source.file, source.ref)
+
+
+def assemble_oracle(records, registry):
+    """``(bundle, diagnostics)`` as ``assemble_bundle`` should give them.
+
+    Every serves target and every reference naming no crypto object, data
+    record or registry algorithm (or any access-record target) adds a stub
+    ``AssetRecord(id=target, source=<referring row's source>)`` to the rows
+    of its target; then all rows of each asset id merge.  The merged source
+    is the first, by (file, ref), of the rows giving a kind or name, else
+    of the rows with references, else of all rows and stubs.  A kind
+    conflict is blamed on the first file among the rows giving a kind.
+    """
+    records = tuple(records)
+    diags = []
+    labels = {}  # label -> [source, {dimension: rating}], in first-seen order
+    tables = {DataRecord: {}, CryptoObjectRecord: {}}
+    rows = {}  # asset id -> its rows, then its stubs
+    for record in records:
+        if isinstance(record, ClassificationBinding):
+            source, ratings = labels.setdefault(record.label, [record.source, {}])
+            for rating in record.required:
+                held = ratings.setdefault(rating.dimension, rating)
+                if held != rating:
+                    diags.append(Diagnostic(
+                        Severity.ERROR, record.source.file, "conflicting-level",
+                        f"classification {record.label!r} already requires {held.display}; "
+                        f"ignoring conflicting level {rating.display}",
+                    ))
+        elif isinstance(record, AssetRecord):
+            rows.setdefault(record.id, []).append(record)
+        else:
+            table = tables[type(record)]
+            held = table.setdefault(record.id, record)
+            if held != record:
+                keep, drop = sorted((held, record), key=lambda r: (r.source.file, r.source.ref, repr(r)))
+                table[record.id] = keep
+                noun = "data" if isinstance(record, DataRecord) else "crypto"
+                diags.append(Diagnostic(
+                    Severity.ERROR, drop.source.file, "duplicate-id",
+                    f"{noun} id {record.id!r} is defined more than once; keeping the copy from {keep.source.file}",
+                ))
+    data, crypto = tables[DataRecord], tables[CryptoObjectRecord]
+
+    for row in [row for parts in rows.values() for row in parts]:
+        targets = list(row.serves) + [
+            ref.target for ref in row.accesses
+            if ref.origin is RefOrigin.ACCESS_RECORD
+            or (ref.target not in crypto and ref.target not in data and registry.algorithm_ref(ref.target) is None)
+        ]
+        for target in targets:
+            rows.setdefault(target, []).append(AssetRecord(id=target, source=row.source))
+
+    assets = {}
+    for ident, parts in rows.items():
+        kinds = sorted({p.kind for p in parts if p.kind is not None}, key=lambda k: k.value)
+        if len(kinds) > 1:
+            diags.append(Diagnostic(
+                Severity.ERROR, min(p.source.file for p in parts if p.kind is not None), "conflicting-kind",
+                f"asset {ident!r} is declared with kinds {', '.join(k.value for k in kinds)}; "
+                f"keeping {kinds[0].value}",
+            ))
+        refs = {ref for p in parts for ref in p.accesses}
+        names = sorted(p.name for p in parts if p.name)
+        identity = [p.source for p in parts if p.kind is not None or p.name]
+        relation = [p.source for p in parts if p.serves or p.accesses]
+        assets[ident] = AssetRecord(
+            id=ident,
+            kind=kinds[0] if kinds else None,
+            serves=tuple(sorted({t for p in parts for t in p.serves})),
+            accesses=tuple(sorted(refs, key=lambda r: (
+                r.target, r.direction.value, r.origin.value, _source_key(r.source) if r.source else ("", ""),
+            ))),
+            name=names[0] if names else None,
+            source=min(identity or relation or [p.source for p in parts], key=_source_key),
+        )
+
+    classifications = tuple(
+        ClassificationBinding(
+            label, tuple(sorted(ratings.values(), key=lambda r: r.sort_key())), rank=rank, source=source,
+        )
+        for rank, (label, (source, ratings)) in enumerate(labels.items())
+    )
+    bundle = InventoryBundle(
+        classifications=classifications,
+        data=tuple(data[k] for k in sorted(data)),
+        assets=tuple(assets[k] for k in sorted(assets)),
+        crypto_objects=tuple(crypto[k] for k in sorted(crypto)),
+        registry=registry,
+        records=records,
+    )
+    return bundle, diags

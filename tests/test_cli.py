@@ -298,6 +298,22 @@ def test_bad_overlay_is_fatal(tmp_path):
                      id="accesses-string"),
         pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "accesses": ["DB1"]}]},
                      id="accesses-strings"),
+        pytest.param({"add_records": [{"record_kind": "data", "id": "Audit1", "location": "Nowhere"}]},
+                     id="crypto-field-on-data"),
+        pytest.param({"add_records": [{"record_kind": "data", "id": "Audit1", "accesses": [
+            {"target": "DB1", "direction": "two-way", "origin": "asset-field"}]}]},
+                     id="accesses-on-data"),
+        pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "object_type": "server"}]},
+                     id="object-type-on-asset"),
+        pytest.param({"add_records": [{"record_kind": "crypto", "id": "K9", "object_type": "PrivateKey",
+                                       "kind": "server"}]},
+                     id="kind-on-crypto"),
+        pytest.param({"add_records": [{"record_kind": "classification", "label": "Internal",
+                                       "required": ["128"], "id": "X"}]},
+                     id="id-on-classification"),
+        pytest.param({"add_records": [{"record_kind": "classification", "label": "Internal",
+                                       "required": None}]},
+                     id="required-null"),
     ],
 )
 def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
@@ -319,6 +335,12 @@ OVERLAY_ERRORS = {
     "unknown-field": "unknown field 'storage_location' in data record 'D9'",
     "accesses-string": "the accesses of 'Z' must be a list of objects with target, direction and origin",
     "accesses-strings": "the accesses of 'Z' must be a list of objects with target, direction and origin",
+    "crypto-field-on-data": "unknown field 'location' in data record 'Audit1'",
+    "accesses-on-data": "unknown field 'accesses' in data record 'Audit1'",
+    "object-type-on-asset": "unknown field 'object_type' in asset record 'Z'",
+    "kind-on-crypto": "unknown field 'kind' in crypto record 'K9'",
+    "id-on-classification": "unknown field 'id' in classification record 'Internal'",
+    "required-null": "classification 'Internal' needs a list of required levels",
 }
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cryptodep import (
+    AccessRef,
     AssetKind,
     AssetRecord,
     ClassificationBinding,
@@ -38,6 +39,7 @@ from cryptodep.ingest import (
 from cryptodep.model import RefOrigin
 
 import inventory_gen
+from oracle import assemble_oracle
 from conftest import HYBRID, HYBRID_FILES
 
 
@@ -493,13 +495,20 @@ def test_assemble_duplicate_ids_resolve_the_same_both_ways():
 
 
 def test_assemble_conflicting_kind():
+    # a.csv only serves A1 and 0.csv only names it: the error names the
+    # first file among the rows that declare a kind
     recs = [
         AssetRecord(id="A1", kind=AssetKind.CHANNEL, source=Source("x.csv", "A1")),
         AssetRecord(id="A1", kind=AssetKind.SERVICE, source=Source("y.csv", "A1")),
+        AssetRecord(id="B", serves=("A1",), source=Source("a.csv", "B")),
+        AssetRecord(id="A1", source=Source("0.csv", "A1")),
     ]
-    bundle, diags = assemble_bundle(recs, _registry())
-    assert codes(diags) == ["conflicting-kind"]
-    assert bundle.asset_map()["A1"].kind is AssetKind.CHANNEL
+    for order in (recs, recs[::-1]):
+        bundle, diags = assemble_bundle(order, _registry())
+        assert [d.render() for d in diags] == [
+            "error: x.csv: conflicting-kind: asset 'A1' is declared with kinds Channel, Service; keeping Channel"
+        ]
+        assert bundle.asset_map()["A1"].kind is AssetKind.CHANNEL
 
 
 def test_assemble_classification_rows_merge_dimensions():
@@ -552,6 +561,56 @@ def test_bundle_is_sorted_and_order_independent():
     assert one == two
     assert [d.id for d in one.data] == sorted(d.id for d in one.data)
     assert [a.id for a in one.assets] == sorted(a.id for a in one.assets)
+
+
+def _more_asset_rows(rng: random.Random, records: list) -> list:
+    """Asset rows that give assembly more to merge: rows that only name an
+    id, rows that declare an id again (often with another kind), serves and
+    access rows, each from a file that sorts before, among or after the
+    generator's files."""
+    ids = sorted({r.id for r in records if isinstance(r, AssetRecord)}) + ["X1", "KMS", "Z9"]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        ident = rng.choice(ids)
+        source = Source(rng.choice(["0.csv", "assets.csv", "zz.csv"]), rng.choice([ident, "r1", "r0"]))
+        shape = rng.choice(["id-only", "declare", "serves", "access"])
+        if shape == "id-only":
+            rows.append(AssetRecord(id=ident, source=source))
+        elif shape == "declare":
+            kind = rng.choice(list(AssetKind))
+            rows.append(AssetRecord(id=ident, kind=kind, name=rng.choice([None, "N", "M"]), source=source))
+        elif shape == "serves":
+            rows.append(AssetRecord(id=ident, serves=tuple(rng.sample(ids, 2)), source=source))
+        else:
+            target = rng.choice(ids + ["K0", "D0", "RSA[2048]"])
+            ref = AccessRef(target, Direction.TWO_WAY, RefOrigin.ACCESS_RECORD, source)
+            rows.append(AssetRecord(id=ident, accesses=(ref,), source=source))
+    return rows
+
+
+def test_assembly_matches_the_stub_oracle():
+    registry = _registry()
+    seen = dict.fromkeys(["referenced-only", "id-only", "serves", "access-record", "conflicting-kind"], 0)
+    for seed in range(150):
+        rng = random.Random(seed)
+        records = inventory_gen.random_records(
+            rng, n_data=rng.randint(1, 5), n_assets=rng.randint(2, 8), n_crypto=rng.randint(1, 5)
+        )
+        records += _more_asset_rows(rng, records)
+        rng.shuffle(records)
+        bundle, diags = assemble_bundle(records, registry)
+        expected, expected_diags = assemble_oracle(records, registry)
+        assert bundle == expected, seed  # an asset's equality takes in its source
+        assert diags == expected_diags, seed
+
+        rows = [r for r in records if isinstance(r, AssetRecord)]
+        declared = {r.id for r in rows}
+        seen["referenced-only"] += sum(a.id not in declared for a in bundle.assets)
+        seen["id-only"] += sum(not (r.kind or r.name or r.serves or r.accesses) for r in rows)
+        seen["serves"] += sum(len(r.serves) for r in rows)
+        seen["access-record"] += sum(ref.origin is RefOrigin.ACCESS_RECORD for r in rows for ref in r.accesses)
+        seen["conflicting-kind"] += codes(diags).count("conflicting-kind")
+    assert min(seen.values()) >= 20, seen
 
 
 # --------------------------------------------------------------------------

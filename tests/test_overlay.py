@@ -215,6 +215,13 @@ def test_added_records_with_existing_ids_merge_or_clash():
     assert [(d.severity, d.code) for d in diags] == [(Severity.ERROR, "duplicate-id")] * 2
 
 
+def test_added_asset_with_null_accesses_has_none():
+    entry = {"record_kind": "asset", "id": "Z", "kind": "server", "accesses": None}
+    overlaid, diags = apply_overlay(_bundle(), Overlay(add_records=(entry,)))
+    assert diags == []
+    assert overlaid.asset_map()["Z"].accesses == ()
+
+
 def test_added_asset_kind_takes_the_csv_type_aliases():
     bundle = _bundle()
     for spelling in ("server", "Server", "Processor", "vm", "workflow", "network", "Software"):
