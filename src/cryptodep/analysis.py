@@ -21,7 +21,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .ingest import Diagnostic, Severity, assemble_bundle, parse_entry
+from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry
 from .model import (
     AssetRecord,
     ClassificationBinding,
@@ -363,10 +363,10 @@ def find_violations(
         if through_level:
             # reachable only through another level vertex: report the
             # plain shortest path rather than staying silent
-            diagnostics.append(Diagnostic(
-                Severity.WARNING, "analysis", "witness-through-level",
+            _warning(
+                diagnostics, "analysis", None, "witness-through-level",
                 f"every path from {high.display} to {low.display} crosses another security level",
-            ))
+            )
         for path in paths:
             finding = Finding(
                 required=high.payload,
@@ -398,7 +398,8 @@ def score_finding(
 ) -> Finding:
     """Attach a ScoreBreakdown.  Inputs the bundle cannot answer (no
     classification on the path, unknown retention) degrade to neutral
-    weights with a warning recorded on the breakdown."""
+    weights with a warning recorded on the breakdown.  Raises OverflowError
+    when the policy's weights make the score infinite or NaN."""
     vertex_map = graph.vertex_map()
     warnings: list[str] = []
 
@@ -432,14 +433,12 @@ def score_finding(
                 message = f"no retention period for {data_id}, longevity not assessed"
                 warnings.append(message)
                 if diagnostics is not None:
-                    diagnostics.append(
-                        Diagnostic(
-                            Severity.WARNING, record.source.file, "retention-unknown", message
-                        )
-                    )
+                    _warning(diagnostics, record.source.file, None, "retention-unknown", message)
             urgent = urgent or flagged
 
     total = sensitivity * vuln_weight * (policy.longevity_multiplier if urgent else 1.0)
+    if not abs(total) <= sys.float_info.max:
+        raise OverflowError(f"its weights give finding {finding.id} the score {total}, which is not a finite number")
     return replace(
         finding,
         score=ScoreBreakdown(sensitivity, vuln_weight, urgent, total, tuple(warnings)),
@@ -597,11 +596,8 @@ def apply_overlay(
     readded = {_record_key(record) for record in added}
     for ident in overlay.remove_records:
         if ident in overlaid.asset_map() and ident not in readded:
-            diagnostics.append(
-                Diagnostic(
-                    Severity.WARNING, "overlay", "removed-but-referenced",
-                    f"removed record {ident!r} is still referenced by other records "
-                    f"and stays as an undeclared asset",
-                )
+            _warning(
+                diagnostics, "overlay", None, "removed-but-referenced",
+                f"removed record {ident!r} is still referenced by other records and stays as an undeclared asset",
             )
     return overlaid, diagnostics

@@ -30,20 +30,18 @@ from .analysis import (
     parse_overlay,
 )
 from .ingest import (
-    DEFAULT_REGISTRY_LABEL,
     Diagnostic,
     IngestError,
     Severity,
-    default_registry_text,
     file_digest,  # not called here: benchmark/traced.py wraps it by this name
     load_bundle,
     parse_profiles_text,
-    parse_registry_text,
     read_input,
     text_digest,
     validate_bundle,
 )
 from .model import InventoryBundle
+from .registry import DEFAULT_REGISTRY_LABEL, default_registry_text, parse_registry_text
 from .report import (
     make_report,
     render_dot,
@@ -199,13 +197,15 @@ def _has_errors(diagnostics) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
-def _scan(bundle, diagnostics, policy, horizon, witnesses, digests):
-    """Validate, build, detect and report; returns the graph and the report."""
+def _scan(args, bundle, diagnostics, policy, horizon, digests):
+    """Validate, build, detect and report; returns the graph and the report.
+    Only a policy's weights can overflow a score, so that is fatal."""
     diagnostics = diagnostics + validate_bundle(bundle)
     graph = build_graph(bundle)
-    findings, analysis_diags = find_violations(
-        graph, bundle, policy, horizon, max_witnesses=witnesses
-    )
+    try:
+        findings, analysis_diags = find_violations(graph, bundle, policy, horizon, max_witnesses=args.witnesses)
+    except OverflowError as exc:
+        raise IngestError(f"bad policy file {args.policy}: {exc}") from None
     report = make_report(graph, findings, diagnostics + analysis_diags, policy, horizon, digests)
     return graph, report
 
@@ -228,7 +228,7 @@ def cmd_scan(args) -> int:
     if args.overlay:
         bundle, diagnostics = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
-    graph, report = _scan(bundle, diagnostics, policy, horizon, args.witnesses, digests)
+    graph, report = _scan(args, bundle, diagnostics, policy, horizon, digests)
 
     if args.format == "json":
         sys.stdout.write(render_json(report))
@@ -247,8 +247,8 @@ def cmd_whatif(args) -> int:
     overlaid, over_diags = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
     # one graph at a time: the baseline's is dropped before the scenario's is built
-    baseline = _scan(bundle, diagnostics, policy, horizon, args.witnesses, digests)[1]
-    scenario = _scan(overlaid, over_diags, policy, horizon, args.witnesses, digests)[1]
+    baseline = _scan(args, bundle, diagnostics, policy, horizon, digests)[1]
+    scenario = _scan(args, overlaid, over_diags, policy, horizon, digests)[1]
 
     if args.format == "json":
         sys.stdout.write(render_whatif_json(baseline, scenario))

@@ -1,22 +1,22 @@
-"""Parsing and validation of inventory files, mapping profiles, and registries.
+"""Parsing of inventory files and mapping profiles, and assembly and
+validation of the bundle they give.
 
 Tabular inventories arrive as CSV with a mandatory header row.  A mapping
 profile assigns a role to each column so arbitrary real-world headers can be
 consumed without code changes.  Parsing is total: malformed rows become
 diagnostics, only unusable inputs (missing, undecodable or malformed files,
-unparseable registries, broken profiles) raise :class:`IngestError`.
+broken profiles) raise :class:`IngestError`.  :mod:`cryptodep.registry`
+parses registries into the same diagnostics and errors.
 """
 
 from __future__ import annotations
 
-import ast
 import csv
 import hashlib
 import io
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .model import (
@@ -25,7 +25,6 @@ from .model import (
     AssetKind,
     AssetRecord,
     ClassificationBinding,
-    Configuration,
     CryptoObjectRecord,
     CryptoObjectType,
     CryptoRegistry,
@@ -35,10 +34,8 @@ from .model import (
     RefOrigin,
     SecurityRating,
     Source,
-    VulnerabilityClass,
     normalise_flag,
     primitive_key,
-    spec_key,
 )
 
 __all__ = [
@@ -56,10 +53,6 @@ __all__ = [
     "builtin_profiles",
     "match_profile",
     "parse_tabular",
-    "parse_registry",
-    "parse_registry_text",
-    "load_default_registry",
-    "DEFAULT_REGISTRY_LABEL",
     "parse_entry",
     "load_bundle",
     "assemble_bundle",
@@ -123,6 +116,14 @@ class Diagnostic:
             "code": self.code,
             "message": self.message,
         }
+
+
+def _error(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
+    diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
+
+
+def _warning(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
+    diags.append(Diagnostic(Severity.WARNING, fname, code, message, line=line))
 
 
 # --------------------------------------------------------------------------
@@ -481,10 +482,10 @@ def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], u
     for index, column in enumerate(h.strip() for h in header):
         role = profile.columns.get(column)
         if role is None and column:
-            diags.append(Diagnostic(
-                Severity.WARNING, fname, "ignored-column",
-                f"column {column!r} is not named in the mapping profile and was ignored", line=1,
-            ))
+            _warning(
+                diags, fname, 1, "ignored-column",
+                f"column {column!r} is not named in the mapping profile and was ignored",
+            )
         elif role is not None and role is not Role.IGNORE:
             columns.setdefault(role, []).append(index)
     kind = profile.kind
@@ -497,10 +498,6 @@ def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], u
         if record is not None:
             records.append(record)
     return records, diags
-
-
-def _error(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
-    diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
 
 
 def _retention_years(raw) -> float | None:
@@ -582,12 +579,9 @@ def _asset_row(fname, line, diags, ident, raw_kind, raw_direction, targets, serv
     if raw_kind:
         asset_kind = _ASSET_KIND_ALIASES.get(raw_kind.lower())
         if asset_kind is None:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, fname, "unknown-asset-kind",
-                    f"asset kind {raw_kind!r} for {ident!r} is not recognised; treating as processor",
-                    line=line,
-                )
+            _warning(
+                diags, fname, line, "unknown-asset-kind",
+                f"asset kind {raw_kind!r} for {ident!r} is not recognised; treating as processor",
             )
     direction = _parse_direction(raw_direction, fname, line, ident, diags)
     return AssetRecord(
@@ -653,238 +647,12 @@ def _parse_direction(raw: str, fname: str, line: int | None, ident: str, diags: 
         return Direction.TWO_WAY
     direction = _DIRECTION_ALIASES.get(raw.lower())
     if direction is None:
-        diags.append(
-            Diagnostic(
-                Severity.WARNING, fname, "invalid-direction",
-                f"access direction {raw!r} on {ident!r} is not recognised; assuming two-way",
-                line=line,
-            )
+        _warning(
+            diags, fname, line, "invalid-direction",
+            f"access direction {raw!r} on {ident!r} is not recognised; assuming two-way",
         )
         return Direction.TWO_WAY
     return direction
-
-
-# --------------------------------------------------------------------------
-# registry parsing
-# --------------------------------------------------------------------------
-
-DEFAULT_REGISTRY_LABEL = "default_registry.json"
-
-_KNOWN_CONFIG_KEYS = {
-    "flags", "security", "NIST-approval", "quantum-safety", "class",
-    "break-qubits", "break-time", "uses", "source",
-}
-
-_CLASS_ALIASES = {
-    "ellipticcurve": VulnerabilityClass.ELLIPTIC_CURVE,
-    "elliptic-curve": VulnerabilityClass.ELLIPTIC_CURVE,
-    "integerfactoring": VulnerabilityClass.INTEGER_FACTORING,
-    "integer-factoring": VulnerabilityClass.INTEGER_FACTORING,
-    "symmetricsearch": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "symmetric-search": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "pqc": VulnerabilityClass.PQC,
-    "hashbased": VulnerabilityClass.HASH_BASED,
-    "hash-based": VulnerabilityClass.HASH_BASED,
-    "unknown": VulnerabilityClass.UNKNOWN,
-}
-
-_FAMILY_CLASSES = {
-    "RSA": VulnerabilityClass.INTEGER_FACTORING,
-    "DSA": VulnerabilityClass.INTEGER_FACTORING,
-    "DH": VulnerabilityClass.INTEGER_FACTORING,
-    "DIFFIE-HELLMAN": VulnerabilityClass.INTEGER_FACTORING,
-    "ELGAMAL": VulnerabilityClass.INTEGER_FACTORING,
-    "DL": VulnerabilityClass.ELLIPTIC_CURVE,
-    "ECDSA": VulnerabilityClass.ELLIPTIC_CURVE,
-    "ECDH": VulnerabilityClass.ELLIPTIC_CURVE,
-    "EDDSA": VulnerabilityClass.ELLIPTIC_CURVE,
-    "ED25519": VulnerabilityClass.ELLIPTIC_CURVE,
-    "X25519": VulnerabilityClass.ELLIPTIC_CURVE,
-    "AES": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "DES": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "3DES": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "CHACHA20": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "SHA-1": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "SHA-256": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "SHA-384": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "SHA-512": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "SHA-3": VulnerabilityClass.SYMMETRIC_SEARCH,
-    "ML-KEM": VulnerabilityClass.PQC,
-    "ML-DSA": VulnerabilityClass.PQC,
-    "CRYSTALS-KYBER": VulnerabilityClass.PQC,
-    "CRYSTALS-DILITHIUM": VulnerabilityClass.PQC,
-    "KYBER": VulnerabilityClass.PQC,
-    "DILITHIUM": VulnerabilityClass.PQC,
-    "FALCON": VulnerabilityClass.PQC,
-    "SPHINCS+": VulnerabilityClass.HASH_BASED,
-    "XMSS": VulnerabilityClass.HASH_BASED,
-    "LMS": VulnerabilityClass.HASH_BASED,
-}
-
-
-def _infer_vulnerability_class(name: str) -> VulnerabilityClass:
-    """Best-effort family lookup for registries that omit the class key."""
-    return _FAMILY_CLASSES.get(name.upper(), VulnerabilityClass.UNKNOWN)
-
-
-def parse_registry(path: str | Path) -> tuple[CryptoRegistry, list[Diagnostic]]:
-    return parse_registry_text(read_input(path, "registry file")[0], Path(path).name)
-
-
-def parse_registry_text(text: str, label: str) -> tuple[CryptoRegistry, list[Diagnostic]]:
-    """Parse a registry document.
-
-    Strict JSON is canonical; single-quoted relaxed documents are accepted
-    via a Python-literal fallback.  The top level may be one entry object or
-    a list of them.
-    """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):
-        try:
-            doc = ast.literal_eval(text)
-        except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError) as exc:
-            raise IngestError(f"{label}: registry is neither JSON nor a literal document: {exc}") from None
-    entries = doc if isinstance(doc, list) else [doc]
-    diags: list[Diagnostic] = []
-    algorithms: dict[str, list[Configuration]] = {}
-    seen: set[str] = set()
-    for index, entry in enumerate(entries):
-        configs = entry.get("configurations", []) if isinstance(entry, dict) else None
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not isinstance(configs, list) or not isinstance(name, str) or not name.strip():
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, label, "registry-entry-invalid",
-                    f"registry entry #{index + 1} has no usable name or configuration list and was skipped",
-                )
-            )
-            continue
-        name = name.strip()
-        for config_obj in configs:
-            config = _parse_configuration(config_obj, name, label, diags)
-            if config is None:
-                continue
-            key = primitive_key(name, config.flags)
-            if key in seen:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR, label, "duplicate-config",
-                        f"duplicate configuration {key}; first definition kept",
-                    )
-                )
-                continue
-            seen.add(key)
-            algorithms.setdefault(name, []).append(config)
-    canonical = {
-        name: tuple(sorted(configs, key=lambda c: sorted(c.flags)))
-        for name, configs in sorted(algorithms.items())
-    }
-    return CryptoRegistry(canonical), diags
-
-
-def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) -> Configuration | None:
-    if not (
-        isinstance(obj, dict)
-        and all(isinstance(obj.get(k, []), list) for k in ("flags", "uses"))
-        and all(isinstance(f, str) for f in obj.get("flags", []))
-    ):
-        diags.append(
-            Diagnostic(
-                Severity.ERROR, label, "registry-entry-invalid",
-                f"configuration of {name!r} is not an object with a list of string flags "
-                "and a list of uses, and was skipped",
-            )
-        )
-        return None
-    for key in obj:
-        if key not in _KNOWN_CONFIG_KEYS:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, label, "unknown-registry-key",
-                    f"configuration of {name!r} carries unrecognised key {key!r}",
-                )
-            )
-    flags = tuple(normalise_flag(f) for f in obj.get("flags", []))
-    ratings: list[SecurityRating] = []
-    security = obj.get("security")
-    if security is not None:
-        if isinstance(security, (int, float)) and not isinstance(security, bool) and 0 <= security < float("inf"):
-            ratings.append(SecurityRating.bits(int(security)))
-        else:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, label, "unknown-registry-value",
-                    f"{primitive_key(name, flags)}: security must be a non-negative number, got {security!r}",
-                )
-            )
-    for key, parser in (("NIST-approval", SecurityRating.parse), ("quantum-safety", SecurityRating.parse)):
-        raw = obj.get(key)
-        if raw is None:
-            continue
-        rating = parser(str(raw))
-        if rating is None:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, label, "unknown-registry-value",
-                    f"{primitive_key(name, flags)}: cannot interpret {key} value {raw!r}",
-                )
-            )
-        else:
-            ratings.append(rating)
-    raw_class = obj.get("class")
-    if raw_class is None:
-        vuln = _infer_vulnerability_class(name)
-    else:
-        vuln = _CLASS_ALIASES.get(str(raw_class).lower(), None)
-        if vuln is None:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, label, "unknown-registry-value",
-                    f"{primitive_key(name, flags)}: unrecognised vulnerability class {raw_class!r}",
-                )
-            )
-            vuln = _infer_vulnerability_class(name)
-    # break-qubits and break-time are accepted but not used
-    qubits = obj.get("break-qubits")
-    if qubits is not None and (not isinstance(qubits, (int, float)) or isinstance(qubits, bool)):
-        diags.append(
-            Diagnostic(
-                Severity.WARNING, label, "unknown-registry-value",
-                f"{primitive_key(name, flags)}: break-qubits must be numeric, got {qubits!r}",
-            )
-        )
-    uses: list[str] = []
-    for spec in obj.get("uses", []):
-        member = spec_key(spec) if isinstance(spec, str) else None
-        if member is None:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, label, "unknown-registry-value",
-                    f"{primitive_key(name, flags)}: cannot parse member primitive {spec!r}",
-                )
-            )
-            continue
-        uses.append(member)
-    source = _named_source(obj.get("source")) or Source(label, primitive_key(name, flags))
-    return Configuration(
-        flags=flags,
-        ratings=tuple(sorted(ratings, key=lambda r: r.sort_key())),
-        vulnerability_class=vuln,
-        uses=tuple(sorted(uses)),
-        source=source,
-    )
-
-
-def default_registry_text() -> str:
-    return resources.files("cryptodep.data").joinpath("default_registry.json").read_text("utf-8")
-
-
-def load_default_registry() -> CryptoRegistry:
-    registry, diags = parse_registry_text(default_registry_text(), DEFAULT_REGISTRY_LABEL)
-    if diags:  # the shipped registry must always be clean
-        raise IngestError(f"built-in registry is inconsistent: {diags[0].render()}")
-    return registry
 
 
 # --------------------------------------------------------------------------
@@ -937,12 +705,10 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
                 if held is None:
                     entry["ratings"][rating.dimension] = rating
                 elif held != rating:
-                    diags.append(
-                        Diagnostic(
-                            Severity.ERROR, record.source.file, "conflicting-level",
-                            f"classification {record.label!r} already requires {held.display}; "
-                            f"ignoring conflicting level {rating.display}",
-                        )
+                    _error(
+                        diags, record.source.file, None, "conflicting-level",
+                        f"classification {record.label!r} already requires {held.display}; "
+                        f"ignoring conflicting level {rating.display}",
                     )
         elif isinstance(record, DataRecord):
             _insert_unique(data, record, "data", diags)
@@ -1007,11 +773,9 @@ def _insert_unique(table: dict, record, noun: str, diags: list[Diagnostic]) -> N
         return
     keep, drop = sorted((held, record), key=lambda r: (r.source.file, r.source.ref, repr(r)))
     table[record.id] = keep
-    diags.append(
-        Diagnostic(
-            Severity.ERROR, drop.source.file, "duplicate-id",
-            f"{noun} id {record.id!r} is defined more than once; keeping the copy from {keep.source.file}",
-        )
+    _error(
+        diags, drop.source.file, None, "duplicate-id",
+        f"{noun} id {record.id!r} is defined more than once; keeping the copy from {keep.source.file}",
     )
 
 
@@ -1031,12 +795,9 @@ def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, 
             return row
     kinds = sorted({r.kind for r in rows if r.kind is not None}, key=lambda k: k.value)
     if len(kinds) > 1:
-        diags.append(
-            Diagnostic(
-                Severity.ERROR, min(r.source.file for r in rows if r.kind is not None), "conflicting-kind",
-                f"asset {ident!r} is declared with kinds {', '.join(k.value for k in kinds)}; "
-                f"keeping {kinds[0].value}",
-            )
+        _error(
+            diags, min(r.source.file for r in rows if r.kind is not None), None, "conflicting-kind",
+            f"asset {ident!r} is declared with kinds {', '.join(k.value for k in kinds)}; keeping {kinds[0].value}",
         )
     serves = tuple(sorted({t for r in rows for t in r.serves}))
     accesses = tuple(
@@ -1086,80 +847,45 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
         (asset_ids, crypto_ids, "asset/crypto"),
     ):
         for ident in sorted(a & b):
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, "<bundle>", "namespace-collision",
-                    f"identifier {ident!r} appears in both {what} inventories",
-                )
+            _error(
+                diags, "<bundle>", None, "namespace-collision",
+                f"identifier {ident!r} appears in both {what} inventories",
             )
     for label in sorted(class_labels & (data_ids | asset_ids | crypto_ids)):
-        diags.append(
-            Diagnostic(
-                Severity.WARNING, "<bundle>", "label-collision",
-                f"classification label {label!r} collides with a record identifier",
-            )
+        _warning(
+            diags, "<bundle>", None, "label-collision",
+            f"classification label {label!r} collides with a record identifier",
         )
+
+    def dangling(record, message: str) -> None:
+        _error(diags, record.source.file, None, "dangling-reference", message)
 
     for record in bundle.data:
         if record.classification and record.classification not in class_labels:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, record.source.file, "unknown-classification",
-                    f"data {record.id!r} uses classification {record.classification!r} "
-                    f"which is not in the classification map",
-                )
+            _error(
+                diags, record.source.file, None, "unknown-classification",
+                f"data {record.id!r} uses classification {record.classification!r} "
+                f"which is not in the classification map",
             )
         for location in record.storage_locations:
             if location not in asset_ids:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR, record.source.file, "dangling-reference",
-                        f"data {record.id!r} names storage location {location!r} "
-                        f"but no such asset exists",
-                    )
-                )
+                dangling(record, f"data {record.id!r} names storage location {location!r} but no such asset exists")
 
     for obj in bundle.crypto_objects:
+        what = f"crypto object {obj.id!r}"
         for location in filter(None, (obj.location, *obj.key_locations)):
             if location not in asset_ids:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR, obj.source.file, "dangling-reference",
-                        f"crypto object {obj.id!r} names location {location!r} "
-                        f"but no such asset exists",
-                    )
-                )
+                dangling(obj, f"{what} names location {location!r} but no such asset exists")
         if obj.matched_key and obj.matched_key not in crypto_ids:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, obj.source.file, "dangling-reference",
-                    f"crypto object {obj.id!r} references matched key {obj.matched_key!r} "
-                    f"which is not in the inventory",
-                )
-            )
+            dangling(obj, f"{what} references matched key {obj.matched_key!r} which is not in the inventory")
         if obj.issuer_cert and obj.issuer_cert != obj.id and obj.issuer_cert not in crypto_ids:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, obj.source.file, "dangling-reference",
-                    f"crypto object {obj.id!r} references issuer {obj.issuer_cert!r} "
-                    f"which is not in the inventory",
-                )
-            )
+            dangling(obj, f"{what} references issuer {obj.issuer_cert!r} which is not in the inventory")
         if obj.created_by and obj.created_by not in asset_ids:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, obj.source.file, "dangling-reference",
-                    f"crypto object {obj.id!r} was created by {obj.created_by!r} "
-                    f"but no such asset exists",
-                )
-            )
+            dangling(obj, f"{what} was created by {obj.created_by!r} but no such asset exists")
         if obj.algorithm and bundle.registry.lookup(obj.algorithm, obj.config_flags) is None:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING, obj.source.file, "unknown-algorithm",
-                    f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} "
-                    f"is not rated in the registry",
-                )
+            _warning(
+                diags, obj.source.file, None, "unknown-algorithm",
+                f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} is not rated in the registry",
             )
     return diags
 

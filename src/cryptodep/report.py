@@ -175,15 +175,7 @@ def _num(value: float) -> str:
 
 
 def _policy_echo(policy: ScoringPolicy) -> str:
-    order = [
-        VulnerabilityClass.ELLIPTIC_CURVE,
-        VulnerabilityClass.INTEGER_FACTORING,
-        VulnerabilityClass.SYMMETRIC_SEARCH,
-        VulnerabilityClass.PQC,
-        VulnerabilityClass.HASH_BASED,
-        VulnerabilityClass.UNKNOWN,
-    ]
-    weights = " ".join(f"{c.value}={_num(policy.weight_for(c))}" for c in order)
+    weights = " ".join(f"{c.value}={_num(policy.weight_for(c))}" for c in VulnerabilityClass)
     return f"policy: class weights {weights}; longevity multiplier {_num(policy.longevity_multiplier)}"
 
 
@@ -232,20 +224,19 @@ def render_text(report: ScanReport, verbosity: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _diff_ids(baseline: ScanReport, scenario: ScanReport) -> tuple[list[str], list[str], list[str]]:
+def _diff(baseline: ScanReport, scenario: ScanReport) -> dict[str, list[Finding]]:
+    """The findings the scenario resolved (as the baseline has them),
+    introduced and left unchanged (as the scenario has them), by id."""
     base = {f.id: f for f in baseline.findings}
     over = {f.id: f for f in scenario.findings}
-    resolved = sorted(set(base) - set(over))
-    introduced = sorted(set(over) - set(base))
-    unchanged = sorted(set(base) & set(over))
-    return resolved, introduced, unchanged
+    return {
+        "resolved": [base[i] for i in sorted(base.keys() - over.keys())],
+        "introduced": [over[i] for i in sorted(over.keys() - base.keys())],
+        "unchanged": [over[i] for i in sorted(base.keys() & over.keys())],
+    }
 
 
 def render_whatif_text(baseline: ScanReport, scenario: ScanReport, verbosity: int = 1) -> str:
-    resolved, introduced, unchanged = _diff_ids(baseline, scenario)
-    base = {f.id: f for f in baseline.findings}
-    over = {f.id: f for f in scenario.findings}
-
     lines = [
         f"what-if comparison: baseline {len(baseline.findings)} finding"
         + ("" if len(baseline.findings) == 1 else "s")
@@ -254,29 +245,18 @@ def render_whatif_text(baseline: ScanReport, scenario: ScanReport, verbosity: in
         f"horizon: migration {_num(scenario.horizon.migration_years)}y, "
         f"quantum horizon {_num(scenario.horizon.quantum_horizon_years)}y",
     ]
-
-    def section(title: str, ids: list[str], table: dict) -> None:
-        lines.append(f"{title} ({len(ids)}):")
+    for title, findings in _diff(baseline, scenario).items():
+        lines.append(f"{title} ({len(findings)}):")
         if verbosity >= 1:
-            for finding_id in ids:
-                lines.append("    " + " → ".join(table[finding_id].display_path))
-
-    section("resolved", resolved, base)
-    section("introduced", introduced, over)
-    section("unchanged", unchanged, over)
+            lines.extend("    " + " → ".join(f.display_path) for f in findings)
     return "\n".join(lines) + "\n"
 
 
 def render_whatif_json(baseline: ScanReport, scenario: ScanReport) -> str:
-    resolved, introduced, unchanged = _diff_ids(baseline, scenario)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "baseline": baseline.to_dict(),
         "scenario": scenario.to_dict(),
-        "diff": {
-            "resolved": resolved,
-            "introduced": introduced,
-            "unchanged": unchanged,
-        },
+        "diff": {title: [f.id for f in findings] for title, findings in _diff(baseline, scenario).items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -5,37 +5,7 @@ An edge ``a -> b`` means the security of ``a`` relies on the security of
 provenance of the records that forced it; identical edges produced by
 several records merge into one multi-provenance edge.
 
-The rule catalogue:
-
-======  =====================================================================
-SL1     a required security level supports each classification requiring it
-SL2     a primitive configuration provides the levels the registry rates it at
-DC1     a classification covers each data asset carrying it
-D1      data relies on the assets it is stored on
-D2      data relies on the channels it moves over
-D3      data relies on the processes that use it
-K1      secret and private keys rely on the assets holding or using them,
-        including key-management locations for any crypto object
-K3      public keys rely on their matched private key and storage asset
-K4      keys rely on the primitive configuration they are used with
-K5      keys rely on the process that created them
-K6      certificates rely on their signature algorithm, embedded public key,
-        and issuing certificate (self-signed certificates stop the chain)
-K7      CA certificates additionally rely on their storage asset
-P2      protocol configurations rely on their member primitives
-M1      processors rely on the symmetric/private keys they store
-M2      processors rely on the public keys and certificates they store
-M3      a processor stands in for its unlisted processes: references from a
-        processor to crypto objects or algorithms become reliance edges
-PR1     processes rely on the primitives and protocols they use
-PR2     processes rely on the processor they run on
-PR3     processes rely on their sub-processes and software
-PR4     processes rely on the keys they use
-CH1     channels rely on the protocols, primitives, and keys securing them
-CH2     channels and the entities communicating over them rely on each other
-AC1     access relations couple an asset and a service (two-way, or a single
-        service-to-asset edge for read-only access)
-======  =====================================================================
+Each rule is named and described in :data:`RULES`.
 
 Which rule fires for a reference column on an asset row depends on the kind
 of the source asset and on what the target resolves to (crypto object,
@@ -78,30 +48,35 @@ __all__ = [
 ]
 
 
+#: every rule that produces edges, by id, with what its edges mean
 RULES: dict[str, str] = {
-    "SL1": "required security level -> classification requiring it",
-    "SL2": "primitive configuration -> security level it provides",
-    "DC1": "classification -> data asset carrying it",
-    "D1": "data -> storage asset",
-    "D2": "data -> channel carrying it",
-    "D3": "data -> process using it",
-    "K1": "secret/private key -> asset holding or using it",
-    "K3": "public key -> matched private key / storage asset",
-    "K4": "key -> primitive configuration",
-    "K5": "key -> creating process",
-    "K6": "certificate -> signature algorithm / public key / issuer",
-    "K7": "CA certificate -> storage asset",
-    "P2": "protocol configuration -> member primitive",
-    "M1": "processor -> stored symmetric/private key",
-    "M2": "processor -> stored public key or certificate",
-    "M3": "processor (process proxy) -> crypto object or algorithm used",
-    "PR1": "process -> primitive or protocol used",
-    "PR2": "process -> its processor",
-    "PR3": "process -> sub-process or software",
-    "PR4": "process -> key used",
-    "CH1": "channel -> underlying protocol, primitive, or key",
-    "CH2": "channel <-> communicating entity",
-    "AC1": "access relation between asset and service",
+    "SL1": "a required security level supports each classification requiring it",
+    "SL2": "a primitive configuration provides the levels the registry rates it at",
+    "DC1": "a classification covers each data asset carrying it",
+    "D1": "data relies on the assets it is stored on",
+    "D2": "data relies on the channels it moves over",
+    "D3": "data relies on the processes that use it",
+    "K1": "secret and private keys rely on the assets holding or using them, "
+        "including key-management locations for any crypto object",
+    "K3": "public keys rely on their matched private key and storage asset",
+    "K4": "keys rely on the primitive configuration they are used with",
+    "K5": "keys rely on the process that created them",
+    "K6": "certificates rely on their signature algorithm, embedded public key, "
+        "and issuing certificate (self-signed certificates stop the chain)",
+    "K7": "CA certificates additionally rely on their storage asset",
+    "P2": "protocol configurations rely on their member primitives",
+    "M1": "processors rely on the symmetric/private keys they store",
+    "M2": "processors rely on the public keys and certificates they store",
+    "M3": "a processor stands in for its unlisted processes: references from a "
+        "processor to crypto objects or algorithms become reliance edges",
+    "PR1": "processes rely on the primitives and protocols they use",
+    "PR2": "processes rely on the processor they run on",
+    "PR3": "processes rely on their sub-processes and software",
+    "PR4": "processes rely on the keys they use",
+    "CH1": "channels rely on the protocols, primitives, and keys securing them",
+    "CH2": "channels and the entities communicating over them rely on each other",
+    "AC1": "access relations couple an asset and a service (two-way, or a single "
+        "service-to-asset edge for read-only access)",
 }
 
 

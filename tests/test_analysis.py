@@ -31,7 +31,7 @@ from cryptodep import (
     load_default_registry,
     parse_overlay,
 )
-from cryptodep.ingest import parse_registry_text
+from cryptodep.registry import parse_registry_text
 from cryptodep.model import RefOrigin
 from cryptodep.rules import Edge, Vertex, VertexKind
 

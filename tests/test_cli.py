@@ -14,6 +14,7 @@ from cryptodep import cli, ingest
 from conftest import CLOUD_FILES, CLOUD_MINIMAL, cloud_minimal_args, hybrid_args, run_cli
 from oracle import read_dot
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CLEARING_OVERLAY = json.dumps(
     {"replace_algorithms": [{"from": "RSA[1024]", "to": "ML-KEM[768]"}]}
 )
@@ -387,6 +388,22 @@ def test_policy_and_horizon_shape_errors_exit_2_with_one_line(tmp_path, flag, do
     assert code == 2
     assert out == ""
     assert err == f"error: bad {what} file {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("scan", ["--format", "json"]), ("scan", []), ("whatif", ["--overlay", str(GOLDEN / "overlay.json")])],
+)
+def test_a_policy_that_overflows_a_score_exits_2_with_one_line(tmp_path, command, extra):
+    # a finite weight can still give an infinite score, which JSON cannot hold
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"class_weights": {"IntegerFactoring": 1e308}}))
+    code, out, err = run_cli(hybrid_args(command, "--policy", str(path), *extra))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad policy file {path}: its weights give finding ")
+    assert err.endswith(" the score inf, which is not a finite number\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

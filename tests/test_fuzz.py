@@ -3,7 +3,8 @@
 The CLI runs in process on random CSV bytes, on damaged or malformed JSON
 for every other input file, and on random flag values.  Whatever the input,
 it exits 0, 1 or 2 and prints no traceback: an uncaught exception would
-exit 1, which a CI script reads as "findings".
+exit 1, which a CI script reads as "findings".  A JSON report it prints is
+strict JSON, without ``Infinity`` or ``NaN``.
 """
 
 from __future__ import annotations
@@ -137,10 +138,18 @@ def cli_args(draw, root: Path) -> list:
     return args
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_cli_keeps_the_exit_code_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
-        code, _, err = run_cli(data.draw(cli_args(Path(tmp))))
+        args = data.draw(cli_args(Path(tmp)))
+        code, out, err = run_cli(args)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    formats = [value for flag, value in zip(args, args[1:]) if flag == "--format"]
+    if out and formats[-1:] == ["json"]:
+        json.loads(out, parse_constant=_not_json)  # Infinity and NaN are not JSON

@@ -10,7 +10,9 @@ After a deliberate change of output, rewrite the files with
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +31,13 @@ _CLOUD = [f"sample_inventories/cloud_minimal/{f}" for f in CLOUD_FILES] + [
 _HYBRID = [f"sample_inventories/hybrid_enterprise/{f}" for f in HYBRID_FILES] + [
     "--profiles", "sample_inventories/hybrid_enterprise/profiles.json",
 ]
+# every load and validation diagnostic, each with its rendered message
+_BROKEN = [
+    f"tests/golden/broken/{f}"
+    for f in ("classifications.csv", "data.csv", "assets.csv", "access.csv", "crypto.csv")
+] + [
+    "--profiles", "tests/golden/broken/profiles.json", "--registry", "tests/golden/broken/registry.json",
+]
 
 # name -> (arguments, exit code)
 CASES: dict[str, tuple[list[str], int]] = {
@@ -43,6 +52,7 @@ CASES: dict[str, tuple[list[str], int]] = {
     "hybrid_whatif_json": (
         ["whatif", *_HYBRID, "--overlay", "tests/golden/overlay.json", "--format", "json"], 1,
     ),
+    "broken_validate": (["validate", *_BROKEN], 1),
 }
 
 
@@ -62,6 +72,23 @@ def test_output_matches_golden(name):
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+def test_traced_harness_reproduces_a_golden_case(tmp_path):
+    """``benchmark/traced.py`` wraps functions by the names its callers look
+    them up by, so a move or rename it misses fails here, not in a traced
+    benchmark run."""
+    args, expected_code = CASES["hybrid_whatif_json"]
+    spans, output = tmp_path / "spans.json", tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "benchmark/traced.py", str(spans), str(output), "op", "--", *args],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+    )
+    assert run.returncode == expected_code
+    assert run.stderr == (GOLDEN / "hybrid_whatif_json.err").read_text(encoding="utf-8")
+    assert output.read_text(encoding="utf-8") == (GOLDEN / "hybrid_whatif_json.out").read_text(encoding="utf-8")
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.digest", "ingest.registry", "ingest.load", "ingest.parse", "ingest.assemble"} <= names
 
 
 if __name__ == "__main__":

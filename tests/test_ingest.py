@@ -31,11 +31,11 @@ from cryptodep.ingest import (
     file_digest,
     match_profile,
     parse_profiles,
-    parse_registry_text,
     parse_tabular,
     read_input,
     text_digest,
 )
+from cryptodep.registry import parse_registry_text
 from cryptodep.model import RefOrigin
 
 import inventory_gen

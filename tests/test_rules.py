@@ -23,7 +23,7 @@ from cryptodep import (
     explain_edge,
     load_default_registry,
 )
-from cryptodep.ingest import parse_registry_text
+from cryptodep.registry import parse_registry_text
 from cryptodep.model import RefOrigin
 
 import inventory_gen
