@@ -4,13 +4,15 @@ A violation exists when a security level that some classification requires
 can reach, along directed edges, a strictly lower provided level in the same
 dimension.  Detection runs one reverse breadth-first search from each
 provided level over the graph's index; it records level vertices but does
-not pass through them, so it reaches every required level that has a path
-whose interior avoids other levels.  The reported witness path is the
-lexicographically smallest among those shortest paths, so the chain reads as
-the actual chain of custody rather than hopping through the level layer.  A
-required level the search misses may still reach the provided level through
-another level vertex: a plain reverse search decides that, the plain
-shortest path is reported, and the finding carries a warning.
+not pass through them, and stops once it has recorded every required level
+it looks for, so it finds each one that has a path whose interior avoids
+other levels.  The witness path is the lexicographically smallest of those
+shortest paths, walked over out-edges that the graph finds by bisection, so
+the chain reads as the actual chain of custody rather than hopping through
+the level layer.  A required level the search misses may still reach the
+provided level through another level vertex: a plain reverse search for the
+missing levels decides that, the plain shortest path is reported, and the
+finding carries a warning.
 """
 
 from __future__ import annotations
@@ -226,19 +228,23 @@ class Finding:
 # detection
 # --------------------------------------------------------------------------
 
-def _distances_to(graph: DependencyGraph, goal: str, stop) -> dict[str, int]:
-    """Hops from each vertex that reaches ``goal`` to ``goal``, by a reverse
-    breadth-first search that records the vertices in ``stop`` but does
-    not search past them."""
+def _distances_to(graph: DependencyGraph, goal: str, stop, wanted) -> dict[str, int]:
+    """Hops to ``goal`` from the vertices that reach it, by a reverse
+    breadth-first search that records the vertices in ``stop`` but does not
+    search past them.  It returns once it has recorded all of ``wanted``:
+    if the last lies d hops away, every vertex fewer hops away, which is
+    all a shortest path from a wanted vertex reads, is recorded by then."""
     predecessors = graph.index.predecessors
     dist = {goal: 0}
+    missing = set(wanted)
     queue = deque([goal])
-    while queue:
+    while queue and missing:
         vertex = queue.popleft()
         hops = dist[vertex] + 1
         for pred in predecessors.get(vertex, ()):
             if pred not in dist:
                 dist[pred] = hops
+                missing.discard(pred)
                 if pred not in stop:
                     queue.append(pred)
     return dist
@@ -256,12 +262,10 @@ def _witness_paths(
     order.  The walk keeps its own stack, so path length is not bounded by
     recursion.
     """
-    out_edges = graph.index.out_edges
-
     def nexts(current: str):
         step = dist[current] - 1
         return iter(sorted({
-            e.to for e in out_edges.get(current, ())
+            e.to for e in graph.out_edges(current)
             if dist.get(e.to) == step and (e.to == goal or e.to not in blocked)
         }))
 
@@ -287,16 +291,13 @@ def _witnesses_to(graph: DependencyGraph, low: str, highs: list[str], level_ids:
     """(high, low) -> (witness paths, whether they cross another level) for
     each level in ``highs`` that reaches ``low``.  The distance maps die on
     return, so only one provided level's are alive at a time."""
-    dist = _distances_to(graph, low, level_ids)
-    plain = None
+    dist = _distances_to(graph, low, level_ids, highs)
+    plain = _distances_to(graph, low, (), [high for high in highs if high not in dist])
     found = {}
     for high in highs:
         if high in dist:
             found[high, low] = _witness_paths(graph, high, low, dist, level_ids, limit), False
-            continue
-        if plain is None:
-            plain = _distances_to(graph, low, ())
-        if high in plain:
+        elif high in plain:
             found[high, low] = _witness_paths(graph, high, low, plain, (), limit), True
     return found
 
@@ -340,13 +341,13 @@ def find_violations(
 
     levels = [v for v in graph.vertices if v.kind is VertexKind.SECURITY_LEVEL]
     level_ids = {v.id for v in levels}
-    required_ids = {e.frm for e in graph.edges if e.rule == "SL1"}
-    provided_ids = {e.to for e in graph.edges if e.rule == "SL2"}
+    required = [v for v in levels if any(e.rule == "SL1" for e in graph.out_edges(v.id))]
+    provided = [v for v in levels if any(
+        e.rule == "SL2" for p in graph.index.predecessors.get(v.id, ()) for e in graph.edges_between(p, v.id)
+    )]
     pairs = [
-        (high, low)
-        for high in levels if high.id in required_ids
-        for low in levels if low.id in provided_ids
-        and compare_ratings(high.payload, low.payload) is Comparison.A_HIGHER
+        (high, low) for high in required for low in provided
+        if compare_ratings(high.payload, low.payload) is Comparison.A_HIGHER
     ]
     # searched per provided level, reported below in pair order
     witnesses = {}

@@ -15,9 +15,11 @@ produce AC1 edges.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
@@ -131,13 +133,17 @@ class Edge:
     provenance: tuple[Source, ...] = ()
 
 
+_TO = attrgetter("to")
+
+
 class GraphIndex(NamedTuple):
-    """Vertex by id, each vertex's out-edges in graph order (so grouped by
-    target, then rule), and its predecessors, each listed once."""
+    """Vertex by id, each vertex's predecessors, listed once, and each edge's
+    source in graph order.  Out-edges need no table: ``DependencyGraph.out_edges``
+    finds a vertex's run of the sorted edges by bisecting the sources."""
 
     vertices: dict[str, Vertex]
-    out_edges: dict[str, list[Edge]]
     predecessors: dict[str, list[str]]
+    sources: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -151,27 +157,34 @@ class DependencyGraph:
     @cached_property
     def index(self) -> GraphIndex:
         """Built on first use and kept with the graph, outside equality.  A
-        vertex without out-edges or predecessors has no entry there."""
-        out_edges: dict[str, list[Edge]] = {}
+        vertex without predecessors has no entry there."""
         predecessors: dict[str, list[str]] = {}
         for edge in self.edges:
-            out_edges.setdefault(edge.frm, []).append(edge)
             preds = predecessors.setdefault(edge.to, [])
             if not preds or preds[-1] != edge.frm:  # one entry per rule otherwise
                 preds.append(edge.frm)
-        return GraphIndex({v.id: v for v in self.vertices}, out_edges, predecessors)
+        sources = tuple(map(attrgetter("frm"), self.edges))
+        return GraphIndex({v.id: v for v in self.vertices}, predecessors, sources)
 
     def vertex_map(self) -> dict[str, Vertex]:
         """Vertex by id, shared with the index: do not modify."""
         return self.index.vertices
 
+    def out_edges(self, frm: str) -> tuple[Edge, ...]:
+        """The edges from ``frm``, in graph order (so grouped by target, then
+        rule): a run of ``edges``, which are sorted by source."""
+        sources = self.index.sources
+        start = bisect_left(sources, frm)
+        return self.edges[start:bisect_right(sources, frm, start)]
+
     def adjacency(self) -> dict[str, list[str]]:
         """Sorted successor lists, deduplicated across rules."""
-        out_edges = self.index.out_edges
-        return {v.id: sorted({e.to for e in out_edges.get(v.id, ())}) for v in self.vertices}
+        return {v.id: sorted({e.to for e in self.out_edges(v.id)}) for v in self.vertices}
 
-    def edges_between(self, frm: str, to: str) -> list[Edge]:
-        return [e for e in self.index.out_edges.get(frm, ()) if e.to == to]
+    def edges_between(self, frm: str, to: str) -> tuple[Edge, ...]:
+        run = self.out_edges(frm)
+        start = bisect_left(run, to, key=_TO)
+        return run[start:bisect_right(run, to, start, key=_TO)]
 
     def edges_by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -89,20 +89,21 @@ def simple_paths(graph: DependencyGraph, start: str, goal: str, cap: int = 20000
     return out
 
 
-def best_witness_oracle(graph: DependencyGraph, start: str, goal: str):
-    """The witness the search should pick: shortest, then lexicographically
-    smallest, preferring paths whose interior avoids level vertices.
+def witnesses_oracle(graph: DependencyGraph, start: str, goal: str, k: int = 1):
+    """The witnesses the search should pick: the first ``k`` of the shortest
+    paths in lexicographic order, from the paths whose interior avoids level
+    vertices if there are any, else from all paths.
 
-    Returns (path, through_levels) or (None, False) when unreachable.
+    Returns (paths, through_levels), or ([], False) when unreachable.
     """
     levels = {v.id for v in graph.vertices if v.kind is VertexKind.SECURITY_LEVEL}
     paths = simple_paths(graph, start, goal)
     if not paths:
-        return None, False
+        return [], False
     clean = [p for p in paths if not any(v in levels for v in p[1:-1])]
     pool, through = (clean, False) if clean else (paths, True)
     best_len = min(len(p) for p in pool)
-    return min(p for p in pool if len(p) == best_len), through
+    return sorted(p for p in pool if len(p) == best_len)[:k], through
 
 
 _EDGE_RE = re.compile(r'^  "((?:[^"\\]|\\.)*)" -> "((?:[^"\\]|\\.)*)" \[(.+)\];$')

@@ -33,10 +33,11 @@ from cryptodep import (
 )
 from cryptodep.registry import parse_registry_text
 from cryptodep.model import RefOrigin
+from cryptodep.analysis import _distances_to
 from cryptodep.rules import Edge, Vertex, VertexKind
 
 import inventory_gen
-from oracle import best_witness_oracle, violation_pairs_oracle
+from oracle import violation_pairs_oracle, witnesses_oracle
 
 
 def src(name="t.csv", ref="r"):
@@ -110,9 +111,11 @@ ratings = st.one_of(
 
 
 @st.composite
-def synthetic_graphs(draw):
+def synthetic_graphs(draw, dense=False):
     """Random digraphs with the structural property the rules guarantee:
-    level vertices are entered only by SL2 edges and left only by SL1."""
+    level vertices are entered only by SL2 edges and left only by SL1.  A
+    ``dense`` graph has at least 10 other edges and 3 of each level rule, so
+    that a pair of levels often has several shortest paths."""
     n = draw(st.integers(min_value=2, max_value=7))
     mids = [f"m{i}" for i in range(n)]
     levels = draw(
@@ -121,17 +124,17 @@ def synthetic_graphs(draw):
     level_ids = [r.key for r in levels]
     mid_edges = draw(
         st.lists(
-            st.tuples(st.sampled_from(mids), st.sampled_from(mids)), max_size=16
+            st.tuples(st.sampled_from(mids), st.sampled_from(mids)), min_size=10 * dense, max_size=16
         )
     )
     sl1 = draw(
         st.lists(
-            st.tuples(st.sampled_from(level_ids), st.sampled_from(mids)), max_size=6
+            st.tuples(st.sampled_from(level_ids), st.sampled_from(mids)), min_size=3 * dense, max_size=6
         )
     )
     sl2 = draw(
         st.lists(
-            st.tuples(st.sampled_from(mids), st.sampled_from(level_ids)), max_size=6
+            st.tuples(st.sampled_from(mids), st.sampled_from(level_ids)), min_size=3 * dense, max_size=6
         )
     )
     vertices = [Vertex(m, VertexKind.PROCESSOR, m) for m in mids] + [
@@ -172,12 +175,59 @@ def test_witness_is_the_level_free_shortest_lexicographic_path(graph):
         assert finding.path[0] == finding.required.key
         assert finding.path[-1] == finding.provided.key
         assert all(pair in edge_pairs for pair in zip(finding.path, finding.path[1:]))
-        expected, through_levels = best_witness_oracle(
+        expected, through_levels = witnesses_oracle(
             graph, finding.required.key, finding.provided.key
         )
-        assert finding.path == expected
+        assert [finding.path] == expected
         through += through_levels
     assert through == sum(1 for d in diags if d.code == "witness-through-level")
+
+
+@given(synthetic_graphs(dense=True), st.sampled_from([1, 3, 50]))
+@settings(max_examples=150)
+def test_witnesses_are_the_first_k_level_free_shortest_paths(graph, limit):
+    findings, _ = find_violations(graph, max_witnesses=limit)
+    by_pair: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for finding in findings:
+        by_pair.setdefault((finding.required.key, finding.provided.key), []).append(finding.path)
+    for (high, low), paths in by_pair.items():
+        assert sorted(paths) == witnesses_oracle(graph, high, low, limit)[0]
+
+
+@given(synthetic_graphs(), st.text(max_size=3))
+def test_edge_lookups_match_a_scan_of_the_edges(graph, absent):
+    ids = [v.id for v in graph.vertices]
+    if absent not in ids:
+        ids.append(absent)
+    for frm in ids:
+        assert graph.out_edges(frm) == tuple(e for e in graph.edges if e.frm == frm)
+        for to in ids:
+            assert graph.edges_between(frm, to) == tuple(e for e in graph.edges if (e.frm, e.to) == (frm, to))
+
+
+def test_reverse_search_stops_once_the_required_levels_are_recorded():
+    """The required level is two hops from the provided one; 3,000 more
+    vertices reach the provided level from three hops or more."""
+    high, low = SecurityRating.bits(128), SecurityRating.bits(80)
+    fan = [f"x{i:04}" for i in range(3000)]
+    vertices = [Vertex(r.key, VertexKind.SECURITY_LEVEL, r.display, r) for r in (high, low)] + [
+        Vertex(v, VertexKind.PROCESSOR, v) for v in ["hub", "key", "mid", *fan]
+    ]
+    mark = (src(),)
+    edges = [
+        Edge(high.key, "mid", "SL1", mark), Edge("mid", low.key, "SL2", mark),
+        Edge("key", low.key, "SL2", mark), Edge("hub", "key", "X", mark),
+        *(Edge(v, "hub", "X", mark) for v in fan),
+    ]
+    graph = DependencyGraph(
+        tuple(sorted(vertices, key=lambda v: v.id)),
+        tuple(sorted(edges, key=lambda e: (e.frm, e.to, e.rule))),
+    )
+    dist = _distances_to(graph, low.key, {high.key, low.key}, [high.key])
+    assert dist[high.key] == 2
+    assert len(dist) < 10 < len(graph.vertices)
+    findings, _ = find_violations(graph)
+    assert [f.path for f in findings] == [(high.key, "mid", low.key)]
 
 
 def crossing_records():

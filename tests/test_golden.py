@@ -2,7 +2,9 @@
 
 Each case runs one command in process from the repository root, with
 repository-relative paths so the input-digest keys stay stable, and compares
-its exit code, stdout and stderr with the files under ``tests/golden/``.
+its exit code, stdout and stderr with the files under ``tests/golden/``.  A
+case over a generated inventory runs from the directory the inventory is
+written to, with bare file names.
 After a deliberate change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,14 +14,17 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import inventory_gen
 from conftest import CLOUD_FILES, HYBRID_FILES, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +43,19 @@ _BROKEN = [
 ] + [
     "--profiles", "tests/golden/broken/profiles.json", "--registry", "tests/golden/broken/registry.json",
 ]
+_WITNESS = [
+    "classifications.csv", "data.csv", "assets.csv", "cryptoinventory.csv", "cloudconfig.csv",
+    "--profiles", "profiles.json", "--paper-defaults",
+]
+
+
+def _witness_inventory(directory: Path) -> None:
+    """2,128 rows whose scan finds 93 witnesses of four level pairs, 50 of
+    them, the limit, for one pair."""
+    inventory_gen.write_tables(directory, inventory_gen.make_tables(
+        random.Random(4), n_classes=4, n_data=700, n_assets=700, n_crypto=700, n_access=23,
+    ))
+
 
 # name -> (arguments, exit code)
 CASES: dict[str, tuple[list[str], int]] = {
@@ -53,23 +71,30 @@ CASES: dict[str, tuple[list[str], int]] = {
         ["whatif", *_HYBRID, "--overlay", "tests/golden/overlay.json", "--format", "json"], 1,
     ),
     "broken_validate": (["validate", *_BROKEN], 1),
+    "witness_scan_json": (["scan", *_WITNESS, "--witnesses", "50", "--format", "json"], 1),
 }
+# name -> writer of the inventory the case scans, for the cases that do not
+# read files of the repository
+GENERATED = {"witness_scan_json": _witness_inventory}
 
 
-def _run(args: list[str]) -> tuple[int, str, str]:
+def _run(name: str) -> tuple[int, str, str]:
     cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        return run_cli(args)
-    finally:
-        os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as scratch:
+        write = GENERATED.get(name)
+        if write:
+            write(Path(scratch))
+        os.chdir(scratch if write else ROOT)
+        try:
+            return run_cli(CASES[name][0])
+        finally:
+            os.chdir(cwd)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
-    args, expected_code = CASES[name]
-    code, out, err = _run(args)
-    assert code == expected_code
+    code, out, err = _run(name)
+    assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
@@ -92,7 +117,7 @@ def test_traced_harness_reproduces_a_golden_case(tmp_path):
 
 
 if __name__ == "__main__":
-    for name, (args, _) in sorted(CASES.items()):
-        _, out, err = _run(args)
+    for name in sorted(CASES):
+        _, out, err = _run(name)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
         (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
