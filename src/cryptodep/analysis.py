@@ -307,7 +307,7 @@ def _trace(path: tuple[str, ...], graph: DependencyGraph) -> tuple[EdgeTrace, ..
     for frm, to in zip(path, path[1:]):
         edges = graph.edges_between(frm, to)
         rule = "/".join(sorted({e.rule for e in edges})) if edges else "?"
-        provenance = tuple(sorted({s for e in edges for s in e.provenance}, key=lambda s: (s.file, s.ref)))
+        provenance = tuple(sorted({s for e in edges for s in e.provenance}))
         trail.append(EdgeTrace(frm, to, rule, provenance))
     return tuple(trail)
 

@@ -824,7 +824,7 @@ def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, 
         serves=serves,
         accesses=accesses,
         name=names[0] if names else None,
-        source=min(identity or relation or mentions, key=lambda s: (s.file, s.ref)),
+        source=min(identity or relation or mentions),
     )
     return next((r for r in rows if r == merged), merged)
 

@@ -187,9 +187,9 @@ def compare_ratings(a: SecurityRating, b: SecurityRating) -> Comparison:
 # inventory records
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Source:
-    """Where a record came from: file basename plus a stable record key."""
+    """Where a record came from: file basename plus a stable record key, ordered by (file, ref)."""
 
     file: str
     ref: str

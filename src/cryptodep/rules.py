@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (
@@ -125,25 +125,25 @@ class Vertex:
     payload: SecurityRating | Configuration | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """A tuple, so edges sort by (from, to, rule, provenance) natively."""
+
     frm: str
     to: str
     rule: str
     provenance: tuple[Source, ...] = ()
 
 
-_TO = attrgetter("to")
+_FRM, _TO = itemgetter(0), itemgetter(1)
 
 
 class GraphIndex(NamedTuple):
-    """Vertex by id, each vertex's predecessors, listed once, and each edge's
-    source in graph order.  Out-edges need no table: ``DependencyGraph.out_edges``
-    finds a vertex's run of the sorted edges by bisecting the sources."""
+    """Vertex by id and each vertex's predecessors, listed once.  Out-edges
+    need no table: ``DependencyGraph.out_edges`` finds a vertex's run of the
+    sorted edges by bisection."""
 
     vertices: dict[str, Vertex]
     predecessors: dict[str, list[str]]
-    sources: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,11 @@ class DependencyGraph:
         """Built on first use and kept with the graph, outside equality.  A
         vertex without predecessors has no entry there."""
         predecessors: dict[str, list[str]] = {}
-        for edge in self.edges:
-            preds = predecessors.setdefault(edge.to, [])
-            if not preds or preds[-1] != edge.frm:  # one entry per rule otherwise
-                preds.append(edge.frm)
-        sources = tuple(map(attrgetter("frm"), self.edges))
-        return GraphIndex({v.id: v for v in self.vertices}, predecessors, sources)
+        for frm, to, _, _ in self.edges:
+            preds = predecessors.setdefault(to, [])
+            if not preds or preds[-1] != frm:  # one entry per rule otherwise
+                preds.append(frm)
+        return GraphIndex({v.id: v for v in self.vertices}, predecessors)
 
     def vertex_map(self) -> dict[str, Vertex]:
         """Vertex by id, shared with the index: do not modify."""
@@ -173,9 +172,8 @@ class DependencyGraph:
     def out_edges(self, frm: str) -> tuple[Edge, ...]:
         """The edges from ``frm``, in graph order (so grouped by target, then
         rule): a run of ``edges``, which are sorted by source."""
-        sources = self.index.sources
-        start = bisect_left(sources, frm)
-        return self.edges[start:bisect_right(sources, frm, start)]
+        start = bisect_left(self.edges, frm, key=_FRM)
+        return self.edges[start:bisect_right(self.edges, frm, start, key=_FRM)]
 
     def adjacency(self) -> dict[str, list[str]]:
         """Sorted successor lists, deduplicated across rules."""
@@ -210,9 +208,10 @@ def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, S
 # --------------------------------------------------------------------------
 
 class _Builder:
-    """Vertices and edges as the rules add them.  An edge holds the one
-    ``Source`` that forced it, or a set once a second, different source
-    arrives: almost every edge has one, so most need neither set nor sort."""
+    """Vertices and edges as the rules add them.  Edges go into one list,
+    duplicates and all, each holding the provenance tuple its record shares
+    among all of its edges; ``finish`` sorts the list once and merges the
+    duplicates, so most edges keep that shared tuple."""
 
     def __init__(self, bundle: InventoryBundle, active_dims: frozenset[RatingDimension]):
         self.bundle = bundle
@@ -222,7 +221,7 @@ class _Builder:
         self.crypto = bundle.crypto_map()
         self.data = bundle.data_map()
         self.vertices: dict[str, Vertex] = {}
-        self.edges: dict[tuple[str, str, str], Source | set[Source]] = {}
+        self.edges: list[Edge] = []
         self._configs: dict[tuple[str, tuple[str, ...]], str] = {}
 
     def vertex(self, vertex_id: str, kind: VertexKind, display: str | None = None, payload=None) -> str:
@@ -232,17 +231,9 @@ class _Builder:
             self.vertices[vertex_id] = Vertex(vertex_id, kind, display or vertex_id, payload)
         return vertex_id
 
-    def edge(self, frm: str, to: str, rule: str, source: Source) -> None:
-        if frm == to:
-            return
-        key = (frm, to, rule)
-        held = self.edges.get(key)
-        if held is None:
-            self.edges[key] = source
-        elif isinstance(held, set):
-            held.add(source)
-        elif held != source:
-            self.edges[key] = {held, source}
+    def edge(self, frm: str, to: str, rule: str, provenance: tuple[Source]) -> None:
+        if frm != to:
+            self.edges.append(Edge(frm, to, rule, provenance))
 
     # -- vertex helpers ----------------------------------------------------
 
@@ -271,25 +262,30 @@ class _Builder:
         self.vertex(key, VertexKind.PRIMITIVE_CONFIG, payload=configuration)
         if configuration is None:
             return key
+        provenance = (configuration.source,)
         for rating in configuration.ratings:
             if rating.dimension in self.active_dims:
-                self.edge(key, self.level(rating), "SL2", configuration.source)
+                self.edge(key, self.level(rating), "SL2", provenance)
         for member_spec in configuration.uses:
             member_name, member_flags = parse_primitive_spec(member_spec)
             member_key = self.config(member_name, member_flags)
-            self.edge(key, member_key, "P2", configuration.source)
+            self.edge(key, member_key, "P2", provenance)
         return key
 
     def finish(self) -> DependencyGraph:
+        """Each run of equal (from, to, rule) becomes one edge; the sort breaks
+        ties by source, so its provenance is the run's sources in order, once each."""
         vertices = tuple(self.vertices[v] for v in sorted(self.vertices))
-        edges = []
-        for key in sorted(self.edges):
-            sources = self.edges[key]
-            if isinstance(sources, Source):
-                edges.append(Edge(*key, (sources,)))
-            else:
-                edges.append(Edge(*key, tuple(sorted(sources, key=lambda s: (s.file, s.ref)))))
-        return DependencyGraph(vertices, tuple(edges))
+        self.edges.sort()
+        merged: list[Edge] = []
+        key = None
+        for edge in self.edges:
+            if edge[:3] != key:
+                key = edge[:3]
+                merged.append(edge)
+            elif merged[-1].provenance[-1] != edge.provenance[0]:
+                merged[-1] = merged[-1]._replace(provenance=merged[-1].provenance + edge.provenance)
+        return DependencyGraph(vertices, tuple(merged))
 
 
 def build_graph(bundle: InventoryBundle) -> DependencyGraph:
@@ -308,18 +304,20 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
 
     for binding in bundle.classifications:
         classification = builder.vertex(binding.label, VertexKind.CLASSIFICATION)
+        provenance = (binding.source,)
         for rating in binding.required:
-            builder.edge(builder.level(rating), classification, "SL1", binding.source)
+            builder.edge(builder.level(rating), classification, "SL1", provenance)
 
     for record in bundle.data:
         data_vertex = builder.vertex(record.id, VertexKind.DATA_ASSET, record.display)
+        provenance = (record.source,)
         if record.classification:
             classification = builder.vertex(record.classification, VertexKind.CLASSIFICATION)
-            builder.edge(classification, data_vertex, "DC1", record.source)
+            builder.edge(classification, data_vertex, "DC1", provenance)
         for location in record.storage_locations:
             target = builder.asset(location)
             rule = _DATA_LOCATION_RULE.get(builder.vertices[target].kind, "D1")
-            builder.edge(data_vertex, target, rule, record.source)
+            builder.edge(data_vertex, target, rule, provenance)
 
     for record in bundle.assets:
         _apply_asset_rules(builder, record)
@@ -333,26 +331,27 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
 def _apply_asset_rules(builder: _Builder, record: AssetRecord) -> None:
     source_vertex = builder.asset(record.id)
     source_kind = builder.vertices[source_vertex].kind
+    own = (record.source,)
     for target in record.serves:
         other = builder.asset(target)
-        builder.edge(source_vertex, other, "AC1", record.source)
-        builder.edge(other, source_vertex, "AC1", record.source)
+        builder.edge(source_vertex, other, "AC1", own)
+        builder.edge(other, source_vertex, "AC1", own)
     for ref in record.accesses:
-        provenance = ref.source or record.source
+        provenance = (ref.source,) if ref.source else own
         if ref.origin is RefOrigin.ACCESS_RECORD:
             _access_pair(builder, source_vertex, builder.asset(ref.target), ref.direction, provenance)
         else:
             _typed_reference(builder, source_vertex, source_kind, ref, provenance)
 
 
-def _access_pair(builder: _Builder, asset: str, service: str, direction: Direction, source: Source) -> None:
+def _access_pair(builder: _Builder, asset: str, service: str, direction: Direction, provenance: tuple[Source]) -> None:
     # read-only access means only the service leans on the asset
-    builder.edge(service, asset, "AC1", source)
+    builder.edge(service, asset, "AC1", provenance)
     if direction is Direction.TWO_WAY:
-        builder.edge(asset, service, "AC1", source)
+        builder.edge(asset, service, "AC1", provenance)
 
 
-def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, source: Source) -> None:
+def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, provenance: tuple[Source]) -> None:
     """Interpret a reference column on an asset row by its target's type,
     as ``assemble_bundle`` resolved it: a crypto object, data, an asset, or
     else a registry algorithm."""
@@ -362,37 +361,38 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, sou
     if obj is not None:
         kind = VertexKind.KEY if obj.is_key else VertexKind.CERTIFICATE
         target_vertex = builder.vertex(target, kind, obj.display)
-        builder.edge(src, target_vertex, _CRYPTO_REF_RULE.get(src_kind, "M3"), source)
+        builder.edge(src, target_vertex, _CRYPTO_REF_RULE.get(src_kind, "M3"), provenance)
         return
 
     record = builder.data.get(target)
     if record is not None:
         data_vertex = builder.vertex(target, VertexKind.DATA_ASSET, record.display)
         rule = _DATA_LOCATION_RULE.get(src_kind, "D1")
-        builder.edge(data_vertex, src, rule, source)
+        builder.edge(data_vertex, src, rule, provenance)
         return
 
     if target in builder.assets:
         target_vertex = builder.asset(target)
         target_kind = builder.vertices[target_vertex].kind
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
-            builder.edge(src, target_vertex, "CH2", source)
-            builder.edge(target_vertex, src, "CH2", source)
+            builder.edge(src, target_vertex, "CH2", provenance)
+            builder.edge(target_vertex, src, "CH2", provenance)
         elif src_kind is VertexKind.PROCESS:
             rule = "PR2" if target_kind is VertexKind.PROCESSOR else "PR3"
-            builder.edge(src, target_vertex, rule, source)
+            builder.edge(src, target_vertex, rule, provenance)
         else:
-            _access_pair(builder, src, target_vertex, ref.direction, source)
+            _access_pair(builder, src, target_vertex, ref.direction, provenance)
         return
 
     # assembly made every other target an asset, so this one names an algorithm
     target_vertex = builder.config(*builder.bundle.registry.algorithm_ref(target))
-    builder.edge(src, target_vertex, _ALGORITHM_REF_RULE.get(src_kind, "M3"), source)
+    builder.edge(src, target_vertex, _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:
     kind = VertexKind.KEY if record.is_key else VertexKind.CERTIFICATE
     obj = builder.vertex(record.id, kind, record.display)
+    provenance = (record.source,)
     secretish = record.object_type in (
         CryptoObjectType.SYMMETRIC_KEY,
         CryptoObjectType.PRIVATE_KEY,
@@ -402,30 +402,30 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
         location = builder.asset(record.location)
         location_kind = builder.vertices[location].kind
         if secretish:
-            builder.edge(obj, location, "K1", record.source)
+            builder.edge(obj, location, "K1", provenance)
             if location_kind is VertexKind.PROCESSOR:
-                builder.edge(location, obj, "M1", record.source)
+                builder.edge(location, obj, "M1", provenance)
         elif record.object_type is CryptoObjectType.PUBLIC_KEY:
-            builder.edge(obj, location, "K3", record.source)
+            builder.edge(obj, location, "K3", provenance)
             if location_kind is VertexKind.PROCESSOR:
-                builder.edge(location, obj, "M2", record.source)
+                builder.edge(location, obj, "M2", provenance)
         else:
             if record.object_type is CryptoObjectType.CA_CERTIFICATE:
-                builder.edge(obj, location, "K7", record.source)
+                builder.edge(obj, location, "K7", provenance)
             if location_kind is VertexKind.PROCESSOR:
-                builder.edge(location, obj, "M2", record.source)
+                builder.edge(location, obj, "M2", provenance)
 
     # key-management locations hold the underlying key material, so every
     # kind of crypto object leans on them
     for key_location in record.key_locations:
-        builder.edge(obj, builder.asset(key_location), "K1", record.source)
+        builder.edge(obj, builder.asset(key_location), "K1", provenance)
 
     if record.algorithm is not None:
         config = builder.config(record.algorithm, record.config_flags)
-        builder.edge(obj, config, "K6" if record.is_certificate else "K4", record.source)
+        builder.edge(obj, config, "K6" if record.is_certificate else "K4", provenance)
 
     if record.is_key and record.created_by:
-        builder.edge(obj, builder.asset(record.created_by), "K5", record.source)
+        builder.edge(obj, builder.asset(record.created_by), "K5", provenance)
 
     if record.matched_key:
         rule = "K6" if record.is_certificate else "K3"
@@ -436,7 +436,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
         target = builder.vertex(
             record.matched_key, matched_kind, matched.display if matched else record.matched_key
         )
-        builder.edge(obj, target, rule, record.source)
+        builder.edge(obj, target, rule, provenance)
 
     if record.is_certificate and record.issuer_cert and record.issuer_cert != record.id:
         issuer = builder.crypto.get(record.issuer_cert)
@@ -445,4 +445,4 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
             VertexKind.CERTIFICATE,
             issuer.display if issuer else record.issuer_cert,
         )
-        builder.edge(obj, target, "K6", record.source)
+        builder.edge(obj, target, "K6", provenance)

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cryptodep import (
     AccessRef,
@@ -111,13 +111,17 @@ ratings = st.one_of(
 
 
 @st.composite
-def synthetic_graphs(draw, dense=False):
+def synthetic_graphs(draw, dense=False, fan=0):
     """Random digraphs with the structural property the rules guarantee:
     level vertices are entered only by SL2 edges and left only by SL1.  A
     ``dense`` graph has at least 10 other edges and 3 of each level rule, so
-    that a pair of levels often has several shortest paths."""
+    that a pair of levels often has several shortest paths.  With ``fan``, up
+    to that many parallel vertices lead from m0 to m1, and every level has an
+    edge to m0 and one from m1, so that a pair of levels can have more
+    shortest paths than a witness limit keeps."""
     n = draw(st.integers(min_value=2, max_value=7))
     mids = [f"m{i}" for i in range(n)]
+    fans = [f"f{i}" for i in range(draw(st.integers(min_value=0, max_value=fan)))]
     levels = draw(
         st.lists(ratings, min_size=2, max_size=5, unique_by=lambda r: r.key)
     )
@@ -137,7 +141,13 @@ def synthetic_graphs(draw, dense=False):
             st.tuples(st.sampled_from(mids), st.sampled_from(level_ids)), min_size=3 * dense, max_size=6
         )
     )
-    vertices = [Vertex(m, VertexKind.PROCESSOR, m) for m in mids] + [
+    if fans:
+        # SL1 from every level into m0, SL2 from m1 into every level
+        mid_edges = [e for e in mid_edges if e != ("m0", "m1")]
+        mid_edges += [("m0", f) for f in fans] + [(f, "m1") for f in fans]
+        sl1 += [(l, "m0") for l in level_ids]
+        sl2 += [("m1", l) for l in level_ids]
+    vertices = [Vertex(m, VertexKind.PROCESSOR, m) for m in mids + fans] + [
         Vertex(r.key, VertexKind.SECURITY_LEVEL, r.display, r) for r in levels
     ]
     mark = (Source("gen", "e"),)
@@ -157,7 +167,7 @@ def synthetic_graphs(draw, dense=False):
     )
 
 
-@given(synthetic_graphs())
+@given(synthetic_graphs(fan=3))
 @settings(max_examples=150)
 def test_pairs_match_the_transitive_closure_oracle(graph):
     findings, _ = find_violations(graph)
@@ -165,7 +175,7 @@ def test_pairs_match_the_transitive_closure_oracle(graph):
     assert got == violation_pairs_oracle(graph)
 
 
-@given(synthetic_graphs())
+@given(synthetic_graphs(fan=3))
 @settings(max_examples=150)
 def test_witness_is_the_level_free_shortest_lexicographic_path(graph):
     findings, diags = find_violations(graph)
@@ -183,7 +193,21 @@ def test_witness_is_the_level_free_shortest_lexicographic_path(graph):
     assert through == sum(1 for d in diags if d.code == "witness-through-level")
 
 
-@given(synthetic_graphs(dense=True), st.sampled_from([1, 3, 50]))
+def fanned_graph():
+    """128 bits reaches 80 bits over four equally short paths, one through
+    each of the vertices f0 to f3."""
+    high, low = SecurityRating.bits(128), SecurityRating.bits(80)
+    fans = ["f0", "f1", "f2", "f3"]
+    mark = (src(),)
+    edges = [Edge(high.key, "a", "SL1", mark), Edge("b", low.key, "SL2", mark)]
+    edges += [Edge("a", f, "X", mark) for f in fans] + [Edge(f, "b", "X", mark) for f in fans]
+    vertices = [Vertex(r.key, VertexKind.SECURITY_LEVEL, r.display, r) for r in (high, low)]
+    vertices += [Vertex(v, VertexKind.PROCESSOR, v) for v in ["a", "b", *fans]]
+    return DependencyGraph(tuple(sorted(vertices, key=lambda v: v.id)), tuple(sorted(edges)))
+
+
+@given(synthetic_graphs(dense=True, fan=5), st.sampled_from([1, 3, 50]))
+@example(fanned_graph(), 3)  # four shortest paths, so the limit drops one
 @settings(max_examples=150)
 def test_witnesses_are_the_first_k_level_free_shortest_paths(graph, limit):
     findings, _ = find_violations(graph, max_witnesses=limit)

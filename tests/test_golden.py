@@ -72,10 +72,12 @@ CASES: dict[str, tuple[list[str], int]] = {
     ),
     "broken_validate": (["validate", *_BROKEN], 1),
     "witness_scan_json": (["scan", *_WITNESS, "--witnesses", "50", "--format", "json"], 1),
+    # pins the vertex and edge order of a graph of about 5k edges
+    "witness_graph": (["graph", *_WITNESS], 0),
 }
 # name -> writer of the inventory the case scans, for the cases that do not
 # read files of the repository
-GENERATED = {"witness_scan_json": _witness_inventory}
+GENERATED = {"witness_scan_json": _witness_inventory, "witness_graph": _witness_inventory}
 
 
 def _run(name: str) -> tuple[int, str, str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -514,6 +515,24 @@ def test_graph_is_the_same_with_cyclic_gc_on_or_off():
             gc.enable()
     assert with_gc == without_gc  # edges compare with their provenance
     assert len(with_gc.edges) > 1000
+
+
+def test_building_a_graph_needs_little_more_memory_than_the_graph_keeps():
+    """A count, not a timing: the bytes allocated at the peak of
+    ``build_graph`` against the bytes the finished graph holds.  Tables the
+    builder keeps beside the edges (a dict keyed by (from, to, rule), a
+    provenance tuple per edge) push the ratio past 1.5."""
+    bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=3000, n_assets=3000, n_crypto=3000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = build_graph(bundle)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) > 20_000
+    assert (peak - base) / (kept - base) <= 1.3
 
 
 def test_no_self_loops():
