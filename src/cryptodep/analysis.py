@@ -33,20 +33,18 @@ from .model import (
     InventoryBundle,
     RefOrigin,
     SecurityRating,
-    Source,
     VulnerabilityClass,
     compare_ratings,
     parse_primitive_spec,
     primitive_key,
     spec_key,
 )
-from .rules import DependencyGraph, VertexKind
+from .rules import DependencyGraph, Edge, VertexKind
 
 __all__ = [
     "ScoringPolicy",
     "HorizonConfig",
     "ScoreBreakdown",
-    "EdgeTrace",
     "Finding",
     "check_longevity",
     "find_violations",
@@ -173,35 +171,20 @@ class ScoreBreakdown:
 
 
 @dataclass(frozen=True)
-class EdgeTrace:
-    frm: str
-    to: str
-    rule: str
-    provenance: tuple[Source, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "from": self.frm,
-            "to": self.to,
-            "rule": self.rule,
-            "provenance": [s.to_dict() for s in self.provenance],
-        }
-
-
-@dataclass(frozen=True)
 class Finding:
     """One reliance of a required level on a strictly lower provided level.
 
     ``path`` holds vertex ids from the required level to the provided one;
-    ``display_path`` the human labels.  ``score`` is filled in by
-    ``score_finding``.
+    ``display_path`` the human labels.  ``rule_trail`` holds one edge per
+    hop, whose rule joins the hop's rules with ``/``.  ``score`` is filled
+    in by ``score_finding``.
     """
 
     required: SecurityRating
     provided: SecurityRating
     path: tuple[str, ...]
     display_path: tuple[str, ...]
-    rule_trail: tuple[EdgeTrace, ...]
+    rule_trail: tuple[Edge, ...]
     affected_data: tuple[str, ...]
     score: ScoreBreakdown | None = None
 
@@ -216,7 +199,10 @@ class Finding:
             "provided": self.provided.to_dict(),
             "path": list(self.path),
             "display_path": list(self.display_path),
-            "rule_trail": [t.to_dict() for t in self.rule_trail],
+            "rule_trail": [
+                {"from": t.frm, "to": t.to, "rule": t.rule, "provenance": [s.to_dict() for s in t.provenance]}
+                for t in self.rule_trail
+            ],
             "affected_data": list(self.affected_data),
         }
         if self.score is not None:
@@ -302,13 +288,12 @@ def _witnesses_to(graph: DependencyGraph, low: str, highs: list[str], level_ids:
     return found
 
 
-def _trace(path: tuple[str, ...], graph: DependencyGraph) -> tuple[EdgeTrace, ...]:
+def _trace(path: tuple[str, ...], graph: DependencyGraph) -> tuple[Edge, ...]:
     trail = []
     for frm, to in zip(path, path[1:]):
         edges = graph.edges_between(frm, to)
-        rule = "/".join(sorted({e.rule for e in edges})) if edges else "?"
-        provenance = tuple(sorted({s for e in edges for s in e.provenance}))
-        trail.append(EdgeTrace(frm, to, rule, provenance))
+        rule = "/".join(sorted({e.rule for e in edges})) or "?"
+        trail.append(Edge(frm, to, rule, tuple(sorted({s for e in edges for s in e.provenance}))))
     return tuple(trail)
 
 
@@ -548,9 +533,10 @@ def apply_overlay(
     """The bundle the overlay's hand edit of the input files would give,
     with the diagnostics of assembling it.  The original is untouched.
 
-    Every named algorithm, replacement, and removal target must exist and
-    every added record must be well formed; otherwise the full set of
-    offenders is reported in one error.  The edit runs on
+    Replacement targets must exist in the registry, removal ids in the
+    bundle, and every added record must be well formed; otherwise the full
+    set of offenders is reported in one error.  A replaced spec that no
+    record uses changes nothing.  The edit runs on
     ``bundle.records``: drop the records whose id or label is removed,
     rewrite replaced specs, append the added records, and assemble the
     result with ``assemble_bundle``.  So an added asset with an existing id

@@ -433,11 +433,11 @@ def _reader(role: Role, indices: list[int], default: str):
 
 
 class _Columns:
-    """A CSV header bound to the roles its profile's kind reads, compiled
-    once per file: each role reads a constant default, one column or
+    """The roles a record kind reads, bound to the cells of a CSV header or
+    an overlay entry once: each role reads a constant default, one cell or
     several.  ``read(cells)`` gives one row's values of those roles."""
 
-    def __init__(self, roles, columns: dict[Role, list[int]], defaults: dict[Role, str]):
+    def __init__(self, roles, columns: dict[Role, list[int]], defaults: dict):
         self._width = 1 + max((i for indices in columns.values() for i in indices), default=-1)
         self._readers = [_reader(role, columns.get(role, []), defaults.get(role, "")) for role in roles]
 
@@ -513,11 +513,11 @@ def _retention_years(raw) -> float | None:
 
 def _parse_row(kind: RecordKind, values, fname: str, line: int | None, diags: list[Diagnostic]):
     """The record of one row of ``kind``, built from ``values``: the values
-    of the roles its builder reads (``_ROWS``), read from a CSV row
-    (``_Columns``) or an overlay entry (``_Entry``).  A member role's value
-    is a tuple, any other a string (an overlay retention keeps its JSON
-    value).  A rejected row gives None and an error in ``diags``; no other
-    code builds a record from input."""
+    of the roles its builder reads (``_ROWS``), read by ``_Columns`` from a
+    CSV row or an overlay entry.  A member role's value is a tuple, any
+    other a string (an overlay retention keeps its JSON value).  A rejected
+    row gives None and an error in ``diags``; no other code builds a record
+    from input."""
     return _ROWS[kind][1](fname, line, diags, *values)
 
 
@@ -925,28 +925,17 @@ _ENTRY_REQUIRED = {
 }
 
 
-class _Entry(dict):
-    """An overlay entry seen as a row: each role maps to its cells, one per
-    field or list member, under the CSV cell rules; a retention keeps its
-    JSON value."""
-
-    def add(self, role: Role, value) -> None:
-        self.setdefault(role, []).append(_cell(value) if isinstance(value, str) else value)
-
-    def read(self, roles) -> list:
-        """The values of ``roles``, as ``_Columns.read`` gives a row's."""
-        return [
-            _members(self.get(role, ())) if role in _MEMBER_ROLES
-            else next((v for v in self.get(role, ()) if v != ""), "")
-            for role in roles
-        ]
-
-
 def _named_source(raw) -> Source | None:
     """``raw`` as a Source when it is an object with a string file and ref."""
     if isinstance(raw, dict) and all(isinstance(raw.get(k), str) for k in ("file", "ref")):
         return Source(raw["file"], raw["ref"])
     return None
+
+
+def _known_fields(obj: dict, known, where: str) -> None:
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r} in {where}")
 
 
 def _entry_source(obj: dict, default: Source) -> Source:
@@ -963,8 +952,8 @@ def parse_entry(entry: dict):
     record the same CSV row gives: its fields are read as the cells of their
     roles (``_ENTRY_FIELDS``) by ``_parse_row``.  A classification's
     ``required`` levels, an asset's ``accesses`` and a ``source`` are read
-    apart; a field its kind does not take is an error.  Raises KeyError or
-    ValueError naming the first problem."""
+    apart; a field its kind, an access or a level object does not take is
+    an error.  Raises KeyError or ValueError naming the first problem."""
     try:
         kind = RecordKind(entry["record_kind"])
     except ValueError:
@@ -972,7 +961,10 @@ def parse_entry(entry: dict):
     if kind not in _ENTRY_REQUIRED:
         raise ValueError(f"cannot add records of kind {kind.value!r}")
     kind_fields = _ENTRY_FIELDS[kind]
-    row = _Entry()
+    # the entry as a row: a (role, cell) per string field or list member; a
+    # retention that is not a string is its role's default, read unread
+    cells: list[tuple[Role, str]] = []
+    defaults: dict[Role, object] = {}
     for key, value in entry.items():
         role = kind_fields.get(key)
         if role is None or value is None:
@@ -980,10 +972,11 @@ def parse_entry(entry: dict):
         if role in _MEMBER_ROLES:
             if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
                 raise ValueError(f"{key} must be a list of strings, got {value!r}")
-            for cell in value:
-                row.add(role, cell)
-        elif role is Role.RETENTION_YEARS or isinstance(value, str):
-            row.add(role, value)
+            cells.extend((role, cell) for cell in value)
+        elif isinstance(value, str):
+            cells.append((role, value))
+        elif role is Role.RETENTION_YEARS:
+            defaults[role] = value
         else:
             raise ValueError(f"{key} must be a string, got {value!r}")
     for key in _ENTRY_REQUIRED[kind]:
@@ -996,15 +989,19 @@ def parse_entry(entry: dict):
         if not isinstance(entry["required"], list):
             raise ValueError(f"classification {entry['label']!r} needs a list of required levels")
         for level in entry["required"]:  # the {"dimension", "value"} form reads as its value
-            level = SecurityRating.from_dict(level).value if isinstance(level, dict) else level
-            row.add(Role.SECURITY_LEVEL, str(level))
-    unknown = sorted(entry.keys() - kind_fields.keys() - {"record_kind", "source"})
-    if unknown:
-        ident = entry[_ENTRY_REQUIRED[kind][0]]
-        raise ValueError(f"unknown field {unknown[0]!r} in {kind.value} record {ident!r}")
+            if isinstance(level, dict):
+                _known_fields(level, {"dimension", "value"}, f"a required level of {entry['label']!r}")
+                level = SecurityRating.from_dict(level).value
+            cells.append((Role.SECURITY_LEVEL, str(level)))
+    ident = entry[_ENTRY_REQUIRED[kind][0]]
+    _known_fields(entry, kind_fields.keys() | {"record_kind", "source"}, f"{kind.value} record {ident!r}")
 
+    columns: dict[Role, list[int]] = {}
+    for index, (role, _) in enumerate(cells):
+        columns.setdefault(role, []).append(index)
+    values = _Columns(_ROWS[kind][0], columns, defaults).read([cell for _, cell in cells])
     diags: list[Diagnostic] = []
-    record = _parse_row(kind, row.read(_ROWS[kind][0]), "overlay", None, diags)
+    record = _parse_row(kind, values, "overlay", None, diags)
     if diags:
         # a warning ends in the fallback a CSV row takes; an added record
         # has none, so the warning rejects it
@@ -1021,6 +1018,7 @@ def parse_entry(entry: dict):
             )
         refs = []
         for ref in accesses:
+            _known_fields(ref, fields | {"source"}, f"an access of {record.id!r}")
             if not isinstance(ref["target"], str):
                 raise ValueError(f"access targets of {record.id!r} must be strings")
             direction, origin = Direction(ref["direction"]), RefOrigin(ref["origin"])

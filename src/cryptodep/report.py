@@ -13,7 +13,7 @@ The JSON report carries them for provenance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .analysis import Finding, HorizonConfig, ScoringPolicy
@@ -22,7 +22,6 @@ from .model import VulnerabilityClass
 from .rules import DependencyGraph, VertexKind
 
 __all__ = [
-    "GraphStats",
     "ScanReport",
     "render_dot",
     "render_json",
@@ -35,26 +34,10 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class GraphStats:
-    vertices: int = 0
-    edges: int = 0
-    edges_by_rule: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_graph(cls, graph: DependencyGraph) -> "GraphStats":
-        return cls(len(graph.vertices), len(graph.edges), graph.edges_by_rule())
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "edges_by_rule": dict(sorted(self.edges_by_rule.items())),
-        }
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    """Everything one scan produced, with enough context to reproduce it."""
+    """Everything one scan produced, with enough context to reproduce it.
+    ``graph_stats`` is the graph's ``vertices``, ``edges`` and
+    ``edges_by_rule`` counts, as the JSON report prints them."""
 
     tool_version: str
     input_digests: dict[str, str]
@@ -62,7 +45,7 @@ class ScanReport:
     horizon: HorizonConfig
     findings: tuple[Finding, ...]
     diagnostics: tuple[Diagnostic, ...]
-    graph_stats: GraphStats
+    graph_stats: dict
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +58,7 @@ class ScanReport:
             },
             "findings": [f.to_dict() for f in self.findings],
             "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "graph_stats": self.graph_stats.to_dict(),
+            "graph_stats": self.graph_stats,
         }
 
 
@@ -94,7 +77,9 @@ def make_report(
         horizon=horizon,
         findings=tuple(findings),
         diagnostics=tuple(diagnostics),
-        graph_stats=GraphStats.from_graph(graph),
+        graph_stats={
+            "vertices": len(graph.vertices), "edges": len(graph.edges), "edges_by_rule": graph.edges_by_rule()
+        },
     )
 
 
@@ -174,9 +159,14 @@ def _num(value: float) -> str:
     return f"{value:g}"
 
 
-def _policy_echo(policy: ScoringPolicy) -> str:
+def _config_lines(report: ScanReport) -> list[str]:
+    """The policy and horizon lines of a text report."""
+    policy, horizon = report.policy, report.horizon
     weights = " ".join(f"{c.value}={_num(policy.weight_for(c))}" for c in VulnerabilityClass)
-    return f"policy: class weights {weights}; longevity multiplier {_num(policy.longevity_multiplier)}"
+    return [
+        f"policy: class weights {weights}; longevity multiplier {_num(policy.longevity_multiplier)}",
+        f"horizon: migration {_num(horizon.migration_years)}y, quantum horizon {_num(horizon.quantum_horizon_years)}y",
+    ]
 
 
 def _finding_lines(index: int, finding: Finding, verbosity: int) -> list[str]:
@@ -211,11 +201,8 @@ def render_text(report: ScanReport, verbosity: int = 1) -> str:
     provenance."""
     count = len(report.findings)
     lines = [
-        f"dependency scan ({report.graph_stats.vertices} vertices, "
-        f"{report.graph_stats.edges} edges)",
-        _policy_echo(report.policy),
-        f"horizon: migration {_num(report.horizon.migration_years)}y, "
-        f"quantum horizon {_num(report.horizon.quantum_horizon_years)}y",
+        f"dependency scan ({report.graph_stats['vertices']} vertices, {report.graph_stats['edges']} edges)",
+        *_config_lines(report),
         f"{count} finding" + ("" if count == 1 else "s"),
     ]
     if verbosity >= 1:
@@ -241,9 +228,7 @@ def render_whatif_text(baseline: ScanReport, scenario: ScanReport, verbosity: in
         f"what-if comparison: baseline {len(baseline.findings)} finding"
         + ("" if len(baseline.findings) == 1 else "s")
         + f", scenario {len(scenario.findings)}",
-        _policy_echo(scenario.policy),
-        f"horizon: migration {_num(scenario.horizon.migration_years)}y, "
-        f"quantum horizon {_num(scenario.horizon.quantum_horizon_years)}y",
+        *_config_lines(scenario),
     ]
     for title, findings in _diff(baseline, scenario).items():
         lines.append(f"{title} ({len(findings)}):")

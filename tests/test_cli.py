@@ -315,6 +315,13 @@ def test_bad_overlay_is_fatal(tmp_path):
         pytest.param({"add_records": [{"record_kind": "classification", "label": "Internal",
                                        "required": None}]},
                      id="required-null"),
+        pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "accesses": [
+            {"target": "A1", "direction": "two-way", "origin": "access-record",
+             "sorce": {"file": "x.csv", "ref": "Z"}}]}]},
+                     id="unknown-access-field"),
+        pytest.param({"add_records": [{"record_kind": "classification", "label": "Internal",
+                                       "required": [{"dimension": "Bits", "value": 128, "junk": 1}]}]},
+                     id="unknown-level-field"),
     ],
 )
 def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
@@ -342,6 +349,8 @@ OVERLAY_ERRORS = {
     "kind-on-crypto": "unknown field 'kind' in crypto record 'K9'",
     "id-on-classification": "unknown field 'id' in classification record 'Internal'",
     "required-null": "classification 'Internal' needs a list of required levels",
+    "unknown-access-field": "unknown field 'sorce' in an access of 'Z'",
+    "unknown-level-field": "unknown field 'junk' in a required level of 'Internal'",
 }
 
 

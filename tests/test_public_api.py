@@ -1,0 +1,38 @@
+"""The public surface: every exported name resolves, and every demo runs."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("module", ["cryptodep", *(
+    f"cryptodep.{name}" for name in ("analysis", "ingest", "model", "registry", "report", "rules")
+)])
+def test_every_exported_name_resolves(module):
+    """A name left in ``__all__`` after its definition goes breaks the star
+    import; the import raises here rather than in a user's code."""
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    del namespace["__builtins__"]
+    exported = importlib.import_module(module).__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == namespace.keys()
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    run = subprocess.run(
+        [sys.executable, f"demos/{demo}"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()
+    assert "Traceback" not in run.stdout + run.stderr
