@@ -376,9 +376,10 @@ def _cell(value: str) -> str:
     return "" if value == "-" else value  # spreadsheet convention for "none"
 
 
-def _members(cells) -> tuple[str, ...]:
-    """The members of list cells: each cell split at ``;``, blanks dropped."""
-    return tuple([part for cell in cells for part in map(str.strip, cell.split(";")) if part])
+def _members(cells, intern) -> tuple[str, ...]:
+    """The members of list cells: each cell split at ``;``, blanks dropped,
+    each member passed through ``intern`` (a string table's ``setdefault``)."""
+    return tuple([intern(part, part) for cell in cells for part in map(str.strip, cell.split(";")) if part])
 
 
 #: the roles read as a tuple of members, each cell split at ``;``
@@ -397,17 +398,18 @@ def _row(kind: RecordKind, *roles: Role):
     return register
 
 
-def _reader(role: Role, indices: list[int], default: str):
+def _reader(role: Role, indices: list[int], default: str, intern):
     """How ``role`` reads a row's cells, padded to every column: the first
     non-empty cell of ``indices``, or for a member role the members of all
     of them, else ``default``.  A cell is stripped and ``-`` is empty; a
-    member cell is split only when it holds a ``;``."""
+    member cell is split only when it holds a ``;``.  Every string read is
+    ``intern(value, value)``, so equal values share one object."""
     if role in _MEMBER_ROLES:
-        fallback = _members([default])
+        fallback = _members([default], intern)
         if not indices:
             return lambda cells: fallback
         if len(indices) > 1:
-            return lambda cells: _members([_cell(cells[i]) for i in indices]) or fallback
+            return lambda cells: _members([_cell(cells[i]) for i in indices], intern) or fallback
         index = indices[0]
 
         def members(cells):
@@ -415,19 +417,21 @@ def _reader(role: Role, indices: list[int], default: str):
             if value == "" or value == "-":
                 return fallback
             if ";" in value:
-                return _members([value]) or fallback
-            return (value,)
+                return _members([value], intern) or fallback
+            return (intern(value, value),)
 
         return members
+    if isinstance(default, str):  # an overlay retention may be any JSON value
+        default = intern(default, default)
     if not indices:
         return lambda cells: default
     if len(indices) > 1:
-        return lambda cells: next(filter(None, [_cell(cells[i]) for i in indices]), default)
+        return lambda cells: next((intern(v, v) for v in [_cell(cells[i]) for i in indices] if v), default)
     index = indices[0]
 
     def scalar(cells):
         value = cells[index].strip()
-        return default if value == "" or value == "-" else value
+        return default if value == "" or value == "-" else intern(value, value)
 
     return scalar
 
@@ -435,11 +439,13 @@ def _reader(role: Role, indices: list[int], default: str):
 class _Columns:
     """The roles a record kind reads, bound to the cells of a CSV header or
     an overlay entry once: each role reads a constant default, one cell or
-    several.  ``read(cells)`` gives one row's values of those roles."""
+    several, its strings shared through the table ``strings``.  ``read(cells)``
+    gives one row's values of those roles."""
 
-    def __init__(self, roles, columns: dict[Role, list[int]], defaults: dict):
+    def __init__(self, roles, columns: dict[Role, list[int]], defaults: dict, strings: dict[str, str]):
         self._width = 1 + max((i for indices in columns.values() for i in indices), default=-1)
-        self._readers = [_reader(role, columns.get(role, []), defaults.get(role, "")) for role in roles]
+        intern = strings.setdefault
+        self._readers = [_reader(role, columns.get(role, []), defaults.get(role, ""), intern) for role in roles]
 
     def read(self, cells: list[str]) -> list:
         if len(cells) < self._width:
@@ -461,10 +467,18 @@ def _csv_rows(text: str, path: str | Path):
         raise IngestError(f"cannot read inventory {path}: line {reader.line_num}: {exc}") from None
 
 
-def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], use_builtin_profiles: bool = False):
+def parse_tabular(
+    text: str, path: str | Path, profiles: list[MappingProfile], use_builtin_profiles: bool = False,
+    *, strings: dict[str, str] | None = None,
+):
     """Parse the CSV inventory ``text`` read from ``path`` in one pass: the
     header row picks the profile (see :func:`match_profile`) and binds each
     role to its columns, then each data row becomes one record.
+
+    Every string a record takes from a cell goes through the string table
+    ``strings`` (value to itself), so equal values share one object: pass
+    one table to several calls to share them across files.  Without it the
+    call keeps a table of its own for the one file.
 
     Returns ``(records, diagnostics)`` with one record per well-formed data
     row; malformed rows are reported and skipped.
@@ -489,7 +503,7 @@ def parse_tabular(text: str, path: str | Path, profiles: list[MappingProfile], u
         elif role is not None and role is not Role.IGNORE:
             columns.setdefault(role, []).append(index)
     kind = profile.kind
-    read = _Columns(_ROWS[kind][0], columns, profile.defaults).read
+    read = _Columns(_ROWS[kind][0], columns, profile.defaults, {} if strings is None else strings).read
     records: list = []
     for line, cells in rows:
         if not "".join(cells).strip():
@@ -666,13 +680,17 @@ def load_bundle(
     use_builtin_profiles: bool = False,
 ) -> tuple[InventoryBundle, list[Diagnostic]]:
     """Read and parse every inventory file and assemble a canonical bundle,
-    whose ``input_digests`` map each path to the digest of its bytes."""
+    whose ``input_digests`` map each path to the digest of its bytes.  The
+    files share one string table for the call, so an equal value read from
+    any of them is one object: a reference to an asset is the asset's
+    ``id`` itself."""
     parsed: list = []
     diags: list[Diagnostic] = []
     digests: dict[str, str] = {}
+    strings: dict[str, str] = {}
     for path in inventory_paths:
         text, digests[str(path)] = read_input(path, "inventory")
-        records, file_diags = parse_tabular(text, path, profiles, use_builtin_profiles)
+        records, file_diags = parse_tabular(text, path, profiles, use_builtin_profiles, strings=strings)
         parsed.extend(records)
         diags.extend(file_diags)
     bundle, assembly_diags = assemble_bundle(parsed, registry)
@@ -999,7 +1017,8 @@ def parse_entry(entry: dict):
     columns: dict[Role, list[int]] = {}
     for index, (role, _) in enumerate(cells):
         columns.setdefault(role, []).append(index)
-    values = _Columns(_ROWS[kind][0], columns, defaults).read([cell for _, cell in cells])
+    strings: dict[str, str] = {}
+    values = _Columns(_ROWS[kind][0], columns, defaults, strings).read([cell for _, cell in cells])
     diags: list[Diagnostic] = []
     record = _parse_row(kind, values, "overlay", None, diags)
     if diags:
@@ -1025,7 +1044,7 @@ def parse_entry(entry: dict):
             ref_source = _entry_source(ref, record.source)
             refs.extend(
                 AccessRef(target, direction, origin, ref_source)
-                for target in _members([_cell(ref["target"])])
+                for target in _members([_cell(ref["target"])], strings.setdefault)
                 if target != record.id
             )
         record = replace(record, accesses=tuple(refs))

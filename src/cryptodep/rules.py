@@ -160,8 +160,10 @@ class DependencyGraph:
         vertex without predecessors has no entry there."""
         predecessors: dict[str, list[str]] = {}
         for frm, to, _, _ in self.edges:
-            preds = predecessors.setdefault(to, [])
-            if not preds or preds[-1] != frm:  # one entry per rule otherwise
+            preds = predecessors.get(to)
+            if preds is None:
+                predecessors[to] = [frm]
+            elif preds[-1] != frm:  # one entry per rule otherwise
                 preds.append(frm)
         return GraphIndex({v.id: v for v in self.vertices}, predecessors)
 
@@ -253,24 +255,28 @@ class _Builder:
         """Vertex for a primitive configuration, expanding registry ratings
         (SL2) and protocol members (P2) once per spelling of it; a second
         spelling adds nothing new, and the memo entry, made before the
-        members expand, ends protocol cycles."""
+        members expand, ends protocol cycles.  Members expand depth first,
+        in order, from an explicit stack, so no chain of them is too deep."""
         key = self._configs.get((algorithm, flags))
         if key is not None:
             return key
-        key = self._configs[algorithm, flags] = primitive_key(algorithm, flags)
-        configuration = self.bundle.registry.lookup(algorithm, flags)
-        self.vertex(key, VertexKind.PRIMITIVE_CONFIG, payload=configuration)
-        if configuration is None:
-            return key
-        provenance = (configuration.source,)
-        for rating in configuration.ratings:
-            if rating.dimension in self.active_dims:
-                self.edge(key, self.level(rating), "SL2", provenance)
-        for member_spec in configuration.uses:
-            member_name, member_flags = parse_primitive_spec(member_spec)
-            member_key = self.config(member_name, member_flags)
-            self.edge(key, member_key, "P2", provenance)
-        return key
+        pending = [(None, algorithm, flags, None)]  # (user, name, flags, provenance)
+        while pending:
+            user, name, name_flags, provenance = pending.pop()
+            key = self._configs.get((name, name_flags))
+            if key is None:
+                key = self._configs[name, name_flags] = primitive_key(name, name_flags)
+                configuration = self.bundle.registry.lookup(name, name_flags)
+                self.vertex(key, VertexKind.PRIMITIVE_CONFIG, payload=configuration)
+                if configuration is not None:
+                    source = (configuration.source,)
+                    for rating in configuration.ratings:
+                        if rating.dimension in self.active_dims:
+                            self.edge(key, self.level(rating), "SL2", source)
+                    pending += [(key, *parse_primitive_spec(spec), source) for spec in reversed(configuration.uses)]
+            if user is not None:
+                self.edge(user, key, "P2", provenance)
+        return self._configs[algorithm, flags]
 
     def finish(self) -> DependencyGraph:
         """Each run of equal (from, to, rule) becomes one edge; the sort breaks

@@ -663,3 +663,33 @@ def test_hybrid_fixture_scans_with_a_finding():
     code, out, _ = run_cli(hybrid_args("scan"))
     assert code == 1
     assert "RSA[1024]" in out
+
+
+def test_a_registry_chain_deeper_than_the_recursion_limit_scans(tmp_path):
+    # P0[1] uses P1[1], which uses P2[1], ... 3,000 deep: the build expands
+    # protocol members without recursing once per member
+    for name in CLOUD_FILES:
+        text = (CLOUD_MINIMAL / name).read_text()
+        (tmp_path / name).write_text(text.replace("RSA,1024", "P0,1"))
+    depth = 3000
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps([
+        {
+            "name": f"P{i}",
+            "configurations": [{
+                "flags": ["1"], "security": 80, "NIST-approval": "not-NIST-approved",
+                "uses": [f"P{i + 1}[1]"] if i + 1 < depth else [],
+            }],
+        }
+        for i in range(depth)
+    ]))
+    args = [tmp_path / name for name in CLOUD_FILES] + ["--registry", registry, "--paper-defaults"]
+    code, out, err = run_cli(["scan", *args, "--format", "json"])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert json.loads(out)["graph_stats"]["edges_by_rule"]["P2"] == depth - 1
+    code, out, err = run_cli(["graph", *args])
+    assert code == 0
+    assert "Traceback" not in err
+    assert '"P0[1]" -> "P1[1]" [label="P2"];' in out
+    assert f'"P{depth - 2}[1]" -> "P{depth - 1}[1]" [label="P2"];' in out

@@ -15,6 +15,7 @@ from cryptodep import (
     DataRecord,
     Direction,
     IngestError,
+    MappingProfile,
     SecurityRating,
     Source,
     VulnerabilityClass,
@@ -741,3 +742,78 @@ def test_load_bundle_requires_a_profile(tmp_path):
     path.write_text("A,B\n1,2\n")
     with pytest.raises(IngestError):
         load_bundle([path], profiles=[], registry=_registry())
+
+
+# --------------------------------------------------------------------------
+# one string object per distinct value
+# --------------------------------------------------------------------------
+
+def _record_strings(record) -> list[str]:
+    """The strings a record takes from its cells (not its Source)."""
+    if isinstance(record, ClassificationBinding):
+        return [record.label]
+    if isinstance(record, DataRecord):
+        return [record.id, *record.storage_locations, record.classification, record.name]
+    if isinstance(record, AssetRecord):
+        return [record.id, *record.serves, *(ref.target for ref in record.accesses), record.name]
+    return [
+        record.id, record.location, *record.key_locations, record.algorithm, *record.config_flags,
+        record.matched_key, record.issuer_cert, record.created_by, record.name,
+    ]
+
+
+def test_load_bundle_keeps_one_object_per_distinct_value(tmp_path):
+    tables = inventory_gen.make_tables(random.Random(5), n_classes=3, n_data=40, n_assets=30, n_crypto=40)
+    paths = inventory_gen.write_tables(tmp_path, tables)
+    bundle, _ = load_bundle(
+        paths, parse_profiles(tmp_path / "profiles.json"), _registry(), use_builtin_profiles=True
+    )
+    assets = bundle.asset_map()
+    references = [
+        *(location for record in bundle.data for location in record.storage_locations),
+        *(location for record in bundle.crypto_objects for location in (record.location, *record.key_locations)),
+        *(target for record in bundle.assets for target in record.serves),
+        *(ref.target for record in bundle.assets for ref in record.accesses),
+    ]
+    named = [ref for ref in references if ref in assets]
+    assert len(named) > 100
+    assert all(ref is assets[ref].id for ref in named)
+
+    strings = [
+        value
+        for record in (*bundle.records, *bundle.data, *bundle.assets, *bundle.crypto_objects, *bundle.classifications)
+        for value in _record_strings(record)
+        if value is not None
+    ]
+    assert len(strings) > 3 * len(set(strings))
+    assert len({id(value) for value in strings}) == len(set(strings))
+
+
+def test_parse_tabular_shares_equal_values_within_a_file_and_a_given_table(tmp_path):
+    # one member cell, a split one and two columns of one role all share
+    profile = MappingProfile("data.csv", RecordKind.DATA, {
+        "ID": Role.ID, "Location": Role.STORAGE_LOCATION, "Backup": Role.STORAGE_LOCATION,
+        "Classification": Role.CLASSIFICATION,
+    })
+    path = tmp_path / "data.csv"
+    path.write_text("ID,Location,Backup,Classification\nD1,S1,,High\nD2,S2;S1,-,High\nD3, S2 ,S1,High\n")
+    records, _ = parse_tabular(path.read_text(), path, [profile])
+    assert [r.storage_locations for r in records] == [("S1",), ("S2", "S1"), ("S2", "S1")]
+    s1, s2 = records[0].storage_locations[0], records[1].storage_locations[0]
+    assert records[1].storage_locations[1] is s1
+    assert records[2].storage_locations[0] is s2 and records[2].storage_locations[1] is s1
+    assert records[0].classification is records[1].classification is records[2].classification
+
+    # the builtin profile's one Location column, whose cells may be split
+    path.write_text("ID,Location,Classification\nD1,S2,High\nD2,S1;S2,High\n")
+    strings: dict[str, str] = {}
+    first, _ = parse_tabular(path.read_text(), path, [], use_builtin_profiles=True, strings=strings)
+    assert first[1].storage_locations == ("S1", "S2")
+    assert first[1].storage_locations[1] is first[0].storage_locations[0]
+    other = tmp_path / "more" / "data.csv"
+    other.parent.mkdir()
+    other.write_text("ID,Location,Classification\nD9,S1,High\n")
+    second, _ = parse_tabular(other.read_text(), other, [], use_builtin_profiles=True, strings=strings)
+    assert second[0].storage_locations[0] is first[1].storage_locations[0]
+    assert second[0].classification is first[0].classification
+    assert strings["High"] is first[0].classification
