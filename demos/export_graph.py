@@ -31,7 +31,7 @@ def main():
     )
     graph = build_graph(bundle)
     findings, _ = find_violations(graph, bundle)
-    sys.stdout.write(render_dot(graph, highlight=list(findings)))
+    render_dot(graph, sys.stdout, highlight=list(findings))
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ only).
 
 Exit codes are the machine contract: 0 for a clean run, 1 when findings or
 error diagnostics exist, 2 for fatal problems (unreadable or undecodable
-files, bad profiles or overlays).  Stdout carries the report and nothing else;
-diagnostics and errors go to stderr.
+files, bad profiles or overlays, a report stdout cannot take).  Stdout
+carries the report and nothing else; diagnostics and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -210,6 +212,36 @@ def _scan(args, bundle, diagnostics, policy, horizon, digests):
     return graph, report
 
 
+class _UnwritableReport(Exception):
+    """Stdout refused the report: a closed pipe, a full device, or a
+    character its encoding lacks."""
+
+
+@contextmanager
+def _writing_report():
+    """Turns a failed write to stdout into ``_UnwritableReport``.  A broken
+    stdout is pointed at the null device first, so that the flush at exit
+    does not meet the same error again."""
+    if sys.stdout is None:  # the process started with descriptor 1 closed
+        raise _UnwritableReport("stdout is closed")
+    try:
+        yield
+    except (OSError, UnicodeEncodeError) as exc:
+        if isinstance(exc, OSError):
+            _point_stdout_at_null()
+        raise _UnwritableReport(exc) from None
+
+
+def _point_stdout_at_null() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind it
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def _exit_code(report) -> int:
     if report.findings or _has_errors(report.diagnostics):
         return EXIT_FINDINGS
@@ -230,12 +262,13 @@ def cmd_scan(args) -> int:
 
     graph, report = _scan(args, bundle, diagnostics, policy, horizon, digests)
 
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "dot":
-        sys.stdout.write(render_dot(graph, highlight=list(report.findings)))
-    else:
-        sys.stdout.write(render_text(report, verbosity=args.verbosity))
+    with _writing_report():
+        if args.format == "json":
+            render_json(report, sys.stdout)
+        elif args.format == "dot":
+            render_dot(graph, sys.stdout, highlight=list(report.findings))
+        else:
+            render_text(report, sys.stdout, verbosity=args.verbosity)
     _emit_diagnostics(report.diagnostics)
     return _exit_code(report)
 
@@ -250,10 +283,11 @@ def cmd_whatif(args) -> int:
     baseline = _scan(args, bundle, diagnostics, policy, horizon, digests)[1]
     scenario = _scan(args, overlaid, over_diags, policy, horizon, digests)[1]
 
-    if args.format == "json":
-        sys.stdout.write(render_whatif_json(baseline, scenario))
-    else:
-        sys.stdout.write(render_whatif_text(baseline, scenario, verbosity=args.verbosity))
+    with _writing_report():
+        if args.format == "json":
+            render_whatif_json(baseline, scenario, sys.stdout)
+        else:
+            render_whatif_text(baseline, scenario, sys.stdout, verbosity=args.verbosity)
     _emit_diagnostics(scenario.diagnostics)
     return _exit_code(scenario)
 
@@ -262,7 +296,8 @@ def cmd_graph(args) -> int:
     bundle, diagnostics, _ = _load_inputs(args)
     diagnostics += validate_bundle(bundle)
     graph = build_graph(bundle)
-    sys.stdout.write(render_dot(graph))
+    with _writing_report():
+        render_dot(graph, sys.stdout)
     _emit_diagnostics(diagnostics)
     return EXIT_CLEAN
 
@@ -270,8 +305,6 @@ def cmd_graph(args) -> int:
 def cmd_validate(args) -> int:
     bundle, diagnostics, _ = _load_inputs(args)
     diagnostics += validate_bundle(bundle)
-    for diag in diagnostics:
-        print(diag.render())
     errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
     warnings = len(diagnostics) - errors
     records = (
@@ -280,7 +313,10 @@ def cmd_validate(args) -> int:
         + len(bundle.assets)
         + len(bundle.crypto_objects)
     )
-    print(f"{records} records, {errors} errors, {warnings} warnings")
+    with _writing_report():
+        for diag in diagnostics:
+            print(diag.render())
+        print(f"{records} records, {errors} errors, {warnings} warnings")
     return EXIT_FINDINGS if errors else EXIT_CLEAN
 
 
@@ -304,9 +340,15 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(*_GC_THRESHOLDS)
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        with _writing_report():
+            sys.stdout.flush()
+        return code
     except (IngestError, OverlayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except _UnwritableReport as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_FATAL
     finally:
         gc.set_threshold(*saved)

@@ -1,8 +1,10 @@
 """Rendering of graphs, findings, and diagnostics.
 
 Three output surfaces: prose text for terminals, a versioned JSON schema for
-machines, and DOT for graph tooling.  Every renderer is a pure function of
-its arguments, and all collections are emitted in canonical order, so
+machines, and DOT for graph tooling.  Every renderer writes to the text
+stream it is given, a batch of lines or encoder pieces at a time, so no
+report is ever built as one string.  What it writes depends on its
+arguments alone, and all collections are emitted in canonical order, so
 identical inputs render byte-identically.
 
 The text renderer deliberately omits input digests: they are raw content
@@ -13,7 +15,10 @@ The JSON report carries them for provenance.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import TextIO
 
 from . import __version__
 from .analysis import Finding, HorizonConfig, ScoringPolicy
@@ -104,21 +109,25 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def render_dot(graph: DependencyGraph, highlight: list[Finding] | None = None) -> str:
-    """Stable DOT text: one node statement per vertex (sorted by id), one
-    edge statement per edge (sorted by from, to, rule).  Vertices and edges
-    on a highlighted finding path are drawn in red."""
+def render_dot(graph: DependencyGraph, out: TextIO, highlight: list[Finding] | None = None) -> None:
+    """Write stable DOT text to ``out``: one node statement per vertex
+    (sorted by id), one edge statement per edge (sorted by from, to, rule).
+    Vertices and edges on a highlighted finding path are drawn in red."""
+    _write(out, _dot_lines(graph, highlight or []))
+
+
+def _dot_lines(graph: DependencyGraph, highlight: list[Finding]) -> Iterator[str]:
     hot_vertices: set[str] = set()
     hot_edges: set[tuple[str, str]] = set()
-    for finding in highlight or []:
+    for finding in highlight:
         hot_vertices.update(finding.path)
         hot_edges.update(zip(finding.path, finding.path[1:]))
 
-    lines = ["digraph G {"]
+    yield "digraph G {\n"
     if not graph.vertices:
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    lines.append("  rankdir=LR;")
+        yield "}\n"
+        return
+    yield "  rankdir=LR;\n"
     for vertex in graph.vertices:
         shape, fill = _DOT_SHAPES[vertex.kind]
         attrs = [
@@ -130,25 +139,26 @@ def render_dot(graph: DependencyGraph, highlight: list[Finding] | None = None) -
         if vertex.id in hot_vertices:
             attrs.append('color="red"')
             attrs.append("penwidth=2")
-        lines.append(f"  {_dot_quote(vertex.id)} [{', '.join(attrs)}];")
+        yield f"  {_dot_quote(vertex.id)} [{', '.join(attrs)}];\n"
     for edge in graph.edges:
         attrs = [f'label="{edge.rule}"']
         if (edge.frm, edge.to) in hot_edges:
             attrs.append('color="red"')
             attrs.append("penwidth=2")
-        lines.append(
-            f"  {_dot_quote(edge.frm)} -> {_dot_quote(edge.to)} [{', '.join(attrs)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {_dot_quote(edge.frm)} -> {_dot_quote(edge.to)} [{', '.join(attrs)}];\n"
+    yield "}\n"
 
 
 # --------------------------------------------------------------------------
 # JSON
 # --------------------------------------------------------------------------
 
-def render_json(report: ScanReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+def render_json(report: ScanReport, out: TextIO) -> None:
+    _write_json(report.to_dict(), out)
+
+
+def _write_json(doc: dict, out: TextIO) -> None:
+    _write(out, chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), ("\n",)))
 
 
 # --------------------------------------------------------------------------
@@ -169,12 +179,14 @@ def _config_lines(report: ScanReport) -> list[str]:
     ]
 
 
-def _finding_lines(index: int, finding: Finding, verbosity: int) -> list[str]:
+def _finding_lines(index: int, finding: Finding, verbosity: int) -> Iterator[str]:
     score = finding.score
     head = f"[{index}] required {finding.required.display}, provided {finding.provided.display}"
     if score is not None:
         head += f" (score {_num(score.total)})"
-    lines = ["", head, "    " + " → ".join(finding.display_path)]
+    yield ""
+    yield head
+    yield "    " + " → ".join(finding.display_path)
     if score is not None:
         parts = [
             f"sensitivity {_num(score.sensitivity_weight)}",
@@ -182,33 +194,33 @@ def _finding_lines(index: int, finding: Finding, verbosity: int) -> list[str]:
         ]
         if score.longevity_flag:
             parts.append("longevity urgent")
-        lines.append(f"    score: {' x '.join(parts)} = {_num(score.total)}")
+        yield f"    score: {' x '.join(parts)} = {_num(score.total)}"
     if finding.affected_data:
-        lines.append("    affected data: " + ", ".join(finding.affected_data))
+        yield "    affected data: " + ", ".join(finding.affected_data)
     if score is not None:
         for warning in score.warnings:
-            lines.append("    warning: " + warning)
+            yield "    warning: " + warning
     if verbosity >= 2:
         for trace in finding.rule_trail:
             where = "; ".join(str(s) for s in trace.provenance) or "inferred"
-            lines.append(f"    {trace.frm} -[{trace.rule}]-> {trace.to}  ({where})")
-    return lines
+            yield f"    {trace.frm} -[{trace.rule}]-> {trace.to}  ({where})"
 
 
-def render_text(report: ScanReport, verbosity: int = 1) -> str:
-    """Human-readable report.  Verbosity 0 is the summary block alone, 1
-    adds a block per finding, 2 adds each finding's rule trail with record
-    provenance."""
+def render_text(report: ScanReport, out: TextIO, verbosity: int = 1) -> None:
+    """Write the human-readable report to ``out``.  Verbosity 0 is the
+    summary block alone, 1 adds a block per finding, 2 adds each finding's
+    rule trail with record provenance."""
+    _write(out, _ended(_text_lines(report, verbosity)))
+
+
+def _text_lines(report: ScanReport, verbosity: int) -> Iterator[str]:
     count = len(report.findings)
-    lines = [
-        f"dependency scan ({report.graph_stats['vertices']} vertices, {report.graph_stats['edges']} edges)",
-        *_config_lines(report),
-        f"{count} finding" + ("" if count == 1 else "s"),
-    ]
+    yield f"dependency scan ({report.graph_stats['vertices']} vertices, {report.graph_stats['edges']} edges)"
+    yield from _config_lines(report)
+    yield f"{count} finding" + ("" if count == 1 else "s")
     if verbosity >= 1:
         for index, finding in enumerate(report.findings, start=1):
-            lines.extend(_finding_lines(index, finding, verbosity))
-    return "\n".join(lines) + "\n"
+            yield from _finding_lines(index, finding, verbosity)
 
 
 def _diff(baseline: ScanReport, scenario: ScanReport) -> dict[str, list[Finding]]:
@@ -223,25 +235,48 @@ def _diff(baseline: ScanReport, scenario: ScanReport) -> dict[str, list[Finding]
     }
 
 
-def render_whatif_text(baseline: ScanReport, scenario: ScanReport, verbosity: int = 1) -> str:
-    lines = [
+def render_whatif_text(baseline: ScanReport, scenario: ScanReport, out: TextIO, verbosity: int = 1) -> None:
+    _write(out, _ended(_whatif_lines(baseline, scenario, verbosity)))
+
+
+def _whatif_lines(baseline: ScanReport, scenario: ScanReport, verbosity: int) -> Iterator[str]:
+    yield (
         f"what-if comparison: baseline {len(baseline.findings)} finding"
         + ("" if len(baseline.findings) == 1 else "s")
-        + f", scenario {len(scenario.findings)}",
-        *_config_lines(scenario),
-    ]
+        + f", scenario {len(scenario.findings)}"
+    )
+    yield from _config_lines(scenario)
     for title, findings in _diff(baseline, scenario).items():
-        lines.append(f"{title} ({len(findings)}):")
+        yield f"{title} ({len(findings)}):"
         if verbosity >= 1:
-            lines.extend("    " + " → ".join(f.display_path) for f in findings)
-    return "\n".join(lines) + "\n"
+            for f in findings:
+                yield "    " + " → ".join(f.display_path)
 
 
-def render_whatif_json(baseline: ScanReport, scenario: ScanReport) -> str:
+def render_whatif_json(baseline: ScanReport, scenario: ScanReport, out: TextIO) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "baseline": baseline.to_dict(),
         "scenario": scenario.to_dict(),
         "diff": {title: [f.id for f in findings] for title, findings in _diff(baseline, scenario).items()},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_json(doc, out)
+
+
+# --------------------------------------------------------------------------
+# writing
+# --------------------------------------------------------------------------
+
+_BATCH = 1024  # pieces per write: about 8 KB of JSON or 100 KB of DOT
+
+
+def _ended(lines: Iterable[str]) -> Iterator[str]:
+    return (line + "\n" for line in lines)
+
+
+# Not json.dump(doc, out): one write per encoder piece, each a system call on an unbuffered stdout.
+def _write(out: TextIO, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``out``, ``_BATCH`` of them joined per call."""
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, _BATCH)):
+        out.write("".join(batch))

@@ -4,6 +4,9 @@ import builtins
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from conftest import CLOUD_FILES, CLOUD_MINIMAL, cloud_minimal_args, hybrid_args
 from oracle import read_dot
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CLEARING_OVERLAY = json.dumps(
     {"replace_algorithms": [{"from": "RSA[1024]", "to": "ML-KEM[768]"}]}
 )
@@ -693,3 +697,68 @@ def test_a_registry_chain_deeper_than_the_recursion_limit_scans(tmp_path):
     assert "Traceback" not in err
     assert '"P0[1]" -> "P1[1]" [label="P2"];' in out
     assert f'"P{depth - 2}[1]" -> "P{depth - 1}[1]" [label="P2"];' in out
+
+
+# --------------------------------------------------------------------------
+# a report stdout cannot take
+# --------------------------------------------------------------------------
+
+# Buffered, the failure surfaces in the final flush; unbuffered, in a write.
+BUFFERING = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+
+def run_cli_process(args, stdout, unbuffered: str, **env: str) -> tuple[int, str]:
+    """Run the CLI in a child process with ``stdout`` as its standard
+    output; returns the exit code and stderr."""
+    run = subprocess.run(
+        [sys.executable, "-m", "cryptodep.cli", *map(str, args)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered, **env},
+    )
+    return run.returncode, run.stderr
+
+
+def assert_one_write_error(code: int, err: str, reason: str) -> None:
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: cannot write the report: {reason}")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+@BUFFERING
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_report_to_a_full_device_exits_2_with_one_line(unbuffered):
+    with open("/dev/full", "w") as full:
+        code, err = run_cli_process(cloud_minimal_args("scan"), full, unbuffered)
+    assert_one_write_error(code, err, "[Errno 28] No space left on device")
+
+
+@BUFFERING
+@pytest.mark.parametrize("command", ["scan", "graph", "validate"])
+def test_a_report_to_a_closed_pipe_exits_2_with_one_line(command, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = run_cli_process(cloud_minimal_args(command), write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert_one_write_error(code, err, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["scan", "validate"])
+def test_a_report_to_a_closed_stdout_exits_2_with_one_line(command):
+    run = subprocess.run(
+        [sys.executable, "-m", "cryptodep.cli", *cloud_minimal_args(command)],
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert_one_write_error(run.returncode, run.stderr, "stdout is closed")
+
+
+@BUFFERING
+def test_a_report_stdout_cannot_encode_exits_2_with_one_line(unbuffered):
+    # the text report joins a witness path with "→"
+    code, err = run_cli_process(hybrid_args("scan"), subprocess.DEVNULL, unbuffered, PYTHONIOENCODING="ascii")
+    assert_one_write_error(code, err, "'ascii' codec can't encode character '\\u2192'")

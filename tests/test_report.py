@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import io
 import json
+import random
+
+import pytest
 
 from cryptodep import (
+    AssetKind,
+    AssetRecord,
+    ClassificationBinding,
+    CryptoObjectRecord,
+    CryptoObjectType,
+    DataRecord,
     DependencyGraph,
     HorizonConfig,
     ScoringPolicy,
+    SecurityRating,
+    Source,
+    assemble_bundle,
     build_graph,
     find_violations,
     load_default_registry,
@@ -21,7 +34,15 @@ from cryptodep.report import (
 )
 from cryptodep.rules import Edge, Vertex, VertexKind
 
+import inventory_gen
 from oracle import read_dot
+
+
+def rendered(render, *args, **kwargs) -> str:
+    """What ``render`` writes to a stream, as one string."""
+    out = io.StringIO()
+    render(*args, out, **kwargs)
+    return out.getvalue()
 
 
 def report_for(bundle, digests=None):
@@ -38,7 +59,7 @@ def report_for(bundle, digests=None):
 
 def test_dot_is_well_formed_and_complete(cloud_minimal_bundle):
     graph = build_graph(cloud_minimal_bundle)
-    nodes, edges = read_dot(render_dot(graph))
+    nodes, edges = read_dot(rendered(render_dot, graph))
     assert set(nodes) == {v.id for v in graph.vertices}
     assert len(edges) == len(graph.edges)
     assert {(f, t) for f, t, _ in edges} == {(e.frm, e.to) for e in graph.edges}
@@ -62,20 +83,20 @@ def test_dot_escapes_awkward_identifiers():
         (other, vertex),
         (Edge('we"ird\\name', "plain", "K1"),),
     )
-    nodes, edges = read_dot(render_dot(graph))
+    nodes, edges = read_dot(rendered(render_dot, graph))
     assert set(nodes) == {'we"ird\\name', "plain"}
     assert nodes['we"ird\\name']["label"] == 'display "x"'
     assert edges[0][:2] == ('we"ird\\name', "plain")
 
 
 def test_dot_empty_graph():
-    assert render_dot(DependencyGraph()) == "digraph G {\n}\n"
+    assert rendered(render_dot, DependencyGraph()) == "digraph G {\n}\n"
 
 
 def test_dot_highlight_marks_only_the_witness(cloud_minimal_bundle):
     graph = build_graph(cloud_minimal_bundle)
     findings, _ = find_violations(graph, cloud_minimal_bundle)
-    nodes, edges = read_dot(render_dot(graph, highlight=findings))
+    nodes, edges = read_dot(rendered(render_dot, graph, highlight=findings))
     on_path = set(findings[0].path)
     for vertex_id, attrs in nodes.items():
         assert (attrs.get("color") == "red") == (vertex_id in on_path)
@@ -88,8 +109,8 @@ def test_dot_highlight_marks_only_the_witness(cloud_minimal_bundle):
 
 
 def test_dot_output_is_stable(cloud_minimal_bundle):
-    one = render_dot(build_graph(cloud_minimal_bundle))
-    two = render_dot(build_graph(cloud_minimal_bundle))
+    one = rendered(render_dot, build_graph(cloud_minimal_bundle))
+    two = rendered(render_dot, build_graph(cloud_minimal_bundle))
     assert one == two
 
 
@@ -99,7 +120,7 @@ def test_dot_output_is_stable(cloud_minimal_bundle):
 
 def test_json_report_shape(cloud_minimal_bundle):
     report, _, _ = report_for(cloud_minimal_bundle, {"a.csv": "deadbeef"})
-    doc = json.loads(render_json(report))
+    doc = json.loads(rendered(render_json, report))
     assert doc["schema_version"] == 1
     assert doc["input_digests"] == {"a.csv": "deadbeef"}
     assert doc["graph_stats"]["vertices"] == 8
@@ -115,7 +136,7 @@ def test_json_report_shape(cloud_minimal_bundle):
 
 def test_text_report_layout(cloud_minimal_bundle):
     report, _, _ = report_for(cloud_minimal_bundle)
-    text = render_text(report)
+    text = rendered(render_text, report)
     lines = text.splitlines()
     assert lines[0] == "dependency scan (8 vertices, 9 edges)"
     assert lines[1].startswith("policy: class weights EllipticCurve=4 IntegerFactoring=3")
@@ -131,11 +152,11 @@ def test_text_report_layout(cloud_minimal_bundle):
 
 def test_text_verbosity_levels(cloud_minimal_bundle):
     report, _, _ = report_for(cloud_minimal_bundle)
-    quiet = render_text(report, verbosity=0)
+    quiet = rendered(render_text, report, verbosity=0)
     assert "[1]" not in quiet
     assert quiet.splitlines()[3] == "1 finding"
 
-    loud = render_text(report, verbosity=2)
+    loud = rendered(render_text, report, verbosity=2)
     assert "WWW1 -[M1]-> certkey1  (cryptoinventory.csv:certkey1)" in loud
     assert "Approval:approved -[SL1]-> High  (classifications.csv:High)" in loud
 
@@ -151,7 +172,7 @@ def test_text_pluralises_findings(cloud_minimal_bundle):
         diagnostics=(),
         graph_stats=report.graph_stats,
     )
-    assert "0 findings" in render_text(empty)
+    assert "0 findings" in rendered(render_text, empty)
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +190,7 @@ def _baseline_and_cleared(bundle):
 
 def test_whatif_text(cloud_minimal_bundle):
     baseline, scenario = _baseline_and_cleared(cloud_minimal_bundle)
-    text = render_whatif_text(baseline, scenario)
+    text = rendered(render_whatif_text, baseline, scenario)
     lines = text.splitlines()
     assert lines[0] == "what-if comparison: baseline 1 finding, scenario 0"
     assert "resolved (1):" in lines
@@ -180,8 +201,79 @@ def test_whatif_text(cloud_minimal_bundle):
 
 def test_whatif_json(cloud_minimal_bundle):
     baseline, scenario = _baseline_and_cleared(cloud_minimal_bundle)
-    doc = json.loads(render_whatif_json(baseline, scenario))
+    doc = json.loads(rendered(render_whatif_json, baseline, scenario))
     assert doc["diff"]["resolved"] == [baseline.findings[0].id]
     assert doc["diff"]["introduced"] == []
     assert doc["diff"]["unchanged"] == []
     assert doc["baseline"]["graph_stats"]["vertices"] == 8
+
+
+# --------------------------------------------------------------------------
+# writing
+# --------------------------------------------------------------------------
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def _fanned_report(servers: int):
+    """One High data item on ``servers`` servers, each holding an RSA-1024
+    key: as many equal-length witnesses as servers."""
+    records = [
+        ClassificationBinding("High", (SecurityRating.approval("approved"),), source=Source("c.csv", "High")),
+        DataRecord(
+            id="D1", classification="High", source=Source("d.csv", "D1"),
+            storage_locations=tuple(f"S{i:03d}" for i in range(servers)),
+        ),
+    ]
+    for i in range(servers):
+        records.append(AssetRecord(id=f"S{i:03d}", kind=AssetKind.PROCESSOR, source=Source("a.csv", f"S{i:03d}")))
+        records.append(CryptoObjectRecord(
+            id=f"K{i:03d}", object_type=CryptoObjectType.SYMMETRIC_KEY, location=f"S{i:03d}",
+            algorithm="RSA", config_flags=("1024",), source=Source("k.csv", f"K{i:03d}"),
+        ))
+    bundle, diags = assemble_bundle(records, load_default_registry())
+    graph = build_graph(bundle)
+    findings, more = find_violations(graph, bundle, max_witnesses=servers)
+    assert len(findings) == servers
+    return make_report(graph, findings, diags + more, ScoringPolicy(), HorizonConfig(), {})
+
+
+def _json_case():
+    report = _fanned_report(500)
+    out = RecordingStream()
+    render_json(report, out)
+    assert out.getvalue() == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return out
+
+
+def _dot_case():
+    bundle, _, _ = inventory_gen.random_bundle(
+        random.Random(3), n_classes=4, n_data=2700, n_assets=2700, n_crypto=1700
+    )
+    graph = build_graph(bundle)
+    out = RecordingStream()
+    render_dot(graph, out)
+    nodes, edges = read_dot(out.getvalue())
+    assert set(nodes) == {v.id for v in graph.vertices}
+    assert [(f, t, a["label"]) for f, t, a in edges] == [(e.frm, e.to, e.rule) for e in graph.edges]
+    return out
+
+
+@pytest.mark.parametrize("case", [_json_case, _dot_case], ids=["json", "dot"])
+def test_a_large_report_is_written_in_bounded_batches(case):
+    """The document reaches the stream whole, neither as one string nor as
+    one write per line or encoder piece."""
+    out = case()
+    total = len(out.getvalue())
+    assert total >= 1 << 20
+    assert max(out.sizes) <= 256 << 10
+    assert len(out.sizes) <= total >> 10
