@@ -7,8 +7,9 @@ only).
 
 Exit codes are the machine contract: 0 for a clean run, 1 when findings or
 error diagnostics exist, 2 for fatal problems (unreadable or undecodable
-files, bad profiles or overlays, a report stdout cannot take).  Stdout
-carries the report and nothing else; diagnostics and errors go to stderr.
+files, bad profiles or overlays, a report stdout cannot take, running out
+of memory, an internal error).  Stdout carries the report and nothing else;
+diagnostics and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -199,17 +200,24 @@ def _has_errors(diagnostics) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
-def _scan(args, bundle, diagnostics, policy, horizon, digests):
-    """Validate, build, detect and report; returns the graph and the report.
-    Only a policy's weights can overflow a score, so that is fatal."""
+def _build(bundle, diagnostics):
+    """Validate and build; returns the graph, the bundle's scoring view and
+    the diagnostics.  The view keeps only what scoring reads, the
+    classifications and the data, so a caller that rebinds its bundle to it
+    lets the records go before detection and rendering."""
     diagnostics = diagnostics + validate_bundle(bundle)
     graph = build_graph(bundle)
+    return graph, InventoryBundle(classifications=bundle.classifications, data=bundle.data), diagnostics
+
+
+def _detect(args, graph, bundle, diagnostics, policy, horizon, digests):
+    """Detect and report on a built graph.  Only a policy's weights can
+    overflow a score, so that is fatal."""
     try:
         findings, analysis_diags = find_violations(graph, bundle, policy, horizon, max_witnesses=args.witnesses)
     except OverflowError as exc:
         raise IngestError(f"bad policy file {args.policy}: {exc}") from None
-    report = make_report(graph, findings, diagnostics + analysis_diags, policy, horizon, digests)
-    return graph, report
+    return make_report(graph, findings, diagnostics + analysis_diags, policy, horizon, digests)
 
 
 class _UnwritableReport(Exception):
@@ -260,7 +268,8 @@ def cmd_scan(args) -> int:
     if args.overlay:
         bundle, diagnostics = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
-    graph, report = _scan(args, bundle, diagnostics, policy, horizon, digests)
+    graph, bundle, diagnostics = _build(bundle, diagnostics)
+    report = _detect(args, graph, bundle, diagnostics, policy, horizon, digests)
 
     with _writing_report():
         if args.format == "json":
@@ -279,9 +288,14 @@ def cmd_whatif(args) -> int:
     horizon = _load_settings(args.horizon, "horizon", HorizonConfig)
     overlaid, over_diags = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
-    # one graph at a time: the baseline's is dropped before the scenario's is built
-    baseline = _scan(args, bundle, diagnostics, policy, horizon, digests)[1]
-    scenario = _scan(args, overlaid, over_diags, policy, horizon, digests)[1]
+    # each side's bundle goes once its graph is built (the rows the two
+    # share go with the scenario's), and the baseline's graph goes before
+    # the scenario's is built
+    graph, bundle, diagnostics = _build(bundle, diagnostics)
+    baseline = _detect(args, graph, bundle, diagnostics, policy, horizon, digests)
+    del graph
+    graph, overlaid, over_diags = _build(overlaid, over_diags)
+    scenario = _detect(args, graph, overlaid, over_diags, policy, horizon, digests)
 
     with _writing_report():
         if args.format == "json":
@@ -294,8 +308,7 @@ def cmd_whatif(args) -> int:
 
 def cmd_graph(args) -> int:
     bundle, diagnostics, _ = _load_inputs(args)
-    diagnostics += validate_bundle(bundle)
-    graph = build_graph(bundle)
+    graph, bundle, diagnostics = _build(bundle, diagnostics)
     with _writing_report():
         render_dot(graph, sys.stdout)
     _emit_diagnostics(diagnostics)
@@ -349,6 +362,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     except _UnwritableReport as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_FATAL
+    except Exception as exc:  # a bug: the traceback is for its report, and 1 would read as findings
+        import traceback  # here, so that a run that does not fail does not pay for the import
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FATAL
     finally:
         gc.set_threshold(*saved)

@@ -376,10 +376,12 @@ def _cell(value: str) -> str:
     return "" if value == "-" else value  # spreadsheet convention for "none"
 
 
-def _members(cells, intern) -> tuple[str, ...]:
-    """The members of list cells: each cell split at ``;``, blanks dropped,
-    each member passed through ``intern`` (a string table's ``setdefault``)."""
-    return tuple([intern(part, part) for cell in cells for part in map(str.strip, cell.split(";")) if part])
+def _members(cells, intern, clean=str.strip) -> tuple[str, ...]:
+    """The members of list cells: each cell split at ``;``, each member
+    cleaned by ``clean``, blanks dropped, and each member and the tuple of
+    them passed through ``intern`` (a string table's ``setdefault``)."""
+    members = tuple([intern(part, part) for cell in cells for part in map(clean, cell.split(";")) if part])
+    return intern(members, members)
 
 
 #: the roles read as a tuple of members, each cell split at ``;``
@@ -402,23 +404,27 @@ def _reader(role: Role, indices: list[int], default: str, intern):
     """How ``role`` reads a row's cells, padded to every column: the first
     non-empty cell of ``indices``, or for a member role the members of all
     of them, else ``default``.  A cell is stripped and ``-`` is empty; a
-    member cell is split only when it holds a ``;``.  Every string read is
-    ``intern(value, value)``, so equal values share one object."""
+    member cell is split only when it holds a ``;``, and a key size exported
+    as a float (``1024.0``) reads as an integer.  Every string and tuple of
+    members read is ``intern(value, value)``, so equal values share one
+    object."""
     if role in _MEMBER_ROLES:
-        fallback = _members([default], intern)
+        clean = normalise_flag if role is Role.CONFIG_FLAG else str.strip
+        fallback = _members([default], intern, clean)
         if not indices:
             return lambda cells: fallback
         if len(indices) > 1:
-            return lambda cells: _members([_cell(cells[i]) for i in indices], intern) or fallback
+            return lambda cells: _members([_cell(cells[i]) for i in indices], intern, clean) or fallback
         index = indices[0]
 
         def members(cells):
-            value = cells[index].strip()
+            value = clean(cells[index])
             if value == "" or value == "-":
                 return fallback
             if ";" in value:
-                return _members([value], intern) or fallback
-            return (intern(value, value),)
+                return _members([value], intern, clean) or fallback
+            members = (intern(value, value),)
+            return intern(members, members)
 
         return members
     if isinstance(default, str):  # an overlay retention may be any JSON value
@@ -475,10 +481,11 @@ def parse_tabular(
     header row picks the profile (see :func:`match_profile`) and binds each
     role to its columns, then each data row becomes one record.
 
-    Every string a record takes from a cell goes through the string table
-    ``strings`` (value to itself), so equal values share one object: pass
-    one table to several calls to share them across files.  Without it the
-    call keeps a table of its own for the one file.
+    Every string a record takes from a cell, and every tuple of members,
+    goes through the string table ``strings`` (value to itself), so equal
+    values share one object: pass one table to several calls to share them
+    across files.  Without it the call keeps a table of its own for the one
+    file.
 
     Returns ``(records, diagnostics)`` with one record per well-formed data
     row; malformed rows are reported and skipped.
@@ -647,7 +654,7 @@ def _crypto_row(
         location=location or None,
         key_locations=key_locations,
         algorithm=algorithm or None,
-        config_flags=tuple(map(normalise_flag, flags)),
+        config_flags=flags,
         matched_key=matched_key or None,
         issuer_cert=issuer_cert or None,
         created_by=created_by or None,

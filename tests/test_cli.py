@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from cryptodep import cli, ingest
+from cryptodep.model import AssetRecord, CryptoObjectRecord
 
 from conftest import CLOUD_FILES, CLOUD_MINIMAL, cloud_minimal_args, hybrid_args, run_cli
 from oracle import read_dot
@@ -521,6 +522,30 @@ def test_added_certificate_fails_like_the_same_csv_row(tmp_path):
     assert f"missing-algorithm: {message}" in out
 
 
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "error: out of memory"),
+        (RuntimeError("boom"), "error: internal error: RuntimeError: boom"),
+    ],
+    ids=["memory", "internal"],
+)
+@pytest.mark.parametrize("command", ["scan", "whatif", "graph"])
+def test_running_out_of_memory_or_a_bug_exits_2_with_one_error_line(tmp_path, monkeypatch, exc, message, command):
+    def build_graph(bundle):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_graph", build_graph)
+    overlay = tmp_path / "noop.json"
+    overlay.write_text("{}")
+    extra = ["--overlay", str(overlay)] if command == "whatif" else []
+    code, out, err = run_cli(cloud_minimal_args(command, *extra))
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
+    assert err.endswith(message + "\n")
+
+
 # --------------------------------------------------------------------------
 # input files: read once, decoded as spreadsheets write them
 # --------------------------------------------------------------------------
@@ -697,6 +722,44 @@ def test_a_registry_chain_deeper_than_the_recursion_limit_scans(tmp_path):
     assert "Traceback" not in err
     assert '"P0[1]" -> "P1[1]" [label="P2"];' in out
     assert f'"P{depth - 2}[1]" -> "P{depth - 1}[1]" [label="P2"];' in out
+
+
+
+_RECORD_TYPES = (AssetRecord, CryptoObjectRecord)
+
+
+@pytest.mark.parametrize(
+    "command, renderer",
+    [
+        (["scan", "--format", "json"], "render_json"),
+        (["scan", "--format", "json", "--overlay"], "render_json"),
+        (["whatif", "--format", "json", "--overlay"], "render_whatif_json"),
+        (["graph"], "render_dot"),
+    ],
+    ids=["scan", "scan-overlay", "whatif", "graph"],
+)
+def test_the_records_do_not_outlive_the_build(tmp_path, monkeypatch, command, renderer):
+    # counted while the report is rendered, leaving out the records that
+    # other tests left alive; those are held, so that no id is reused
+    overlay = tmp_path / "fix.json"
+    overlay.write_text(CLEARING_OVERLAY)
+    args = cloud_args_default_registry(*command, *([str(overlay)] if command[-1] == "--overlay" else []))
+    gc.collect()
+    earlier = [o for o in gc.get_objects() if isinstance(o, _RECORD_TYPES)]
+    known = {id(o) for o in earlier}
+    live = []
+    render = getattr(cli, renderer)
+
+    def counting_render(*a, **k):
+        live.append(Counter(
+            type(o).__name__ for o in gc.get_objects() if isinstance(o, _RECORD_TYPES) and id(o) not in known
+        ))
+        return render(*a, **k)
+
+    monkeypatch.setattr(cli, renderer, counting_render)
+    code, _, err = run_cli(args)
+    assert code in (0, 1), err
+    assert live == [Counter()]
 
 
 # --------------------------------------------------------------------------

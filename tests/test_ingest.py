@@ -817,3 +817,34 @@ def test_parse_tabular_shares_equal_values_within_a_file_and_a_given_table(tmp_p
     assert second[0].storage_locations[0] is first[1].storage_locations[0]
     assert second[0].classification is first[0].classification
     assert strings["High"] is first[0].classification
+
+
+def test_load_bundle_keeps_one_tuple_per_distinct_member_list(tmp_path):
+    # single-member cells, split cells and ".0" key sizes, across rows,
+    # fields and files
+    files = {
+        "data.csv": "ID,Location,Classification\nD1,S1,High\nD2,S1,High\nD3,S1;S2,High\nD4, S1 ; S2 ,High\n",
+        "assets.csv": "ID,Kind,Serves\nS1,processor,S2\nS3,processor,S2\nS4,processor,S1;S2\nS5,processor,S1;S2\n",
+        "crypto.csv": "ID,Type,Algorithm,Size,KeyLocation\n"
+        "K1,symmetric,AES,256,S1\nK2,symmetric,AES,256.0,S1\nK3,symmetric,AES,256,S1;S2\n",
+    }
+    profiles = [
+        MappingProfile("data.csv", RecordKind.DATA, {
+            "ID": Role.ID, "Location": Role.STORAGE_LOCATION, "Classification": Role.CLASSIFICATION,
+        }),
+        MappingProfile("assets.csv", RecordKind.ASSET, {
+            "ID": Role.ID, "Kind": Role.OBJECT_TYPE, "Serves": Role.SERVES,
+        }),
+        MappingProfile("crypto.csv", RecordKind.CRYPTO, {
+            "ID": Role.ID, "Type": Role.OBJECT_TYPE, "Algorithm": Role.ALGORITHM,
+            "Size": Role.CONFIG_FLAG, "KeyLocation": Role.STORAGE_LOCATION,
+        }),
+    ]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    bundle, _ = load_bundle([tmp_path / name for name in files], profiles, _registry())
+    fields = ("storage_locations", "serves", "key_locations", "config_flags")
+    tuples = [value for record in bundle.records for value in (getattr(record, name, ()) for name in fields) if value]
+    assert sorted(set(tuples)) == [("256",), ("S1",), ("S1", "S2"), ("S2",)]
+    assert len(tuples) == 14
+    assert len({id(value) for value in tuples}) == 4
