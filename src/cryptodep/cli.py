@@ -270,6 +270,9 @@ def cmd_scan(args) -> int:
 
     graph, bundle, diagnostics = _build(bundle, diagnostics)
     report = _detect(args, graph, bundle, diagnostics, policy, horizon, digests)
+    del bundle  # the renderers read the report, and only DOT draws the graph
+    if args.format != "dot":
+        del graph
 
     with _writing_report():
         if args.format == "json":
@@ -289,13 +292,14 @@ def cmd_whatif(args) -> int:
     overlaid, over_diags = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
 
     # each side's bundle goes once its graph is built (the rows the two
-    # share go with the scenario's), and the baseline's graph goes before
-    # the scenario's is built
+    # share go with the scenario's), and each side's graph and view go once
+    # its report is made, so neither sits under the next build or the render
     graph, bundle, diagnostics = _build(bundle, diagnostics)
     baseline = _detect(args, graph, bundle, diagnostics, policy, horizon, digests)
-    del graph
+    del graph, bundle
     graph, overlaid, over_diags = _build(overlaid, over_diags)
     scenario = _detect(args, graph, overlaid, over_diags, policy, horizon, digests)
+    del graph, overlaid
 
     with _writing_report():
         if args.format == "json":
@@ -309,6 +313,7 @@ def cmd_whatif(args) -> int:
 def cmd_graph(args) -> int:
     bundle, diagnostics, _ = _load_inputs(args)
     graph, bundle, diagnostics = _build(bundle, diagnostics)
+    del bundle
     with _writing_report():
         render_dot(graph, sys.stdout)
     _emit_diagnostics(diagnostics)

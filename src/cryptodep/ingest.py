@@ -861,22 +861,24 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
     mark degraded-but-usable situations such as unrated algorithms.
     """
     diags: list[Diagnostic] = []
-    asset_ids = set(bundle.asset_map())
-    data_ids = set(bundle.data_map())
-    crypto_ids = set(bundle.crypto_map())
-    class_labels = set(bundle.classification_map())
+    # the bundle's own maps answer membership: sets of their keys would stay resident under the build
+    asset_ids = bundle.asset_map()
+    data_ids = bundle.data_map()
+    crypto_ids = bundle.crypto_map()
+    class_labels = bundle.classification_map()
 
     for a, b, what in (
         (data_ids, asset_ids, "data/asset"),
         (data_ids, crypto_ids, "data/crypto"),
         (asset_ids, crypto_ids, "asset/crypto"),
     ):
-        for ident in sorted(a & b):
+        for ident in sorted(a.keys() & b.keys()):
             _error(
                 diags, "<bundle>", None, "namespace-collision",
                 f"identifier {ident!r} appears in both {what} inventories",
             )
-    for label in sorted(class_labels & (data_ids | asset_ids | crypto_ids)):
+    ids = (data_ids, asset_ids, crypto_ids)
+    for label in sorted(label for label in class_labels if any(label in table for table in ids)):
         _warning(
             diags, "<bundle>", None, "label-collision",
             f"classification label {label!r} collides with a record identifier",

@@ -282,16 +282,19 @@ class _Builder:
         """Each run of equal (from, to, rule) becomes one edge; the sort breaks
         ties by source, so its provenance is the run's sources in order, once each."""
         vertices = tuple(self.vertices[v] for v in sorted(self.vertices))
-        self.edges.sort()
-        merged: list[Edge] = []
-        key = None
-        for edge in self.edges:
+        del self.vertices  # before the sort needs room
+        edges, kept, key = self.edges, 0, None
+        edges.sort()
+        for edge in edges:  # merged in place: edges[:kept] holds the runs so far
             if edge[:3] != key:
                 key = edge[:3]
-                merged.append(edge)
-            elif merged[-1].provenance[-1] != edge.provenance[0]:
-                merged[-1] = merged[-1]._replace(provenance=merged[-1].provenance + edge.provenance)
-        return DependencyGraph(vertices, tuple(merged))
+                edges[kept] = edge
+                kept += 1
+            elif edges[kept - 1].provenance[-1] != edge.provenance[0]:
+                last = edges[kept - 1]
+                edges[kept - 1] = last._replace(provenance=last.provenance + edge.provenance)
+        del edges[kept:]
+        return DependencyGraph(vertices, tuple(edges))
 
 
 def build_graph(bundle: InventoryBundle) -> DependencyGraph:

@@ -2,10 +2,11 @@
 
 Everything here trades speed for obviousness: a cubic Floyd-Warshall closure
 instead of per-pair BFS, exhaustive simple-path enumeration instead of the
-guided witness search, a from-scratch reader for the DOT subset the
-renderer emits, and an assembly that turns every asset reference into a
-stub record and merges all rows of an id.  None of it imports the search,
-rendering or assembly internals it checks.
+guided witness search, a dict-keyed merge of duplicate edges instead of
+the builder's in-place merge of sorted runs, a from-scratch reader for the
+DOT subset the renderer emits, and an assembly that turns every asset
+reference into a stub record and merges all rows of an id.  None of it
+imports the search, rendering or assembly internals it checks.
 """
 
 from __future__ import annotations
@@ -164,6 +165,16 @@ def read_dot(text: str):
 
 def _source_key(source):
     return (source.file, source.ref)
+
+
+def merged_edges_oracle(edges):
+    """``(frm, to, rule, provenance)`` for each distinct (frm, to, rule) of
+    ``edges``, in that order, as the graph should hold it: provenance is
+    every source of the triple's edges, once each, in (file, ref) order."""
+    sources = {}
+    for frm, to, rule, provenance in edges:
+        sources.setdefault((frm, to, rule), set()).update(provenance)
+    return [(*key, tuple(sorted(found, key=_source_key))) for key, found in sorted(sources.items())]
 
 
 def assemble_oracle(records, registry):

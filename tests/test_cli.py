@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from cryptodep import cli, ingest
-from cryptodep.model import AssetRecord, CryptoObjectRecord
+from cryptodep.model import AssetRecord, CryptoObjectRecord, DataRecord
+from cryptodep.rules import DependencyGraph
 
 from conftest import CLOUD_FILES, CLOUD_MINIMAL, cloud_minimal_args, hybrid_args, run_cli
 from oracle import read_dot
@@ -725,7 +726,26 @@ def test_a_registry_chain_deeper_than_the_recursion_limit_scans(tmp_path):
 
 
 
-_RECORD_TYPES = (AssetRecord, CryptoObjectRecord)
+def live_while_rendering(monkeypatch, args, renderer, types) -> list[Counter]:
+    """The objects of ``types`` alive each time ``renderer`` is called, by
+    type name.  Objects that other tests left alive are held, so that no id
+    is reused, and left out."""
+    gc.collect()
+    earlier = [o for o in gc.get_objects() if isinstance(o, types)]
+    known = {id(o) for o in earlier}
+    live = []
+    render = getattr(cli, renderer)
+
+    def counting_render(*a, **k):
+        live.append(Counter(
+            type(o).__name__ for o in gc.get_objects() if isinstance(o, types) and id(o) not in known
+        ))
+        return render(*a, **k)
+
+    monkeypatch.setattr(cli, renderer, counting_render)
+    code, _, err = run_cli(args)
+    assert code in (0, 1), err
+    return live
 
 
 @pytest.mark.parametrize(
@@ -739,27 +759,31 @@ _RECORD_TYPES = (AssetRecord, CryptoObjectRecord)
     ids=["scan", "scan-overlay", "whatif", "graph"],
 )
 def test_the_records_do_not_outlive_the_build(tmp_path, monkeypatch, command, renderer):
-    # counted while the report is rendered, leaving out the records that
-    # other tests left alive; those are held, so that no id is reused
     overlay = tmp_path / "fix.json"
     overlay.write_text(CLEARING_OVERLAY)
     args = cloud_args_default_registry(*command, *([str(overlay)] if command[-1] == "--overlay" else []))
-    gc.collect()
-    earlier = [o for o in gc.get_objects() if isinstance(o, _RECORD_TYPES)]
-    known = {id(o) for o in earlier}
-    live = []
-    render = getattr(cli, renderer)
+    assert live_while_rendering(monkeypatch, args, renderer, (AssetRecord, CryptoObjectRecord)) == [Counter()]
 
-    def counting_render(*a, **k):
-        live.append(Counter(
-            type(o).__name__ for o in gc.get_objects() if isinstance(o, _RECORD_TYPES) and id(o) not in known
-        ))
-        return render(*a, **k)
 
-    monkeypatch.setattr(cli, renderer, counting_render)
-    code, _, err = run_cli(args)
-    assert code in (0, 1), err
-    assert live == [Counter()]
+@pytest.mark.parametrize(
+    "command, renderer, graphs",
+    [
+        (["scan", "--format", "json"], "render_json", 0),
+        (["scan"], "render_text", 0),
+        (["whatif", "--format", "json", "--overlay"], "render_whatif_json", 0),
+        (["scan", "--format", "dot"], "render_dot", 1),
+        (["graph"], "render_dot", 1),
+    ],
+    ids=["scan-json", "scan-text", "whatif-json", "scan-dot", "graph"],
+)
+def test_only_dot_keeps_the_graph_while_rendering(tmp_path, monkeypatch, command, renderer, graphs):
+    # the report carries what the text and JSON renderers read, so the graph,
+    # its index and the data records the scores came from are gone by then
+    overlay = tmp_path / "fix.json"
+    overlay.write_text(CLEARING_OVERLAY)
+    args = cloud_args_default_registry(*command, *([str(overlay)] if command[-1] == "--overlay" else []))
+    live = live_while_rendering(monkeypatch, args, renderer, (DependencyGraph, DataRecord))
+    assert live == [Counter(DependencyGraph=graphs)]  # a zero count equals a missing one
 
 
 # --------------------------------------------------------------------------

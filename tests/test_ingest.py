@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -678,6 +680,24 @@ def test_validate_accepts_self_signed_certificates():
 
 def test_validate_clean_fixture(cloud_minimal_bundle):
     assert validate_bundle(cloud_minimal_bundle) == []
+
+
+def test_validating_a_bundle_copies_none_of_its_ids():
+    """A count, not a timing: what ``validate_bundle`` allocates beyond the
+    diagnostics it returns.  Sets of the bundle's ids (about 570 KB here)
+    would stay resident under the build that follows."""
+    bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=3000, n_assets=3000, n_crypto=3000)
+    for table in (bundle.asset_map, bundle.data_map, bundle.crypto_map, bundle.classification_map):
+        table()  # memoised first: the build that follows validation reads them too
+    gc.collect()
+    tracemalloc.start()
+    try:
+        diags = validate_bundle(bundle)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diags
+    assert peak - kept <= 64 * 1024
 
 
 # --------------------------------------------------------------------------

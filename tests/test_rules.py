@@ -25,9 +25,11 @@ from cryptodep import (
     load_default_registry,
 )
 from cryptodep.registry import parse_registry_text
-from cryptodep.model import RefOrigin
+from cryptodep.model import InventoryBundle, RefOrigin
+from cryptodep.rules import Edge, _Builder
 
 import inventory_gen
+from oracle import merged_edges_oracle
 
 
 def triples(graph):
@@ -533,6 +535,48 @@ def test_building_a_graph_needs_little_more_memory_than_the_graph_keeps():
         tracemalloc.stop()
     assert len(graph.edges) > 20_000
     assert (peak - base) / (kept - base) <= 1.3
+
+
+def test_building_a_graph_frees_the_builders_tables_before_the_edges_are_merged():
+    """The same count at a tighter bound: ``finish`` lets the builder's
+    vertex dict go before it sorts, and merges the edge runs in the list it
+    sorted, so no second edge list is alive beside it.  The id maps the
+    builder reads are the bundle's, so they are made before the count."""
+    bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=3000, n_assets=3000, n_crypto=3000)
+    for table in (bundle.asset_map, bundle.data_map, bundle.crypto_map):
+        table()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = build_graph(bundle)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) > 20_000
+    assert (peak - base) / (kept - base) <= 1.15
+
+
+def test_finish_merges_duplicate_edges_like_the_dict_keyed_oracle():
+    a1, a2, b1 = (Source("a.csv", "1"),), (Source("a.csv", "2"),), (Source("b.csv", "1"),)
+    edges = [
+        Edge("X", "Y", "R1", a1), Edge("X", "Y", "R1", a1),  # one source twice
+        Edge("X", "Y", "R2", a2), Edge("X", "Y", "R2", b1),  # two sources
+        Edge("Y", "X", "R1", b1), Edge("Y", "X", "R1", a2), Edge("Y", "X", "R1", a1),  # added in reverse
+        Edge("X", "Z", "R1", a2),
+    ]
+    rng = random.Random(11)
+    names, rules, sources = "VWXYZ", ("R1", "R2"), (a1, a2, b1)
+    edges += [Edge(*rng.sample(names, 2), rng.choice(rules), rng.choice(sources)) for _ in range(300)]
+    for _ in range(20):
+        rng.shuffle(edges)
+        builder = _Builder(InventoryBundle(), frozenset())
+        for edge in edges:
+            builder.edge(*edge)
+        graph = builder.finish()
+        assert [tuple(edge) for edge in graph.edges] == merged_edges_oracle(edges)
+        # a run with one source keeps the tuple its records share
+        assert all(any(edge.provenance is s for s in sources) for edge in graph.edges if len(edge.provenance) == 1)
 
 
 def test_no_self_loops():
