@@ -17,13 +17,12 @@ finding carries a warning.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry
+from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry, text_digest
 from .model import (
     AssetRecord,
     ClassificationBinding,
@@ -93,9 +92,9 @@ class ScoringPolicy:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScoringPolicy":
-        """Raises ValueError unless ``raw`` is an object whose
+        """Raises ValueError unless ``raw`` is an object of known keys whose
         ``class_weights`` is an object and whose values are numbers."""
-        raw = _json_object(raw, "a policy")
+        raw = _json_object(raw, "a policy", ("class_weights", "longevity_multiplier"))
         weights = dict(DEFAULT_CLASS_WEIGHTS)
         class_weights = _json_object(raw.get("class_weights", {}), "class_weights")
         for name in class_weights:
@@ -123,17 +122,22 @@ class HorizonConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HorizonConfig":
-        """Raises ValueError unless ``raw`` is an object of numbers."""
-        raw = _json_object(raw, "a horizon")
+        """Raises ValueError unless ``raw`` is an object of numbers under known keys."""
+        raw = _json_object(raw, "a horizon", ("migration_years", "quantum_horizon_years"))
         return cls(
             _number(raw, "migration_years", 5.0),
             _number(raw, "quantum_horizon_years", 15.0),
         )
 
 
-def _json_object(value, what: str) -> dict:
+def _json_object(value, what: str, keys: tuple[str, ...] = ()) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``, when
+    they are given: a misspelt key would otherwise be silently ignored."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    for key in value:
+        if keys and key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}; expected {' or '.join(keys)}")
     return value
 
 
@@ -190,7 +194,7 @@ class Finding:
 
     @property
     def id(self) -> str:
-        return hashlib.sha256("\x1f".join(self.path).encode("utf-8")).hexdigest()[:16]
+        return text_digest("\x1f".join(self.path))[:16]
 
     def to_dict(self) -> dict:
         raw = {

@@ -12,7 +12,6 @@ parses registries into the same diagnostics and errors.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass, field, replace
@@ -65,9 +64,21 @@ class IngestError(Exception):
     registry.  Anything recoverable is reported as a Diagnostic instead."""
 
 
+# CPython's own SHA-256: importing hashlib loads OpenSSL's libcrypto, about
+# 3.4 MB of resident pages that every run would keep for its input digests
+# and finding ids.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
+
+
 def file_digest(data: bytes) -> str:
     """SHA-256 of the bytes read from an input file, as ``sha256sum`` prints it."""
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def text_digest(text: str) -> str:

@@ -16,6 +16,7 @@ produce AC1 edges.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -134,7 +135,7 @@ class Edge(NamedTuple):
     provenance: tuple[Source, ...] = ()
 
 
-_FRM, _TO = itemgetter(0), itemgetter(1)
+_FRM, _TO, _RULE = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class GraphIndex(NamedTuple):
@@ -187,10 +188,7 @@ class DependencyGraph:
         return run[start:bisect_right(run, to, start, key=_TO)]
 
     def edges_by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for edge in self.edges:
-            counts[edge.rule] = counts.get(edge.rule, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(map(_RULE, self.edges)).items()))
 
 
 def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, Source]]:

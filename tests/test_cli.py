@@ -393,6 +393,13 @@ def test_bad_horizon_is_fatal(tmp_path):
         ("--horizon", {"quantum_horizon_years": True}, "quantum_horizon_years must be a number, got True"),
         ("--policy", {"class_weights": {"PQC": float("nan")}}, "PQC must be a number, got nan"),
         ("--horizon", {"migration_years": float("inf")}, "migration_years must be a number, got inf"),
+        # a misspelt key would otherwise leave its default in force without a word
+        ("--policy", {"longevity_multipler": 3},
+         "a policy has unknown key 'longevity_multipler'; expected class_weights or longevity_multiplier"),
+        ("--policy", {"weights": {"PQC": 2}},
+         "a policy has unknown key 'weights'; expected class_weights or longevity_multiplier"),
+        ("--horizon", {"migration_years": 5, "quantum_horizon": 20},
+         "a horizon has unknown key 'quantum_horizon'; expected migration_years or quantum_horizon_years"),
     ],
 )
 def test_policy_and_horizon_shape_errors_exit_2_with_one_line(tmp_path, flag, doc, message):
@@ -849,3 +856,43 @@ def test_a_report_stdout_cannot_encode_exits_2_with_one_line(unbuffered):
     # the text report joins a witness path with "→"
     code, err = run_cli_process(hybrid_args("scan"), subprocess.DEVNULL, unbuffered, PYTHONIOENCODING="ascii")
     assert_one_write_error(code, err, "'ascii' codec can't encode character '\\u2192'")
+
+
+# --------------------------------------------------------------------------
+# what a CLI process loads
+# --------------------------------------------------------------------------
+
+# Runs one command in a fresh interpreter and prints whether OpenSSL's
+# hashlib backend was loaded before cryptodep was imported and after the run.
+LOADS_OPENSSL = """
+import io, json, sys
+from contextlib import redirect_stdout
+bare = "_hashlib" in sys.modules
+from cryptodep import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([bare, code, "_hashlib" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        cloud_minimal_args("scan"),
+        hybrid_args("whatif", "--overlay", str(GOLDEN / "overlay.json")),
+        cloud_minimal_args("graph"),
+        cloud_minimal_args("validate"),
+    ],
+    ids=["scan", "whatif", "graph", "validate"],
+)
+def test_no_command_loads_openssl(args):
+    # a count, not a timing: libcrypto keeps about 3.4 MB resident once loaded
+    run = subprocess.run(
+        [sys.executable, "-c", LOADS_OPENSSL, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    bare, code, loaded = json.loads(run.stdout)
+    if bare:
+        pytest.skip("this interpreter loads _hashlib at startup")
+    assert code in (0, 1), run.stderr
+    assert not loaded

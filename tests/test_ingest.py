@@ -713,6 +713,15 @@ def test_digest_helpers(tmp_path):
     assert file_digest(raw) == hashlib.sha256(raw).hexdigest()
 
 
+@pytest.mark.parametrize("size", [0, 55, 56, 63, 64, 65, 1 << 20])
+def test_digests_match_hashlib_across_block_boundaries(size):
+    # SHA-256 pads in 64-byte blocks; 55 and 56 bytes straddle the length field
+    data = bytes(i * 7 % 256 for i in range(size))
+    assert file_digest(data) == hashlib.sha256(data).hexdigest()
+    text = ("ü→数" * size)[:size]
+    assert text_digest(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_bom_and_crlf_inventories_load_like_plain_ones(tmp_path):
     for variant in ("lf", "bom", "crlf"):
         (tmp_path / variant).mkdir()
