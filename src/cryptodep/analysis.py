@@ -3,7 +3,7 @@
 A violation exists when a security level that some classification requires
 can reach, along directed edges, a strictly lower provided level in the same
 dimension.  Detection runs one reverse breadth-first search from each
-provided level over the graph's index; it records level vertices but does
+provided level over ``graph.predecessors``; it records level vertices but does
 not pass through them, and stops once it has recorded every required level
 it looks for, so it finds each one that has a path whose interior avoids
 other levels.  The witness path is the lexicographically smallest of those
@@ -180,8 +180,8 @@ class Finding:
 
     ``path`` holds vertex ids from the required level to the provided one;
     ``display_path`` the human labels.  ``rule_trail`` holds one edge per
-    hop, whose rule joins the hop's rules with ``/``.  ``score`` is filled
-    in by ``score_finding``.
+    hop, whose rule joins the hop's rules with ``/``.  ``score`` is the
+    breakdown ``score_finding`` gives.
     """
 
     required: SecurityRating
@@ -190,14 +190,14 @@ class Finding:
     display_path: tuple[str, ...]
     rule_trail: tuple[Edge, ...]
     affected_data: tuple[str, ...]
-    score: ScoreBreakdown | None = None
+    score: ScoreBreakdown
 
     @property
     def id(self) -> str:
-        return text_digest("\x1f".join(self.path))[:16]
+        return _path_id(self.path)
 
     def to_dict(self) -> dict:
-        raw = {
+        return {
             "id": self.id,
             "required": self.required.to_dict(),
             "provided": self.provided.to_dict(),
@@ -208,10 +208,12 @@ class Finding:
                 for t in self.rule_trail
             ],
             "affected_data": list(self.affected_data),
+            "score": self.score.to_dict(),
         }
-        if self.score is not None:
-            raw["score"] = self.score.to_dict()
-        return raw
+
+
+def _path_id(path: tuple[str, ...]) -> str:
+    return text_digest("\x1f".join(path))[:16]
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def _distances_to(graph: DependencyGraph, goal: str, stop, wanted) -> dict[str, 
     search past them.  It returns once it has recorded all of ``wanted``:
     if the last lies d hops away, every vertex fewer hops away, which is
     all a shortest path from a wanted vertex reads, is recorded by then."""
-    predecessors = graph.index.predecessors
+    predecessors = graph.predecessors
     dist = {goal: 0}
     missing = set(wanted)
     queue = deque([goal])
@@ -328,12 +330,12 @@ def find_violations(
     horizon = horizon or HorizonConfig()
     diagnostics: list[Diagnostic] = []
 
+    # only SL1 edges leave a level and only SL2 edges enter one, so a level
+    # is required when it has out-edges and provided when it has predecessors
     levels = [v for v in graph.vertices if v.kind is VertexKind.SECURITY_LEVEL]
     level_ids = {v.id for v in levels}
-    required = [v for v in levels if any(e.rule == "SL1" for e in graph.out_edges(v.id))]
-    provided = [v for v in levels if any(
-        e.rule == "SL2" for p in graph.index.predecessors.get(v.id, ()) for e in graph.edges_between(p, v.id)
-    )]
+    required = [v for v in levels if graph.out_edges(v.id)]
+    provided = [v for v in levels if v.id in graph.predecessors]
     pairs = [
         (high, low) for high in required for low in provided
         if compare_ratings(high.payload, low.payload) is Comparison.A_HIGHER
@@ -358,19 +360,14 @@ def find_violations(
                 f"every path from {high.display} to {low.display} crosses another security level",
             )
         for path in paths:
-            finding = Finding(
-                required=high.payload,
-                provided=low.payload,
-                path=path,
-                display_path=tuple(vertex_map[v].display for v in path),
-                rule_trail=_trace(path, graph),
-                affected_data=tuple(
-                    sorted(v for v in path if vertex_map[v].kind is VertexKind.DATA_ASSET)
-                ),
-            )
-            findings.append(score_finding(finding, graph, bundle, policy, horizon, diagnostics))
+            affected = tuple(sorted(v for v in path if vertex_map[v].kind is VertexKind.DATA_ASSET))
+            findings.append(Finding(
+                required=high.payload, provided=low.payload, path=path, affected_data=affected,
+                display_path=tuple(vertex_map[v].display for v in path), rule_trail=_trace(path, graph),
+                score=score_finding(path, affected, graph, bundle, policy, horizon, diagnostics),
+            ))
 
-    findings.sort(key=lambda f: (-(f.score.total if f.score else 0.0), f.id))
+    findings.sort(key=lambda f: (-f.score.total, f.id))
     return findings, list(dict.fromkeys(diagnostics))
 
 
@@ -379,22 +376,19 @@ def find_violations(
 # --------------------------------------------------------------------------
 
 def score_finding(
-    finding: Finding,
-    graph: DependencyGraph,
-    bundle: InventoryBundle | None,
-    policy: ScoringPolicy,
-    horizon: HorizonConfig,
-    diagnostics: list[Diagnostic] | None = None,
-) -> Finding:
-    """Attach a ScoreBreakdown.  Inputs the bundle cannot answer (no
-    classification on the path, unknown retention) degrade to neutral
-    weights with a warning recorded on the breakdown.  Raises OverflowError
-    when the policy's weights make the score infinite or NaN."""
+    path: tuple[str, ...], affected_data: tuple[str, ...], graph: DependencyGraph, bundle: InventoryBundle | None,
+    policy: ScoringPolicy, horizon: HorizonConfig, diagnostics: list[Diagnostic],
+) -> ScoreBreakdown:
+    """The score of the finding with witness ``path`` and ``affected_data``.
+    Inputs the bundle cannot answer (no classification on the path, unknown
+    retention) degrade to neutral weights with a warning recorded on the
+    breakdown, and an unknown retention adds one to ``diagnostics``.  Raises
+    OverflowError when the policy's weights make the score infinite or NaN."""
     vertex_map = graph.vertex_map()
     warnings: list[str] = []
 
     vuln_weight = 1.0
-    for vertex_id in finding.path:
+    for vertex_id in path:
         vertex = vertex_map[vertex_id]
         if vertex.kind is VertexKind.PRIMITIVE_CONFIG and vertex.payload is not None:
             vuln_weight = max(vuln_weight, policy.weight_for(vertex.payload.vulnerability_class))
@@ -406,7 +400,7 @@ def score_finding(
     else:
         labels = bundle.classification_map()
         ranks = [
-            labels[v].rank for v in finding.path
+            labels[v].rank for v in path
             if v in labels and vertex_map[v].kind is VertexKind.CLASSIFICATION
         ]
         if ranks:
@@ -414,7 +408,7 @@ def score_finding(
         else:
             warnings.append("no classification on the witness path, neutral sensitivity")
         data_map = bundle.data_map()
-        for data_id in finding.affected_data:
+        for data_id in affected_data:
             record = data_map.get(data_id)
             if record is None:
                 continue
@@ -422,17 +416,15 @@ def score_finding(
             if not assessed:
                 message = f"no retention period for {data_id}, longevity not assessed"
                 warnings.append(message)
-                if diagnostics is not None:
-                    _warning(diagnostics, record.source.file, None, "retention-unknown", message)
+                _warning(diagnostics, record.source.file, None, "retention-unknown", message)
             urgent = urgent or flagged
 
     total = sensitivity * vuln_weight * (policy.longevity_multiplier if urgent else 1.0)
     if not abs(total) <= sys.float_info.max:
-        raise OverflowError(f"its weights give finding {finding.id} the score {total}, which is not a finite number")
-    return replace(
-        finding,
-        score=ScoreBreakdown(sensitivity, vuln_weight, urgent, total, tuple(warnings)),
-    )
+        raise OverflowError(
+            f"its weights give finding {_path_id(path)} the score {total}, which is not a finite number"
+        )
+    return ScoreBreakdown(sensitivity, vuln_weight, urgent, total, tuple(warnings))
 
 
 # --------------------------------------------------------------------------

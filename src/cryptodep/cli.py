@@ -138,9 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared pipeline pieces
 # --------------------------------------------------------------------------
 
-def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], dict[str, str]]:
-    """The bundle, its load diagnostics (registry, parsing, assembly), and
-    the input digests.  Validation runs on the bundle that gets used."""
+def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], list[Diagnostic], dict[str, str]]:
+    """The bundle, the diagnostics of reading its inputs (registry and
+    parsing, whose diagnostics name a line), those of assembling it, and the
+    input digests.  An overlay assembles its edit anew, and its diagnostics
+    replace the assembly's.  Validation runs on the bundle that gets used."""
     digests: dict[str, str] = {}
 
     profiles = []
@@ -163,7 +165,8 @@ def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], dict[str, str
         use_builtin_profiles=args.paper_defaults,
     )
     digests.update(bundle.input_digests)
-    return bundle, registry_diags + diags, digests
+    parsing = [d for d in diags if d.line is not None]
+    return bundle, registry_diags + parsing, [d for d in diags if d.line is None], digests
 
 
 def _load_settings(path: str | None, what: str, settings):
@@ -181,14 +184,6 @@ def _load_settings(path: str | None, what: str, settings):
 def _load_overlay(args, digests: dict[str, str]) -> Overlay:
     text, digests[args.overlay] = read_input(args.overlay, "overlay file")
     return parse_overlay(text)
-
-
-def _overlaid(bundle, diagnostics, overlay):
-    """The overlaid bundle and its diagnostics before validation: the load
-    diagnostics plus those of assembling the edit, each printed once."""
-    overlaid, overlay_diags = apply_overlay(bundle, overlay)
-    seen = set(diagnostics)
-    return overlaid, diagnostics + [d for d in overlay_diags if d not in seen]
 
 
 def _emit_diagnostics(diagnostics) -> None:
@@ -261,14 +256,14 @@ def _exit_code(report) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    bundle, diagnostics, digests = _load_inputs(args)
+    bundle, diagnostics, assembly_diags, digests = _load_inputs(args)
     policy = _load_settings(args.policy, "policy", ScoringPolicy)
     horizon = _load_settings(args.horizon, "horizon", HorizonConfig)
 
     if args.overlay:
-        bundle, diagnostics = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
+        bundle, assembly_diags = apply_overlay(bundle, _load_overlay(args, digests))
 
-    graph, bundle, diagnostics = _build(bundle, diagnostics)
+    graph, bundle, diagnostics = _build(bundle, diagnostics + assembly_diags)
     report = _detect(args, graph, bundle, diagnostics, policy, horizon, digests)
     del bundle  # the renderers read the report, and only DOT draws the graph
     if args.format != "dot":
@@ -286,18 +281,18 @@ def cmd_scan(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    bundle, diagnostics, digests = _load_inputs(args)
+    bundle, read_diags, assembly_diags, digests = _load_inputs(args)
     policy = _load_settings(args.policy, "policy", ScoringPolicy)
     horizon = _load_settings(args.horizon, "horizon", HorizonConfig)
-    overlaid, over_diags = _overlaid(bundle, diagnostics, _load_overlay(args, digests))
+    overlaid, over_diags = apply_overlay(bundle, _load_overlay(args, digests))
 
     # each side's bundle goes once its graph is built (the rows the two
     # share go with the scenario's), and each side's graph and view go once
     # its report is made, so neither sits under the next build or the render
-    graph, bundle, diagnostics = _build(bundle, diagnostics)
+    graph, bundle, diagnostics = _build(bundle, read_diags + assembly_diags)
     baseline = _detect(args, graph, bundle, diagnostics, policy, horizon, digests)
     del graph, bundle
-    graph, overlaid, over_diags = _build(overlaid, over_diags)
+    graph, overlaid, over_diags = _build(overlaid, read_diags + over_diags)
     scenario = _detect(args, graph, overlaid, over_diags, policy, horizon, digests)
     del graph, overlaid
 
@@ -311,8 +306,8 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    bundle, diagnostics, _ = _load_inputs(args)
-    graph, bundle, diagnostics = _build(bundle, diagnostics)
+    bundle, diagnostics, assembly_diags, _ = _load_inputs(args)
+    graph, bundle, diagnostics = _build(bundle, diagnostics + assembly_diags)
     del bundle
     with _writing_report():
         render_dot(graph, sys.stdout)
@@ -321,8 +316,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    bundle, diagnostics, _ = _load_inputs(args)
-    diagnostics += validate_bundle(bundle)
+    bundle, diagnostics, assembly_diags, _ = _load_inputs(args)
+    diagnostics += assembly_diags + validate_bundle(bundle)
     errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
     warnings = len(diagnostics) - errors
     records = (

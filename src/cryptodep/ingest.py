@@ -191,6 +191,7 @@ class MappingProfile:
 
 
 def _profile_from_dict(obj: dict, where: str) -> MappingProfile:
+    _no_unknown_key(obj, ("inventory", "kind", "columns", "defaults"), where)
     try:
         kind = RecordKind(obj["kind"])
     except (KeyError, ValueError):
@@ -220,6 +221,14 @@ def _profile_from_dict(obj: dict, where: str) -> MappingProfile:
     profile = MappingProfile(inventory, kind, columns, defaults)
     _check_profile(profile, where)
     return profile
+
+
+def _no_unknown_key(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """Raises IngestError on a key of ``obj`` outside ``keys``, which would
+    otherwise be dropped without a word."""
+    for key in obj:
+        if key not in keys:
+            raise IngestError(f"{where}: unknown key {key!r}; expected {', '.join(keys)}")
 
 
 def _check_profile(profile: MappingProfile, where: str) -> None:
@@ -255,6 +264,8 @@ def parse_profiles_text(text: str, label: str) -> list[MappingProfile]:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise IngestError(f"{label}: invalid profile JSON: {exc}") from None
+    if isinstance(doc, dict):
+        _no_unknown_key(doc, ("profiles",), label)
     entries = doc.get("profiles") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise IngestError(f"{label}: profile document must contain a 'profiles' list")
@@ -453,21 +464,23 @@ def _reader(role: Role, indices: list[int], default: str, intern):
     return scalar
 
 
-class _Columns:
-    """The roles a record kind reads, bound to the cells of a CSV header or
-    an overlay entry once: each role reads a constant default, one cell or
-    several, its strings shared through the table ``strings``.  ``read(cells)``
-    gives one row's values of those roles."""
+def _bind(kind: RecordKind, columns: dict[Role, list[int]], defaults: dict, strings: dict[str, str]):
+    """The parser of the rows of ``kind`` whose cells ``columns`` binds to
+    roles, from a CSV header or an overlay entry: ``(cells, fname, line,
+    diags)`` gives the record the kind's builder (``_ROWS``) makes of the
+    values ``_reader`` reads, or None and an error in ``diags`` for a
+    rejected row.  No other code builds a record from input."""
+    roles, build = _ROWS[kind]
+    width = 1 + max((i for indices in columns.values() for i in indices), default=-1)
+    intern = strings.setdefault
+    readers = [_reader(role, columns.get(role, []), defaults.get(role, ""), intern) for role in roles]
 
-    def __init__(self, roles, columns: dict[Role, list[int]], defaults: dict, strings: dict[str, str]):
-        self._width = 1 + max((i for indices in columns.values() for i in indices), default=-1)
-        intern = strings.setdefault
-        self._readers = [_reader(role, columns.get(role, []), defaults.get(role, ""), intern) for role in roles]
+    def parse(cells: list[str], fname: str, line: int | None, diags: list[Diagnostic]):
+        if len(cells) < width:
+            cells = cells + [""] * (width - len(cells))
+        return build(fname, line, diags, *[read(cells) for read in readers])
 
-    def read(self, cells: list[str]) -> list:
-        if len(cells) < self._width:
-            cells = cells + [""] * (self._width - len(cells))
-        return [read(cells) for read in self._readers]
+    return parse
 
 
 def _csv_rows(text: str, path: str | Path):
@@ -520,13 +533,12 @@ def parse_tabular(
             )
         elif role is not None and role is not Role.IGNORE:
             columns.setdefault(role, []).append(index)
-    kind = profile.kind
-    read = _Columns(_ROWS[kind][0], columns, profile.defaults, {} if strings is None else strings).read
+    parse = _bind(profile.kind, columns, profile.defaults, {} if strings is None else strings)
     records: list = []
     for line, cells in rows:
         if not "".join(cells).strip():
             continue
-        record = _parse_row(kind, read(cells), fname, line, diags)
+        record = parse(cells, fname, line, diags)
         if record is not None:
             records.append(record)
     return records, diags
@@ -541,16 +553,6 @@ def _retention_years(raw) -> float | None:
     except (TypeError, ValueError, OverflowError):
         return None
     return None if isinstance(raw, bool) or not years >= 0 else years
-
-
-def _parse_row(kind: RecordKind, values, fname: str, line: int | None, diags: list[Diagnostic]):
-    """The record of one row of ``kind``, built from ``values``: the values
-    of the roles its builder reads (``_ROWS``), read by ``_Columns`` from a
-    CSV row or an overlay entry.  A member role's value is a tuple, any
-    other a string (an overlay retention keeps its JSON value).  A rejected
-    row gives None and an error in ``diags``; no other code builds a record
-    from input."""
-    return _ROWS[kind][1](fname, line, diags, *values)
 
 
 @_row(RecordKind.ACCESS, Role.ID, Role.ACCESSES_TARGET, Role.ACCESS_DIRECTION)
@@ -701,7 +703,8 @@ def load_bundle(
     whose ``input_digests`` map each path to the digest of its bytes.  The
     files share one string table for the call, so an equal value read from
     any of them is one object: a reference to an asset is the asset's
-    ``id`` itself."""
+    ``id`` itself.  The diagnostics of parsing each name their line; those
+    of assembling, which reads records, name none."""
     parsed: list = []
     diags: list[Diagnostic] = []
     digests: dict[str, str] = {}
@@ -988,7 +991,7 @@ def _entry_source(obj: dict, default: Source) -> Source:
 def parse_entry(entry: dict):
     """The record an overlay ``add_records`` entry stands for, which is the
     record the same CSV row gives: its fields are read as the cells of their
-    roles (``_ENTRY_FIELDS``) by ``_parse_row``.  A classification's
+    roles (``_ENTRY_FIELDS``) by ``_bind``.  A classification's
     ``required`` levels, an asset's ``accesses`` and a ``source`` are read
     apart; a field its kind, an access or a level object does not take is
     an error.  Raises KeyError or ValueError naming the first problem."""
@@ -1038,9 +1041,8 @@ def parse_entry(entry: dict):
     for index, (role, _) in enumerate(cells):
         columns.setdefault(role, []).append(index)
     strings: dict[str, str] = {}
-    values = _Columns(_ROWS[kind][0], columns, defaults, strings).read([cell for _, cell in cells])
     diags: list[Diagnostic] = []
-    record = _parse_row(kind, values, "overlay", None, diags)
+    record = _bind(kind, columns, defaults, strings)([cell for _, cell in cells], "overlay", None, diags)
     if diags:
         # a warning ends in the fallback a CSV row takes; an added record
         # has none, so the warning rejects it

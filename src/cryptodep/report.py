@@ -182,24 +182,20 @@ def _config_lines(report: ScanReport) -> list[str]:
 def _finding_lines(index: int, finding: Finding, verbosity: int) -> Iterator[str]:
     score = finding.score
     head = f"[{index}] required {finding.required.display}, provided {finding.provided.display}"
-    if score is not None:
-        head += f" (score {_num(score.total)})"
     yield ""
-    yield head
+    yield f"{head} (score {_num(score.total)})"
     yield "    " + " → ".join(finding.display_path)
-    if score is not None:
-        parts = [
-            f"sensitivity {_num(score.sensitivity_weight)}",
-            f"class {_num(score.vuln_class_weight)}",
-        ]
-        if score.longevity_flag:
-            parts.append("longevity urgent")
-        yield f"    score: {' x '.join(parts)} = {_num(score.total)}"
+    parts = [
+        f"sensitivity {_num(score.sensitivity_weight)}",
+        f"class {_num(score.vuln_class_weight)}",
+    ]
+    if score.longevity_flag:
+        parts.append("longevity urgent")
+    yield f"    score: {' x '.join(parts)} = {_num(score.total)}"
     if finding.affected_data:
         yield "    affected data: " + ", ".join(finding.affected_data)
-    if score is not None:
-        for warning in score.warnings:
-            yield "    warning: " + warning
+    for warning in score.warnings:
+        yield "    warning: " + warning
     if verbosity >= 2:
         for trace in finding.rule_trail:
             where = "; ".join(str(s) for s in trace.provenance) or "inferred"

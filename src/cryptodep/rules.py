@@ -43,7 +43,6 @@ __all__ = [
     "Vertex",
     "Edge",
     "DependencyGraph",
-    "GraphIndex",
     "UnknownVertexError",
     "RULES",
     "build_graph",
@@ -138,15 +137,6 @@ class Edge(NamedTuple):
 _FRM, _TO, _RULE = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
-class GraphIndex(NamedTuple):
-    """Vertex by id and each vertex's predecessors, listed once.  Out-edges
-    need no table: ``DependencyGraph.out_edges`` finds a vertex's run of the
-    sorted edges by bisection."""
-
-    vertices: dict[str, Vertex]
-    predecessors: dict[str, list[str]]
-
-
 @dataclass(frozen=True)
 class DependencyGraph:
     """Immutable digraph in canonical order: vertices sorted by id, edges by
@@ -156,9 +146,9 @@ class DependencyGraph:
     edges: tuple[Edge, ...] = ()
 
     @cached_property
-    def index(self) -> GraphIndex:
-        """Built on first use and kept with the graph, outside equality.  A
-        vertex without predecessors has no entry there."""
+    def predecessors(self) -> dict[str, list[str]]:
+        """Each vertex's predecessors, listed once, built on first use and kept
+        with the graph, outside equality; a vertex without any has no entry."""
         predecessors: dict[str, list[str]] = {}
         for frm, to, _, _ in self.edges:
             preds = predecessors.get(to)
@@ -166,11 +156,15 @@ class DependencyGraph:
                 predecessors[to] = [frm]
             elif preds[-1] != frm:  # one entry per rule otherwise
                 preds.append(frm)
-        return GraphIndex({v.id: v for v in self.vertices}, predecessors)
+        return predecessors
+
+    @cached_property
+    def _vertex_map(self) -> dict[str, Vertex]:
+        return {v.id: v for v in self.vertices}
 
     def vertex_map(self) -> dict[str, Vertex]:
-        """Vertex by id, shared with the index: do not modify."""
-        return self.index.vertices
+        """Vertex by id, built once like ``predecessors``: do not modify."""
+        return self._vertex_map
 
     def out_edges(self, frm: str) -> tuple[Edge, ...]:
         """The edges from ``frm``, in graph order (so grouped by target, then

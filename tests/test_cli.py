@@ -373,6 +373,32 @@ def test_overlay_is_validated_with_the_scenario(tmp_path):
     assert "dangling-reference" not in run_cli(cloud_minimal_args("scan"))[2]
 
 
+def test_an_overlay_that_removes_a_duplicate_reports_like_the_hand_edit(tmp_path):
+    # the baseline's duplicate-id error belongs to rows the scenario deletes
+    base, edited = tmp_path / "base", tmp_path / "edited"
+    for directory in (base, edited):
+        directory.mkdir()
+        for name in CLOUD_FILES:
+            (directory / name).write_text((CLOUD_MINIMAL / name).read_text())
+    with open(base / "data.csv", "a") as fh:
+        fh.write("Data2,DB1,High\nData2,WWW1,High\n")
+    crypto = edited / "cryptoinventory.csv"
+    crypto.write_text(crypto.read_text().replace("RSA,1024", "ML-KEM,768"))
+    overlay = tmp_path / "fix.json"
+    overlay.write_text(json.dumps({
+        "remove_records": ["Data2"], "replace_algorithms": [{"from": "RSA[1024]", "to": "ML-KEM[768]"}],
+    }))
+    code, _, err = run_cli(["scan", *[base / name for name in CLOUD_FILES], "--paper-defaults"])
+    assert code == 1 and "error: data.csv: duplicate-id: data id 'Data2'" in err
+
+    hand_code, hand_out, hand_err = run_cli(["scan", *[edited / name for name in CLOUD_FILES], "--paper-defaults"])
+    assert hand_code == 0 and "0 findings" in hand_out.splitlines()
+    for command in ("scan", "whatif"):
+        args = [command, *[base / name for name in CLOUD_FILES], "--paper-defaults", "--overlay", overlay]
+        code, _, err = run_cli(args)
+        assert (code, err) == (hand_code, hand_err), command
+
+
 def test_bad_horizon_is_fatal(tmp_path):
     horizon = tmp_path / "h.json"
     horizon.write_text(json.dumps({"quantum_horizon_years": -3}))
@@ -517,6 +543,25 @@ def test_profile_values_that_are_not_strings_exit_2_with_one_line(tmp_path, prof
     code, out, err = run_cli(cloud_minimal_args("scan", "--profiles", str(path)))
     assert (code, out) == (2, "")
     assert err == f"error: {path}: profile #1: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # a misspelt key would otherwise be dropped, here with its default
+        ({"profiles": [{"inventory": "data.csv", "kind": "data", "columns": {"ID": "id"},
+                        "default": {"retention_years": "30"}}]},
+         "profile #1: unknown key 'default'; expected inventory, kind, columns, defaults"),
+        ({"profiles": [], "extra": 1}, "unknown key 'extra'; expected profiles"),
+    ],
+    ids=["entry", "document"],
+)
+def test_unknown_profile_keys_exit_2_with_one_line(tmp_path, doc, message):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--profiles", str(path)))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_added_certificate_fails_like_the_same_csv_row(tmp_path):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from cryptodep import (
+    RULES,
     AccessRef,
     AssetKind,
     AssetRecord,
@@ -19,16 +21,22 @@ from cryptodep import (
     Source,
     UnknownVertexError,
     VertexKind,
+    apply_overlay,
     assemble_bundle,
     build_graph,
     explain_edge,
+    load_bundle,
     load_default_registry,
+    parse_overlay,
+    parse_profiles,
+    parse_registry,
 )
 from cryptodep.registry import parse_registry_text
 from cryptodep.model import InventoryBundle, RefOrigin
 from cryptodep.rules import Edge, _Builder
 
 import inventory_gen
+from conftest import CLOUD_FILES, CLOUD_MINIMAL, HYBRID, HYBRID_FILES
 from oracle import merged_edges_oracle
 
 
@@ -605,6 +613,41 @@ def test_no_self_loops():
     ]
     graph = graph_from(records)
     assert not [e for e in graph.edges if e.frm == e.to]
+
+
+def _built_bundle(source: str, directory):
+    """The bundle of a sample inventory, of a seeded generated one, or of
+    the hybrid sample under the golden overlay."""
+    if source == "cloud_minimal":
+        registry, _ = parse_registry(CLOUD_MINIMAL / "crypto.json")
+        paths, profiles = [CLOUD_MINIMAL / f for f in CLOUD_FILES], []
+    elif source == "generated":
+        tables = inventory_gen.make_tables(
+            random.Random(4), n_classes=4, n_data=200, n_assets=200, n_crypto=200, n_access=20,
+        )
+        registry, paths = load_default_registry(), inventory_gen.write_tables(directory, tables)
+        profiles = parse_profiles(directory / "profiles.json")
+    else:
+        registry, paths = load_default_registry(), [HYBRID / f for f in HYBRID_FILES]
+        profiles = parse_profiles(HYBRID / "profiles.json")
+    bundle, _ = load_bundle(paths, profiles, registry, use_builtin_profiles=True)
+    if source == "overlaid":
+        overlay = Path(__file__).parent / "golden" / "overlay.json"
+        bundle, _ = apply_overlay(bundle, parse_overlay(overlay.read_text()))
+    return bundle
+
+
+@pytest.mark.parametrize("source", ["cloud_minimal", "hybrid_enterprise", "generated", "overlaid"])
+def test_edges_carry_catalogued_rules_and_levels_meet_only_sl1_and_sl2(tmp_path, source):
+    # detection reads a level with out-edges as required and one with
+    # predecessors as provided, which holds only while SL1 edges alone
+    # leave a level and SL2 edges alone enter one
+    graph = build_graph(_built_bundle(source, tmp_path))
+    kinds = {v.id: v.kind for v in graph.vertices}
+    assert {e.rule for e in graph.edges} <= RULES.keys()
+    out_of_levels = {e.rule for e in graph.edges if kinds[e.frm] is VertexKind.SECURITY_LEVEL}
+    into_levels = {e.rule for e in graph.edges if kinds[e.to] is VertexKind.SECURITY_LEVEL}
+    assert (out_of_levels, into_levels) == ({"SL1"}, {"SL2"})
 
 
 # --------------------------------------------------------------------------
