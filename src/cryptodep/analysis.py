@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry, text_digest
 from .model import (
@@ -94,12 +94,12 @@ class ScoringPolicy:
     def from_dict(cls, raw: dict) -> "ScoringPolicy":
         """Raises ValueError unless ``raw`` is an object of known keys whose
         ``class_weights`` is an object and whose values are numbers."""
-        raw = _json_object(raw, "a policy", ("class_weights", "longevity_multiplier"))
+        raw = _json_object(raw, "a policy", cls)
         weights = dict(DEFAULT_CLASS_WEIGHTS)
-        class_weights = _json_object(raw.get("class_weights", {}), "class_weights")
+        class_weights = _json_object(raw.pop("class_weights", {}), "class_weights")
         for name in class_weights:
             weights[VulnerabilityClass(name)] = _number(class_weights, name)
-        return cls(weights, _number(raw, "longevity_multiplier", 2.0))
+        return cls(weights, **{key: _number(raw, key) for key in raw})
 
 
 @dataclass(frozen=True)
@@ -115,34 +115,33 @@ class HorizonConfig:
             raise ValueError("horizon years must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "migration_years": self.migration_years,
-            "quantum_horizon_years": self.quantum_horizon_years,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HorizonConfig":
         """Raises ValueError unless ``raw`` is an object of numbers under known keys."""
-        raw = _json_object(raw, "a horizon", ("migration_years", "quantum_horizon_years"))
-        return cls(
-            _number(raw, "migration_years", 5.0),
-            _number(raw, "quantum_horizon_years", 15.0),
-        )
+        raw = _json_object(raw, "a horizon", cls)
+        return cls(**{key: _number(raw, key) for key in raw})
 
 
-def _json_object(value, what: str, keys: tuple[str, ...] = ()) -> dict:
-    """``value`` if it is a JSON object with no key outside ``keys``, when
-    they are given: a misspelt key would otherwise be silently ignored."""
+def _json_object(value, what: str, cls=None) -> dict:
+    """``value`` if it is a JSON object.  Given the dataclass ``cls``, the
+    entries of ``value`` in the order of its fields, each of which is
+    optional; a key that names none raises, since a misspelt key would
+    otherwise be silently ignored."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    if cls is None:
+        return value
+    keys = [f.name for f in fields(cls)]
     for key in value:
-        if keys and key not in keys:
+        if key not in keys:
             raise ValueError(f"{what} has unknown key {key!r}; expected {' or '.join(keys)}")
-    return value
+    return {key: value[key] for key in keys if key in value}
 
 
-def _number(raw: dict, key: str, default: float | None = None) -> float:
-    value = raw.get(key, default)
+def _number(raw: dict, key: str) -> float:
+    value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
@@ -305,7 +304,7 @@ def _trace(path: tuple[str, ...], graph: DependencyGraph) -> tuple[Edge, ...]:
 
 def find_violations(
     graph: DependencyGraph,
-    bundle: InventoryBundle | None = None,
+    bundle: InventoryBundle = InventoryBundle(),
     policy: ScoringPolicy | None = None,
     horizon: HorizonConfig | None = None,
     max_witnesses: int = 1,
@@ -320,9 +319,9 @@ def find_violations(
     search, run at most once per provided level, which gives the
     through-level witnesses.  Pairs and their diagnostics come out in
     (required, provided) order, each diagnostic once, where it first
-    arises; findings are sorted by descending score, then by id.  When
-    ``bundle`` is given the scores use its classification ranking and data
-    retention; otherwise all findings get neutral sensitivity.
+    arises; findings are sorted by descending score, then by id.  The
+    scores use the classification ranking and data retention of ``bundle``;
+    without one every finding gets neutral sensitivity.
     """
     if max_witnesses < 1:
         raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
@@ -376,7 +375,7 @@ def find_violations(
 # --------------------------------------------------------------------------
 
 def score_finding(
-    path: tuple[str, ...], affected_data: tuple[str, ...], graph: DependencyGraph, bundle: InventoryBundle | None,
+    path: tuple[str, ...], affected_data: tuple[str, ...], graph: DependencyGraph, bundle: InventoryBundle,
     policy: ScoringPolicy, horizon: HorizonConfig, diagnostics: list[Diagnostic],
 ) -> ScoreBreakdown:
     """The score of the finding with witness ``path`` and ``affected_data``.
@@ -393,31 +392,22 @@ def score_finding(
         if vertex.kind is VertexKind.PRIMITIVE_CONFIG and vertex.payload is not None:
             vuln_weight = max(vuln_weight, policy.weight_for(vertex.payload.vulnerability_class))
 
-    sensitivity = 1.0
+    labels = bundle.classification_map
+    ranks = [labels[v].rank for v in path if v in labels and vertex_map[v].kind is VertexKind.CLASSIFICATION]
+    sensitivity = float(max((len(bundle.classifications) - r for r in ranks), default=1))
+    if not ranks:
+        warnings.append("no classification on the witness path, neutral sensitivity")
     urgent = False
-    if bundle is None:
-        warnings.append("no bundle available, sensitivity and longevity not assessed")
-    else:
-        labels = bundle.classification_map()
-        ranks = [
-            labels[v].rank for v in path
-            if v in labels and vertex_map[v].kind is VertexKind.CLASSIFICATION
-        ]
-        if ranks:
-            sensitivity = float(max(len(bundle.classifications) - r for r in ranks))
-        else:
-            warnings.append("no classification on the witness path, neutral sensitivity")
-        data_map = bundle.data_map()
-        for data_id in affected_data:
-            record = data_map.get(data_id)
-            if record is None:
-                continue
-            flagged, assessed = check_longevity(record, horizon)
-            if not assessed:
-                message = f"no retention period for {data_id}, longevity not assessed"
-                warnings.append(message)
-                _warning(diagnostics, record.source.file, None, "retention-unknown", message)
-            urgent = urgent or flagged
+    for data_id in affected_data:
+        record = bundle.data_map.get(data_id)
+        if record is None:
+            continue
+        flagged, assessed = check_longevity(record, horizon)
+        if not assessed:
+            message = f"no retention period for {data_id}, longevity not assessed"
+            warnings.append(message)
+            _warning(diagnostics, record.source.file, None, "retention-unknown", message)
+        urgent = urgent or flagged
 
     total = sensitivity * vuln_weight * (policy.longevity_multiplier if urgent else 1.0)
     if not abs(total) <= sys.float_info.max:
@@ -515,8 +505,8 @@ def _rewrite(record, replacements: dict[str, str], resolved):
 
 def _rewrite_ref(ref, replacements: dict[str, str], resolved):
     # rules._typed_reference reads a target as an algorithm only when it
-    # names no crypto object, data or asset (the ids in ``resolved``)
-    if ref.origin is RefOrigin.ASSET_FIELD and ref.target not in resolved:
+    # names no crypto object, data or asset (the maps in ``resolved``)
+    if ref.origin is RefOrigin.ASSET_FIELD and not any(ref.target in ids for ids in resolved):
         new = replacements.get(spec_key(ref.target))
         if new is not None:
             return replace(ref, target=new)
@@ -550,9 +540,9 @@ def apply_overlay(
             problems.append(f"replacement {new} is not in the registry")
         replacements[spec_key(old)] = new
 
-    resolved = bundle.crypto_map().keys() | bundle.data_map().keys() | bundle.asset_map().keys()
-    ids = resolved | bundle.classification_map().keys()
-    missing = [r for r in overlay.remove_records if r not in ids]
+    resolved = (bundle.crypto_map, bundle.data_map, bundle.asset_map)
+    named = (*resolved, bundle.classification_map)
+    missing = [r for r in overlay.remove_records if not any(r in ids for ids in named)]
     problems.extend(f"cannot remove unknown record {r}" for r in missing)
 
     added = []
@@ -578,7 +568,7 @@ def apply_overlay(
 
     readded = {_record_key(record) for record in added}
     for ident in overlay.remove_records:
-        if ident in overlaid.asset_map() and ident not in readded:
+        if ident in overlaid.asset_map and ident not in readded:
             _warning(
                 diagnostics, "overlay", None, "removed-but-referenced",
                 f"removed record {ident!r} is still referenced by other records and stays as an undeclared asset",

@@ -191,10 +191,6 @@ def _emit_diagnostics(diagnostics) -> None:
         print(diag.render(), file=sys.stderr)
 
 
-def _has_errors(diagnostics) -> bool:
-    return any(d.severity is Severity.ERROR for d in diagnostics)
-
-
 def _build(bundle, diagnostics):
     """Validate and build; returns the graph, the bundle's scoring view and
     the diagnostics.  The view keeps only what scoring reads, the
@@ -246,7 +242,7 @@ def _point_stdout_at_null() -> None:
 
 
 def _exit_code(report) -> int:
-    if report.findings or _has_errors(report.diagnostics):
+    if report.findings or any(d.severity is Severity.ERROR for d in report.diagnostics):
         return EXIT_FINDINGS
     return EXIT_CLEAN
 

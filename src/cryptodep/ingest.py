@@ -323,7 +323,7 @@ def match_profile(
     filename or header-set match when enabled."""
     name = Path(path).name
     for profile in profiles:
-        if profile.inventory in (str(path), name) or Path(profile.inventory).name == name:
+        if Path(profile.inventory).name == name:
             return profile
     if allow_builtin:
         for profile in builtin_profiles():
@@ -876,10 +876,10 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     # the bundle's own maps answer membership: sets of their keys would stay resident under the build
-    asset_ids = bundle.asset_map()
-    data_ids = bundle.data_map()
-    crypto_ids = bundle.crypto_map()
-    class_labels = bundle.classification_map()
+    asset_ids = bundle.asset_map
+    data_ids = bundle.data_map
+    crypto_ids = bundle.crypto_map
+    class_labels = bundle.classification_map
 
     for a, b, what in (
         (data_ids, asset_ids, "data/asset"),
@@ -892,6 +892,17 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
                 f"identifier {ident!r} appears in both {what} inventories",
             )
     ids = (data_ids, asset_ids, crypto_ids)
+    # the build gives a vertex id to the first record that claims it, so a record
+    # spelled like a level or a configuration vertex the build makes would take it
+    active = {rating.dimension for binding in bundle.classifications for rating in binding.required}
+    made = {rating.key for binding in bundle.classifications for rating in binding.required}
+    for name, configs in bundle.registry.algorithms.items():
+        made.update(key for config in configs for key in (primitive_key(name, config.flags), *config.uses))
+        made.update(rating.key for config in configs for rating in config.ratings if rating.dimension in active)
+    pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
+    made.update(primitive_key(*pair) for pair in pairs)
+    for ident in sorted(i for i in made if any(i in table for table in (class_labels, *ids))):
+        _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")
     for label in sorted(label for label in class_labels if any(label in table for table in ids)):
         _warning(
             diags, "<bundle>", None, "label-collision",

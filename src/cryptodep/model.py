@@ -134,7 +134,7 @@ class SecurityRating:
         if low in _QUANTUM_ALIASES:
             return SecurityRating.quantum(_QUANTUM_ALIASES[low])
         digits = low.removesuffix("bits").removesuffix("bit").rstrip(" -")
-        if digits.isdecimal() and len(digits) < 20:  # sort_key pads to 20 digits
+        if digits.isdecimal() and len(digits) < 20:  # int() refuses very long digit strings
             return SecurityRating.bits(int(digits))
         return None
 
@@ -151,9 +151,9 @@ class SecurityRating:
             return f"{self.value}-bit"
         return str(self.value)
 
-    def sort_key(self) -> tuple[str, str]:
-        value = f"{self.value:020d}" if isinstance(self.value, int) else str(self.value)
-        return (self.dimension.value, value)
+    def sort_key(self) -> tuple[str, int | str]:
+        # within one dimension every value has the same type
+        return (self.dimension.value, self.value)
 
     def to_dict(self) -> dict:
         return {"dimension": self.dimension.value, "value": self.value}
@@ -462,23 +462,18 @@ class InventoryBundle:
 
     # The maps are memoised: the bundle is immutable and graph construction
     # asks for them once per record, which is quadratic if rebuilt each time.
-    def _memo(self, key: str, build):
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = build()
-            object.__setattr__(self, key, cached)
-        return cached
-
+    @cached_property
     def classification_map(self) -> dict[str, ClassificationBinding]:
-        return self._memo(
-            "_classification_map", lambda: {c.label: c for c in self.classifications}
-        )
+        return {c.label: c for c in self.classifications}
 
+    @cached_property
     def data_map(self) -> dict[str, DataRecord]:
-        return self._memo("_data_map", lambda: {d.id: d for d in self.data})
+        return {d.id: d for d in self.data}
 
+    @cached_property
     def asset_map(self) -> dict[str, AssetRecord]:
-        return self._memo("_asset_map", lambda: {a.id: a for a in self.assets})
+        return {a.id: a for a in self.assets}
 
+    @cached_property
     def crypto_map(self) -> dict[str, CryptoObjectRecord]:
-        return self._memo("_crypto_map", lambda: {c.id: c for c in self.crypto_objects})
+        return {c.id: c for c in self.crypto_objects}

@@ -54,6 +54,7 @@ _CLASS_ALIASES = {
     "unknown": VulnerabilityClass.UNKNOWN,
 }
 
+#: a best-effort class for a configuration that names none, by algorithm family
 _FAMILY_CLASSES = {
     "RSA": VulnerabilityClass.INTEGER_FACTORING,
     "DSA": VulnerabilityClass.INTEGER_FACTORING,
@@ -86,11 +87,6 @@ _FAMILY_CLASSES = {
     "XMSS": VulnerabilityClass.HASH_BASED,
     "LMS": VulnerabilityClass.HASH_BASED,
 }
-
-
-def _infer_vulnerability_class(name: str) -> VulnerabilityClass:
-    """Best-effort family lookup for registries that omit the class key."""
-    return _FAMILY_CLASSES.get(name.upper(), VulnerabilityClass.UNKNOWN)
 
 
 def parse_registry(path: str | Path) -> tuple[CryptoRegistry, list[Diagnostic]]:
@@ -186,7 +182,7 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
     if vuln is None:
         if raw_class is not None:
             unknown_value(f"unrecognised vulnerability class {raw_class!r}")
-        vuln = _infer_vulnerability_class(name)
+        vuln = _FAMILY_CLASSES.get(name.upper(), VulnerabilityClass.UNKNOWN)
     # break-qubits and break-time are accepted but not used
     qubits = obj.get("break-qubits")
     if qubits is not None and (not isinstance(qubits, (int, float)) or isinstance(qubits, bool)):

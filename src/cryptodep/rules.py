@@ -211,9 +211,9 @@ class _Builder:
         self.bundle = bundle
         self.active_dims = active_dims
         # bound once: the rules consult them for nearly every record
-        self.assets = bundle.asset_map()
-        self.crypto = bundle.crypto_map()
-        self.data = bundle.data_map()
+        self.assets = bundle.asset_map
+        self.crypto = bundle.crypto_map
+        self.data = bundle.data_map
         self.vertices: dict[str, Vertex] = {}
         self.edges: list[Edge] = []
         self._configs: dict[tuple[str, tuple[str, ...]], str] = {}

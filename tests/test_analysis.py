@@ -467,7 +467,7 @@ def test_scan_without_bundle_degrades_to_neutral_sensitivity():
     findings, _ = find_violations(graph)  # no bundle
     assert findings[0].score.sensitivity_weight == 1.0
     assert findings[0].score.total == 4.0
-    assert any("no bundle" in w for w in findings[0].score.warnings)
+    assert any("no classification on the witness path" in w for w in findings[0].score.warnings)
 
 
 def test_custom_policy_weights():
@@ -600,7 +600,7 @@ def test_added_records_join_the_bundle(cloud_minimal_bundle):
         )
     )
     patched, _ = apply_overlay(cloud_minimal_bundle, overlay)
-    assert "Audit1" in patched.data_map()
-    added = patched.classification_map()["Internal"]
+    assert "Audit1" in patched.data_map
+    added = patched.classification_map["Internal"]
     assert added.rank == 1  # appended below the existing ranking
     assert [d.id for d in patched.data] == sorted(d.id for d in patched.data)

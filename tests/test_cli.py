@@ -105,6 +105,21 @@ def test_scan_policy_file_changes_scores(tmp_path):
     assert "score: sensitivity 1 x class 7 = 7" in out
 
 
+def test_scan_text_shows_urgent_longevity_in_the_score(tmp_path):
+    horizon = tmp_path / "horizon.json"
+    horizon.write_text(json.dumps({"quantum_horizon_years": 0}))  # any known retention outlasts it
+    code, out, _ = run_cli(hybrid_args("scan", "--horizon", str(horizon), "--format", "json"))
+    urgent = [f["score"] for f in json.loads(out)["findings"] if f["score"]["longevity_flag"]]
+    assert code == 1 and urgent
+    _, out, _ = run_cli(hybrid_args("scan", "--horizon", str(horizon)))
+    lines = [line.strip() for line in out.splitlines() if "longevity urgent" in line]
+    assert lines == [
+        f"score: sensitivity {s['sensitivity_weight']:g} x class {s['vuln_class_weight']:g} x longevity urgent"
+        f" = {s['total']:g}"
+        for s in urgent
+    ]
+
+
 def test_scan_overlay_clears_the_finding(tmp_path):
     overlay = tmp_path / "fix.json"
     overlay.write_text(CLEARING_OVERLAY)
@@ -235,6 +250,27 @@ def test_validate_reports_errors_on_stdout(tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "ident",
+    [
+        "Approval:approved",  # the level High requires: the path through High went
+        "RSA[1024]",  # the configuration: its class weight 3 went
+    ],
+)
+def test_an_id_spelled_like_a_level_or_configuration_is_a_namespace_collision(tmp_path, ident):
+    for name in CLOUD_FILES:
+        (tmp_path / name).write_text((CLOUD_MINIMAL / name).read_text())
+    with open(tmp_path / "cloudconfig.csv", "a") as fh:
+        fh.write(f"{ident},DB1\n")
+    inputs = [*[tmp_path / name for name in CLOUD_FILES], "--registry", CLOUD_MINIMAL / "crypto.json"]
+    inputs.append("--paper-defaults")
+    message = f"error: <bundle>: namespace-collision: identifier {ident!r} is also a level or configuration"
+    code, out, _ = run_cli(["validate", *inputs])
+    assert code == 1 and message in out.splitlines()
+    code, _, err = run_cli(["scan", *inputs])
+    assert code == 1 and message in err.splitlines()
+
+
 # --------------------------------------------------------------------------
 # fatal conditions
 # --------------------------------------------------------------------------
@@ -342,6 +378,13 @@ def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
         assert "Traceback" not in err
         if request.node.callspec.id in OVERLAY_ERRORS:
             assert err == f"error: bad added record: {OVERLAY_ERRORS[request.node.callspec.id]}\n"
+
+
+def test_an_overlay_cannot_add_an_access_record(tmp_path):
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"add_records": [{"record_kind": "access", "id": "WWW1"}]}))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--overlay", str(overlay)))
+    assert (code, out, err) == (2, "", "error: bad added record: cannot add records of kind 'access'\n")
 
 
 #: the error of the cases above whose wording is pinned, by case id

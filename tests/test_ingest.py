@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -99,6 +100,29 @@ def test_parse_profiles_rejects_bad_documents(tmp_path, doc):
         parse_profiles(path)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "data", "columns": {"ID": "id"}, "defaults": {"colour": "red"}},
+         "unknown role 'colour' in defaults"),
+        ({"kind": "access", "columns": {"Asset": "id"}},
+         "access profile does not assign the accesses_target role"),
+        ({"kind": "classification", "columns": {"Classification": "classification"}},
+         "classification profile needs the classification and security_level roles"),
+        ({"kind": "classification", "columns": {"Security": "security_level"}},
+         "classification profile needs the classification and security_level roles"),
+    ],
+    ids=["unknown-default-role", "access-without-target", "classification-without-level",
+         "classification-without-label"],
+)
+def test_profile_role_errors_name_the_profile(tmp_path, entry, message):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([{"inventory": "x.csv", **entry}]))
+    with pytest.raises(IngestError) as info:
+        parse_profiles(path)
+    assert str(info.value) == f"{path}: profile #1: {message}"
+
+
 def test_match_profile_precedence(tmp_path):
     custom = builtin_profiles()[1]
     custom = type(custom)("data.csv", RecordKind.DATA, {"ID": Role.ID, "Tag": Role.NAME})
@@ -147,6 +171,12 @@ def test_parse_data_rows(tmp_path):
     assert records[0].storage_locations == ("Srv1", "Srv2")
     assert records[1].storage_locations == ()
     assert not diags
+
+
+def test_a_repeated_scalar_column_reads_its_first_non_empty_cell(tmp_path):
+    records, diags = _parse(tmp_path, "data.csv", "ID,Location,ID\nD1,S1,D9\n,S2,D2\n-,S3,\n")
+    assert [(r.id, r.storage_locations) for r in records] == [("D1", ("S1",)), ("D2", ("S2",))]
+    assert codes(diags) == ["blank-id"]
 
 
 def test_parse_data_retention(tmp_path):
@@ -477,15 +507,15 @@ def test_assemble_merges_asset_parts():
         source=Source("access.csv", "A1->A3"),
     )
     bundle, diags = assemble_bundle([from_access, declared], _registry())
-    merged = bundle.asset_map()["A1"]
+    merged = bundle.asset_map["A1"]
     assert merged.kind is AssetKind.SERVICE
     assert merged.serves == ("A2",)
     assert [r.target for r in merged.accesses] == ["A3"]
     assert merged.source == Source("assets.csv", "A1")
     assert not codes(diags, Severity.ERROR)
     # referenced assets materialise
-    assert set(bundle.asset_map()) == {"A1", "A2", "A3"}
-    assert bundle.asset_map()["A2"].kind is None
+    assert set(bundle.asset_map) == {"A1", "A2", "A3"}
+    assert bundle.asset_map["A2"].kind is None
 
 
 def test_assemble_duplicate_ids_resolve_the_same_both_ways():
@@ -495,6 +525,16 @@ def test_assemble_duplicate_ids_resolve_the_same_both_ways():
     two, d2 = assemble_bundle([b, a], _registry())
     assert one.data == two.data
     assert codes(d1) == codes(d2) == ["duplicate-id"]
+
+
+def test_an_identical_repeated_row_is_kept_once_without_a_duplicate_id():
+    data = DataRecord(id="D1", classification="High", source=Source("data.csv", "D1"))
+    key = CryptoObjectRecord(id="K1", object_type=CryptoObjectType.SYMMETRIC_KEY, source=Source("k.csv", "K1"))
+    again = [DataRecord(id="D1", classification="High", source=Source("data.csv", "D1")),
+             CryptoObjectRecord(id="K1", object_type=CryptoObjectType.SYMMETRIC_KEY, source=Source("k.csv", "K1"))]
+    bundle, diags = assemble_bundle([data, key, *again], _registry())
+    assert (bundle.data, bundle.crypto_objects) == ((data,), (key,))
+    assert "duplicate-id" not in codes(diags)
 
 
 def test_assemble_conflicting_kind():
@@ -511,7 +551,7 @@ def test_assemble_conflicting_kind():
         assert [d.render() for d in diags] == [
             "error: x.csv: conflicting-kind: asset 'A1' is declared with kinds Channel, Service; keeping Channel"
         ]
-        assert bundle.asset_map()["A1"].kind is AssetKind.CHANNEL
+        assert bundle.asset_map["A1"].kind is AssetKind.CHANNEL
 
 
 def test_assemble_classification_rows_merge_dimensions():
@@ -522,7 +562,7 @@ def test_assemble_classification_rows_merge_dimensions():
         ClassificationBinding("Low", (SecurityRating.bits(80),), source=Source("c.csv", "Low")),
     ]
     bundle, diags = assemble_bundle(rows, _registry())
-    by_label = bundle.classification_map()
+    by_label = bundle.classification_map
     assert by_label["High"].rank == 0 and by_label["Low"].rank == 1
     assert {r.key for r in by_label["High"].required} == {"Approval:approved", "Bits:128"}
     assert codes(diags) == ["conflicting-level"]
@@ -548,7 +588,7 @@ def test_assemble_does_not_materialise_typed_reference_targets():
     bundle, _ = assemble_bundle(recs, _registry())
     # crypto ids, data ids and registry algorithms stay out of the asset map;
     # a plain unresolved name becomes an undeclared asset
-    assert set(bundle.asset_map()) == {"A1", "A9"}
+    assert set(bundle.asset_map) == {"A1", "A9"}
 
 
 def test_bundle_is_sorted_and_order_independent():
@@ -663,6 +703,46 @@ def test_validate_reports_each_cross_reference_problem():
     )
 
 
+def test_validate_reports_ids_spelled_like_the_levels_and_configurations_the_build_makes():
+    """The build gives a vertex id to the first record that claims it, so a
+    record or label spelled like a level or configuration vertex would take
+    that vertex over."""
+    recs = [
+        ClassificationBinding("High", (SecurityRating.bits(128),), source=Source("c.csv", "High")),
+        ClassificationBinding("Bits:128", (SecurityRating.bits(128),), source=Source("c.csv", "Bits:128")),
+        DataRecord(id="Bits:80", source=Source("d.csv", "Bits:80")),  # RSA[1024]'s registry rating
+        # the registry rates RSA[1024] quantum-vulnerable, but nothing requires that dimension
+        DataRecord(id="QuantumSafety:quantum-vulnerable", source=Source("d.csv", "Q")),
+        AssetRecord(id="RSA[2048]", source=Source("a.csv", "RSA[2048]")),  # rated, used by no record
+        AssetRecord(id="FOO[1]", source=Source("a.csv", "FOO[1]")),  # unrated, named by K1
+        CryptoObjectRecord(
+            id="K1", object_type=CryptoObjectType.SYMMETRIC_KEY, algorithm="FOO", config_flags=("1",),
+            source=Source("k.csv", "K1"),
+        ),
+    ]
+    bundle, _ = assemble_bundle(recs, _registry())
+    collisions = [d.message for d in validate_bundle(bundle) if d.code == "namespace-collision"]
+    assert collisions == [
+        f"identifier {ident!r} is also a level or configuration"
+        for ident in ("Bits:128", "Bits:80", "FOO[1]", "RSA[2048]")
+    ]
+
+
+def test_validate_reports_an_id_spelled_like_an_unrated_protocol_member():
+    registry, diags = parse_registry_text(
+        '[{"name": "TLS", "configurations": [{"flags": ["1.2"], "uses": ["FOO[9]"]}]}]', "r.json"
+    )
+    assert not diags
+    recs = [
+        ClassificationBinding("High", (SecurityRating.bits(128),), source=Source("c.csv", "High")),
+        AssetRecord(id="FOO[9]", source=Source("a.csv", "FOO[9]")),  # would take TLS[1.2]'s P2 edge
+    ]
+    bundle, _ = assemble_bundle(recs, registry)
+    assert [(d.code, d.message) for d in validate_bundle(bundle) if d.severity is Severity.ERROR] == [
+        ("namespace-collision", "identifier 'FOO[9]' is also a level or configuration"),
+    ]
+
+
 def test_validate_accepts_self_signed_certificates():
     recs = [
         CryptoObjectRecord(
@@ -687,8 +767,8 @@ def test_validating_a_bundle_copies_none_of_its_ids():
     diagnostics it returns.  Sets of the bundle's ids (about 570 KB here)
     would stay resident under the build that follows."""
     bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=3000, n_assets=3000, n_crypto=3000)
-    for table in (bundle.asset_map, bundle.data_map, bundle.crypto_map, bundle.classification_map):
-        table()  # memoised first: the build that follows validation reads them too
+    # read first, so memoised: the build that follows validation reads them too
+    bundle.asset_map, bundle.data_map, bundle.crypto_map, bundle.classification_map
     gc.collect()
     tracemalloc.start()
     try:
@@ -761,7 +841,7 @@ def test_load_bundle_applies_profiles_per_file(cloud_minimal_bundle):
     bundle = cloud_minimal_bundle
     assert [c.label for c in bundle.classifications] == ["High"]
     assert [d.id for d in bundle.data] == ["Data1"]
-    assert set(bundle.asset_map()) == {"DB1", "WWW1"}
+    assert set(bundle.asset_map) == {"DB1", "WWW1"}
     assert [c.id for c in bundle.crypto_objects] == ["certkey1"]
     assert bundle.crypto_objects[0].object_type is CryptoObjectType.PRIVATE_KEY
 
@@ -797,7 +877,7 @@ def test_load_bundle_keeps_one_object_per_distinct_value(tmp_path):
     bundle, _ = load_bundle(
         paths, parse_profiles(tmp_path / "profiles.json"), _registry(), use_builtin_profiles=True
     )
-    assets = bundle.asset_map()
+    assets = bundle.asset_map
     references = [
         *(location for record in bundle.data for location in record.storage_locations),
         *(location for record in bundle.crypto_objects for location in (record.location, *record.key_locations)),

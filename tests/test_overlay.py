@@ -81,7 +81,7 @@ def hand_edit(bundle, records, removed, replacements, added):
     specs are rewritten where a row names the algorithm, new rows follow.
     Returns the records and how many references were rewritten."""
     swap = {_key(old): new for old, new in replacements}
-    names_a_record = set(bundle.asset_map()) | set(bundle.data_map()) | set(bundle.crypto_map())
+    names_a_record = set(bundle.asset_map) | set(bundle.data_map) | set(bundle.crypto_map)
     out = []
     rewritten = 0
     for record in records:
@@ -115,8 +115,8 @@ def test_overlay_equals_the_hand_edit_on_random_inventories():
         rng = random.Random(50_000 + case)
         bundle, records, _ = inventory_gen.random_bundle(rng)
         ids = sorted(
-            set(bundle.classification_map()) | set(bundle.asset_map())
-            | set(bundle.data_map()) | set(bundle.crypto_map())
+            set(bundle.classification_map) | set(bundle.asset_map)
+            | set(bundle.data_map) | set(bundle.crypto_map)
         )
         removed = rng.sample(ids, rng.randint(0, 3))
         crypto_specs = sorted(
@@ -180,7 +180,7 @@ def test_replacing_an_algorithm_rewrites_a_process_uses_reference():
     assert len(_findings(bundle)) == 1
     overlaid, diags = apply_overlay(bundle, Overlay(replace_algorithms=(("RSA[1024]", "RSA[2048]"),)))
     assert diags == []
-    assert [ref.target for ref in overlaid.asset_map()["P1"].accesses] == ["RSA[2048]"]
+    assert [ref.target for ref in overlaid.asset_map["P1"].accesses] == ["RSA[2048]"]
     assert _findings(overlaid) == []
     assert "RSA[1024]" not in build_graph(overlaid).vertex_map()
 
@@ -192,7 +192,7 @@ def test_a_reference_repeating_a_flag_is_rewritten():
     assert "RSA[1024]" in build_graph(bundle).vertex_map()
     overlaid, diags = apply_overlay(bundle, Overlay(replace_algorithms=(("RSA[1024]", "RSA[2048]"),)))
     assert diags == []
-    assert [ref.target for ref in overlaid.asset_map()["P1"].accesses] == ["RSA[2048]"]
+    assert [ref.target for ref in overlaid.asset_map["P1"].accesses] == ["RSA[2048]"]
     assert _findings(overlaid) == []
 
 
@@ -210,7 +210,7 @@ def test_added_records_with_existing_ids_merge_or_clash():
     ))
     overlaid, diags = apply_overlay(bundle, overlay)
     assert [a.id for a in overlaid.assets] == ["P1"]
-    merged = overlaid.asset_map()["P1"]
+    merged = overlaid.asset_map["P1"]
     assert (merged.kind, merged.name) == (AssetKind.PROCESS, "Payroll")
     assert [(d.severity, d.code) for d in diags] == [(Severity.ERROR, "duplicate-id")] * 2
 
@@ -219,7 +219,7 @@ def test_added_asset_with_null_accesses_has_none():
     entry = {"record_kind": "asset", "id": "Z", "kind": "server", "accesses": None}
     overlaid, diags = apply_overlay(_bundle(), Overlay(add_records=(entry,)))
     assert diags == []
-    assert overlaid.asset_map()["Z"].accesses == ()
+    assert overlaid.asset_map["Z"].accesses == ()
 
 
 def test_added_asset_kind_takes_the_csv_type_aliases():
@@ -228,7 +228,7 @@ def test_added_asset_kind_takes_the_csv_type_aliases():
         entry = {"record_kind": "asset", "id": "X", "kind": spelling}
         overlaid, diags = apply_overlay(bundle, Overlay(add_records=(entry,)))
         assert diags == []
-        assert overlaid.asset_map()["X"].kind is _ASSET_KIND_ALIASES[spelling.lower()]
+        assert overlaid.asset_map["X"].kind is _ASSET_KIND_ALIASES[spelling.lower()]
 
 
 def test_added_object_type_takes_the_csv_type_aliases():
@@ -241,7 +241,7 @@ def test_added_object_type_takes_the_csv_type_aliases():
         entry = {"record_kind": "crypto", "id": "X", "object_type": spelling, "algorithm": "RSA"}
         overlaid, diags = apply_overlay(bundle, Overlay(add_records=(entry,)))
         assert diags == []
-        assert overlaid.crypto_map()["X"].object_type is object_type
+        assert overlaid.crypto_map["X"].object_type is object_type
 
 
 def test_removing_a_referenced_asset_warns_that_it_comes_back():
@@ -249,14 +249,14 @@ def test_removing_a_referenced_asset_warns_that_it_comes_back():
     overlaid, diags = apply_overlay(bundle, Overlay(remove_records=("P1",)))
     # D1 still names P1 as its storage, which materialises no asset; the
     # process row is gone, so P1 is no longer a process anywhere
-    assert "P1" not in overlaid.asset_map()
+    assert "P1" not in overlaid.asset_map
     assert diags == []
 
     bundle = _bundle(
         AssetRecord(id="Web", kind=AssetKind.PROCESSOR, serves=("P1",), source=Source("a.csv", "Web")),
     )
     overlaid, diags = apply_overlay(bundle, Overlay(remove_records=("P1",)))
-    assert overlaid.asset_map()["P1"].kind is None  # an undeclared asset, not a process
+    assert overlaid.asset_map["P1"].kind is None  # an undeclared asset, not a process
     assert [(d.severity, d.code) for d in diags] == [(Severity.WARNING, "removed-but-referenced")]
     assert "'P1'" in diags[0].message
 
@@ -267,7 +267,7 @@ def test_a_reference_naming_an_asset_is_not_rewritten():
     row = Source("cloudconfig.csv", "Gw->RSA[1024]")
     bundle = _bundle(AssetRecord(id="Gw", accesses=(AccessRef("RSA[1024]", source=row),), source=row))
     overlaid, _ = apply_overlay(bundle, Overlay(replace_algorithms=(("RSA[1024]", "RSA[2048]"),)))
-    assert [ref.target for ref in overlaid.asset_map()["P1"].accesses] == ["RSA[1024]"]
+    assert [ref.target for ref in overlaid.asset_map["P1"].accesses] == ["RSA[1024]"]
 
 
 # --------------------------------------------------------------------------

@@ -536,8 +536,7 @@ def test_building_a_graph_needs_little_more_memory_than_the_graph_keeps():
     1.15.  The id maps the builder reads are the bundle's, memoised on it, so
     they are made before the count."""
     bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=3000, n_assets=3000, n_crypto=3000)
-    for table in (bundle.asset_map, bundle.data_map, bundle.crypto_map):
-        table()
+    bundle.asset_map, bundle.data_map, bundle.crypto_map  # read once, so memoised before the count
     gc.collect()
     tracemalloc.start()
     try:
