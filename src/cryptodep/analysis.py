@@ -26,14 +26,12 @@ from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry, text_dig
 from .model import (
     AssetRecord,
     ClassificationBinding,
-    Comparison,
     CryptoObjectRecord,
     DataRecord,
     InventoryBundle,
     RefOrigin,
     SecurityRating,
     VulnerabilityClass,
-    compare_ratings,
     parse_primitive_spec,
     primitive_key,
     spec_key,
@@ -335,10 +333,7 @@ def find_violations(
     level_ids = {v.id for v in levels}
     required = [v for v in levels if graph.out_edges(v.id)]
     provided = [v for v in levels if v.id in graph.predecessors]
-    pairs = [
-        (high, low) for high in required for low in provided
-        if compare_ratings(high.payload, low.payload) is Comparison.A_HIGHER
-    ]
+    pairs = [(high, low) for high in required for low in provided if high.payload.outranks(low.payload)]
     # searched per provided level, reported below in pair order
     witnesses = {}
     for low in dict.fromkeys(low.id for _, low in pairs):
@@ -519,17 +514,17 @@ def apply_overlay(
     """The bundle the overlay's hand edit of the input files would give,
     with the diagnostics of assembling it.  The original is untouched.
 
-    Replacement targets must exist in the registry, removal ids in the
-    bundle, and every added record must be well formed; otherwise the full
-    set of offenders is reported in one error.  A replaced spec that no
-    record uses changes nothing.  The edit runs on
-    ``bundle.records``: drop the records whose id or label is removed,
-    rewrite replaced specs, append the added records, and assemble the
-    result with ``assemble_bundle``.  So an added asset with an existing id
-    merges, an added data or crypto record with one is a ``duplicate-id``,
-    an added classification ranks below the existing ones, and a removed id
-    that other records still reference comes back as an undeclared asset,
-    with a warning.
+    Replacement targets must exist in the registry, no spec may be replaced
+    by two different targets, removal ids must exist in the bundle, and
+    every added record must be well formed; otherwise the full set of
+    offenders is reported in one error.  A replaced spec that no record
+    uses changes nothing.  The edit runs on ``bundle.records``: drop the
+    records whose id or label is removed, rewrite replaced specs, append
+    the added records, and assemble the result with ``assemble_bundle``.
+    So an added asset with an existing id merges, an added data or crypto
+    record with one is a ``duplicate-id``, an added classification ranks
+    below the existing ones, and a removed id that other records still
+    reference comes back as an undeclared asset, with a warning.
     """
     problems: list[str] = []
 
@@ -538,6 +533,9 @@ def apply_overlay(
         new_name, new_flags = parse_primitive_spec(new)
         if bundle.registry.lookup(new_name, new_flags) is None:
             problems.append(f"replacement {new} is not in the registry")
+        earlier = replacements.get(spec_key(old))
+        if earlier is not None and spec_key(earlier) != spec_key(new):
+            problems.append(f"{old} is replaced by both {earlier} and {new}")
         replacements[spec_key(old)] = new
 
     resolved = (bundle.crypto_map, bundle.data_map, bundle.asset_map)

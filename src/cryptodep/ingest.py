@@ -790,7 +790,7 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
             rank=entry["rank"],
             source=entry["source"],
         )
-        for label, entry in sorted(bindings.items(), key=lambda kv: kv[1]["rank"])
+        for label, entry in bindings.items()  # in rank order: rank is the insertion index
     )
     bundle = InventoryBundle(
         classifications=classifications,
@@ -901,6 +901,7 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
         made.update(rating.key for config in configs for rating in config.ratings if rating.dimension in active)
     pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
     made.update(primitive_key(*pair) for pair in pairs)
+    unrated = {pair for pair in pairs if bundle.registry.lookup(*pair) is None}
     for ident in sorted(i for i in made if any(i in table for table in (class_labels, *ids))):
         _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")
     for label in sorted(label for label in class_labels if any(label in table for table in ids)):
@@ -934,7 +935,7 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
             dangling(obj, f"{what} references issuer {obj.issuer_cert!r} which is not in the inventory")
         if obj.created_by and obj.created_by not in asset_ids:
             dangling(obj, f"{what} was created by {obj.created_by!r} but no such asset exists")
-        if obj.algorithm and bundle.registry.lookup(obj.algorithm, obj.config_flags) is None:
+        if obj.algorithm and (obj.algorithm, obj.config_flags) in unrated:
             _warning(
                 diags, obj.source.file, None, "unknown-algorithm",
                 f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} is not rated in the registry",

@@ -13,9 +13,7 @@ from functools import cached_property
 
 __all__ = [
     "RatingDimension",
-    "Comparison",
     "SecurityRating",
-    "compare_ratings",
     "Source",
     "ClassificationBinding",
     "DataRecord",
@@ -77,13 +75,6 @@ _QUANTUM_ALIASES = {
     "quantum-vulnerable": QUANTUM_VULNERABLE,
     "not-quantum-safe": QUANTUM_VULNERABLE,
 }
-
-
-class Comparison(str, Enum):
-    A_HIGHER = "a_higher"
-    EQUAL = "equal"
-    B_HIGHER = "b_higher"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -162,6 +153,11 @@ class SecurityRating:
     def from_dict(obj: dict) -> SecurityRating:
         return SecurityRating(RatingDimension(obj["dimension"]), obj["value"])
 
+    def outranks(self, other: SecurityRating) -> bool:
+        """Strictly stronger than ``other`` in the same dimension; ratings in
+        different dimensions never outrank each other."""
+        return self.dimension is other.dimension and _strength(self) > _strength(other)
+
 
 def _strength(rating: SecurityRating) -> int:
     if rating.dimension is RatingDimension.BITS:
@@ -169,18 +165,6 @@ def _strength(rating: SecurityRating) -> int:
     if rating.dimension is RatingDimension.APPROVAL:
         return 1 if rating.value == APPROVED else 0
     return 1 if rating.value == QUANTUM_SAFE else 0
-
-
-def compare_ratings(a: SecurityRating, b: SecurityRating) -> Comparison:
-    """Compare two ratings.  Ratings in different dimensions are incomparable."""
-    if a.dimension is not b.dimension:
-        return Comparison.INCOMPARABLE
-    sa, sb = _strength(a), _strength(b)
-    if sa > sb:
-        return Comparison.A_HIGHER
-    if sa < sb:
-        return Comparison.B_HIGHER
-    return Comparison.EQUAL
 
 
 # --------------------------------------------------------------------------

@@ -243,6 +243,15 @@ class _Builder:
         kind = _ASSET_VERTEX_KIND[record.effective_kind]
         return self.vertex(asset_id, kind, record.display)
 
+    def crypto_object(self, object_id: str, undeclared: VertexKind) -> str:
+        """A declared key or certificate takes its record's kind and display;
+        an id that no crypto record declares takes ``undeclared``."""
+        record = self.crypto.get(object_id)
+        if record is None:
+            return self.vertex(object_id, undeclared)
+        kind = VertexKind.KEY if record.is_key else VertexKind.CERTIFICATE
+        return self.vertex(object_id, kind, record.display)
+
     def config(self, algorithm: str, flags: tuple[str, ...]) -> str:
         """Vertex for a primitive configuration, expanding registry ratings
         (SL2) and protocol members (P2) once per spelling of it; a second
@@ -358,10 +367,8 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
     else a registry algorithm."""
     target = ref.target
 
-    obj = builder.crypto.get(target)
-    if obj is not None:
-        kind = VertexKind.KEY if obj.is_key else VertexKind.CERTIFICATE
-        target_vertex = builder.vertex(target, kind, obj.display)
+    if target in builder.crypto:
+        target_vertex = builder.crypto_object(target, VertexKind.KEY)
         builder.edge(src, target_vertex, _CRYPTO_REF_RULE.get(src_kind, "M3"), provenance)
         return
 
@@ -391,8 +398,7 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:
-    kind = VertexKind.KEY if record.is_key else VertexKind.CERTIFICATE
-    obj = builder.vertex(record.id, kind, record.display)
+    obj = builder.crypto_object(record.id, VertexKind.KEY)
     provenance = (record.source,)
     secretish = record.object_type in (
         CryptoObjectType.SYMMETRIC_KEY,
@@ -429,21 +435,9 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
         builder.edge(obj, builder.asset(record.created_by), "K5", provenance)
 
     if record.matched_key:
-        rule = "K6" if record.is_certificate else "K3"
-        matched = builder.crypto.get(record.matched_key)
-        matched_kind = (
-            VertexKind.KEY if matched is None or matched.is_key else VertexKind.CERTIFICATE
-        )
-        target = builder.vertex(
-            record.matched_key, matched_kind, matched.display if matched else record.matched_key
-        )
-        builder.edge(obj, target, rule, provenance)
+        target = builder.crypto_object(record.matched_key, VertexKind.KEY)
+        builder.edge(obj, target, "K6" if record.is_certificate else "K3", provenance)
 
     if record.is_certificate and record.issuer_cert and record.issuer_cert != record.id:
-        issuer = builder.crypto.get(record.issuer_cert)
-        target = builder.vertex(
-            record.issuer_cert,
-            VertexKind.CERTIFICATE,
-            issuer.display if issuer else record.issuer_cert,
-        )
-        builder.edge(obj, target, "K6", provenance)
+        issuer = builder.crypto_object(record.issuer_cert, VertexKind.CERTIFICATE)
+        builder.edge(obj, issuer, "K6", provenance)

@@ -16,7 +16,6 @@ import re
 from cryptodep import (
     AssetRecord,
     ClassificationBinding,
-    Comparison,
     CryptoObjectRecord,
     DataRecord,
     DependencyGraph,
@@ -24,9 +23,22 @@ from cryptodep import (
     InventoryBundle,
     Severity,
     VertexKind,
-    compare_ratings,
 )
 from cryptodep.model import RefOrigin
+
+# Strength within a dimension: bits by value, approved above not-approved,
+# quantum-safe above quantum-vulnerable.  Kept apart from the program's own
+# ordering so the oracle does not share the code it checks.
+_RANK = {"approved": 1, "not-approved": 0, "quantum-safe": 1, "quantum-vulnerable": 0}
+
+
+def strictly_higher(hi, lo) -> bool:
+    """``hi`` is strictly stronger than ``lo``; different dimensions never compare."""
+    if hi.dimension != lo.dimension:
+        return False
+    if isinstance(hi.value, int):
+        return hi.value > lo.value
+    return _RANK[hi.value] > _RANK[lo.value]
 
 
 def closure_matrix(vertex_ids, edge_pairs):
@@ -61,7 +73,7 @@ def violation_pairs_oracle(graph: DependencyGraph) -> set[tuple[str, str]]:
         for lo in levels:
             if hi.id == lo.id:
                 continue
-            if compare_ratings(hi.payload, lo.payload) is not Comparison.A_HIGHER:
+            if not strictly_higher(hi.payload, lo.payload):
                 continue
             if reach[index[hi.id]][index[lo.id]]:
                 pairs.add((hi.id, lo.id))

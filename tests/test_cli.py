@@ -380,11 +380,32 @@ def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
             assert err == f"error: bad added record: {OVERLAY_ERRORS[request.node.callspec.id]}\n"
 
 
+def test_an_overlay_that_replaces_one_spec_twice_is_rejected(tmp_path):
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"replace_algorithms": [
+        {"from": "RSA[1024]", "to": "RSA[2048]"}, {"from": "RSA[1024]", "to": "ML-KEM[768]"}]}))
+    code, out, err = run_cli(cloud_args_default_registry("scan", "--overlay", str(overlay)))
+    assert (code, out, err) == (2, "", "error: RSA[1024] is replaced by both RSA[2048] and ML-KEM[768]\n")
+
+    # two spellings of one target are the same replacement
+    overlay.write_text(json.dumps({"replace_algorithms": [
+        {"from": "RSA[1024]", "to": "RSA[2048]"}, {"from": "RSA[1024.0]", "to": "RSA[2048.0]"}]}))
+    code, out, _ = run_cli(cloud_args_default_registry("scan", "--overlay", str(overlay)))
+    assert code == 0 and "0 findings" in out
+
+
 def test_an_overlay_cannot_add_an_access_record(tmp_path):
     overlay = tmp_path / "overlay.json"
     overlay.write_text(json.dumps({"add_records": [{"record_kind": "access", "id": "WWW1"}]}))
     code, out, err = run_cli(cloud_minimal_args("scan", "--overlay", str(overlay)))
     assert (code, out, err) == (2, "", "error: bad added record: cannot add records of kind 'access'\n")
+
+
+def test_an_overlay_record_of_an_unknown_kind_is_fatal(tmp_path):
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"add_records": [{"record_kind": "widget", "id": "W1"}]}))
+    code, out, err = run_cli(cloud_minimal_args("scan", "--overlay", str(overlay)))
+    assert (code, out, err) == (2, "", "error: bad added record: unknown record_kind 'widget'\n")
 
 
 #: the error of the cases above whose wording is pinned, by case id

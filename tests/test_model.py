@@ -7,7 +7,6 @@ from cryptodep.model import (
     APPROVED,
     AssetKind,
     AssetRecord,
-    Comparison,
     Configuration,
     CryptoObjectRecord,
     CryptoObjectType,
@@ -17,7 +16,6 @@ from cryptodep.model import (
     QUANTUM_VULNERABLE,
     RatingDimension,
     SecurityRating,
-    compare_ratings,
     normalise_flag,
     parse_primitive_spec,
     primitive_key,
@@ -80,13 +78,14 @@ def test_compare_known_orderings():
     not_approved = SecurityRating.approval(NOT_APPROVED)
     qs = SecurityRating.quantum(QUANTUM_SAFE)
     qv = SecurityRating.quantum(QUANTUM_VULNERABLE)
-    assert compare_ratings(approved, not_approved) is Comparison.A_HIGHER
-    assert compare_ratings(not_approved, approved) is Comparison.B_HIGHER
-    assert compare_ratings(qs, qv) is Comparison.A_HIGHER
-    assert compare_ratings(SecurityRating.bits(128), SecurityRating.bits(80)) is Comparison.A_HIGHER
-    assert compare_ratings(SecurityRating.bits(80), SecurityRating.bits(80)) is Comparison.EQUAL
-    assert compare_ratings(approved, qs) is Comparison.INCOMPARABLE
-    assert compare_ratings(SecurityRating.bits(0), not_approved) is Comparison.INCOMPARABLE
+    assert approved.outranks(not_approved)
+    assert not not_approved.outranks(approved)
+    assert qs.outranks(qv)
+    assert not qv.outranks(qs)
+    assert SecurityRating.bits(128).outranks(SecurityRating.bits(80))
+    assert not SecurityRating.bits(80).outranks(SecurityRating.bits(80))
+    assert not approved.outranks(qv) and not qv.outranks(approved)
+    assert not SecurityRating.bits(512).outranks(not_approved)
 
 
 ratings = st.one_of(
@@ -95,36 +94,27 @@ ratings = st.one_of(
     st.sampled_from([QUANTUM_SAFE, QUANTUM_VULNERABLE]).map(SecurityRating.quantum),
 )
 
-_FLIP = {
-    Comparison.A_HIGHER: Comparison.B_HIGHER,
-    Comparison.B_HIGHER: Comparison.A_HIGHER,
-    Comparison.EQUAL: Comparison.EQUAL,
-    Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
-}
-
 
 @given(ratings, ratings)
 def test_compare_antisymmetric(a, b):
-    assert compare_ratings(b, a) is _FLIP[compare_ratings(a, b)]
+    assert not (a.outranks(b) and b.outranks(a))
+    assert not a.outranks(a)
 
 
 @given(ratings, ratings)
 def test_compare_dimension_split(a, b):
-    result = compare_ratings(a, b)
+    """Within one dimension exactly one of a > b, b > a, a == b holds; across
+    dimensions neither rating outranks the other."""
     if a.dimension is b.dimension:
-        assert result is not Comparison.INCOMPARABLE
-        assert (result is Comparison.EQUAL) == (a == b)
+        assert [a.outranks(b), b.outranks(a), a == b].count(True) == 1
     else:
-        assert result is Comparison.INCOMPARABLE
+        assert not a.outranks(b) and not b.outranks(a)
 
 
 @given(ratings, ratings, ratings)
 def test_compare_transitive(a, b, c):
-    if (
-        compare_ratings(a, b) is Comparison.A_HIGHER
-        and compare_ratings(b, c) is Comparison.A_HIGHER
-    ):
-        assert compare_ratings(a, c) is Comparison.A_HIGHER
+    if a.outranks(b) and b.outranks(c):
+        assert a.outranks(c)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,16 @@ def test_every_exported_name_resolves(module):
     exported = importlib.import_module(module).__all__
     assert len(exported) == len(set(exported))
     assert set(exported) == namespace.keys()
+
+
+def test_every_name_the_readme_imports_resolves():
+    """A removed export must not leave the README importing it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    imports = re.findall(r"^from (cryptodep[\w.]*) import (\([^)]*\)|.+)$", readme, re.MULTILINE)
+    assert imports
+    for module, names in imports:
+        for name in re.findall(r"\w+", names):
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

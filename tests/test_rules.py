@@ -328,6 +328,20 @@ def test_issuer_chain_stops_at_self_signed_roots():
     assert ("Root", "Root", "K6") not in triples(graph)
 
 
+@pytest.mark.parametrize("cert_id,key_id", [("C1", "K9"), ("Z1", "A0")])
+def test_a_declared_key_named_as_issuer_stays_a_key_in_either_id_order(cert_id, key_id):
+    records = [
+        CryptoObjectRecord(
+            id=cert_id, object_type=CryptoObjectType.CERTIFICATE, issuer_cert=key_id, source=src()
+        ),
+        CryptoObjectRecord(id=key_id, object_type=CryptoObjectType.PRIVATE_KEY, name="Issuer key", source=src()),
+    ]
+    graph = graph_from(records)
+    vertex = graph.vertex_map()[key_id]
+    assert (vertex.kind, vertex.display) == (VertexKind.KEY, "Issuer key")
+    assert (cert_id, key_id, "K6") in triples(graph)
+
+
 def test_protocol_configurations_expand_to_members():
     records = [
         HIGH,
@@ -442,6 +456,14 @@ def test_unresolvable_reference_materialises_an_asset():
     assert kinds(graph)["Mystery"] is VertexKind.PROCESSOR
     assert ("Mystery", "Owner", "AC1") in triples(graph)
     assert ("Owner", "Mystery", "AC1") in triples(graph)
+
+
+def test_a_malformed_algorithm_spec_is_an_undeclared_asset():
+    # "RSA[1024" names no algorithm, so it is read as any unknown target is
+    graph = _reference_fixture(AssetKind.PROCESSOR, "RSA[1024")
+    assert kinds(graph)["RSA[1024"] is VertexKind.PROCESSOR
+    assert ("RSA[1024", "Owner", "AC1") in triples(graph)
+    assert ("Owner", "RSA[1024", "AC1") in triples(graph)
 
 
 def test_serves_couples_both_directions():
