@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry, text_digest
 from .model import (
@@ -112,9 +112,6 @@ class HorizonConfig:
         if self.migration_years < 0 or self.quantum_horizon_years < 0:
             raise ValueError("horizon years must be non-negative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "HorizonConfig":
         """Raises ValueError unless ``raw`` is an object of numbers under known keys."""
@@ -161,15 +158,6 @@ class ScoreBreakdown:
     total: float
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "sensitivity_weight": self.sensitivity_weight,
-            "vuln_class_weight": self.vuln_class_weight,
-            "longevity_flag": self.longevity_flag,
-            "total": self.total,
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -192,21 +180,6 @@ class Finding:
     @property
     def id(self) -> str:
         return _path_id(self.path)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "required": self.required.to_dict(),
-            "provided": self.provided.to_dict(),
-            "path": list(self.path),
-            "display_path": list(self.display_path),
-            "rule_trail": [
-                {"from": t.frm, "to": t.to, "rule": t.rule, "provenance": [s.to_dict() for s in t.provenance]}
-                for t in self.rule_trail
-            ],
-            "affected_data": list(self.affected_data),
-            "score": self.score.to_dict(),
-        }
 
 
 def _path_id(path: tuple[str, ...]) -> str:

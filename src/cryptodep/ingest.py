@@ -119,15 +119,6 @@ class Diagnostic:
         where = f"{self.file}:{self.line}" if self.line is not None else self.file
         return f"{self.severity.value}: {where}: {self.code}: {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "severity": self.severity.value,
-            "file": self.file,
-            "line": self.line,
-            "code": self.code,
-            "message": self.message,
-        }
-
 
 def _error(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
     diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
@@ -775,7 +766,7 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
             source = row.source
             for target in targets:
                 held = referrers.get(target)
-                if held is None or (source.file, source.ref) < (held.file, held.ref):
+                if held is None or source < held:
                     referrers[target] = source
 
     assets = {ident: _merge_assets(ident, rows, referrers.get(ident), diags) for ident, rows in asset_rows.items()}
@@ -810,7 +801,7 @@ def _insert_unique(table: dict, record, noun: str, diags: list[Diagnostic]) -> N
         return
     if held == record:
         return
-    keep, drop = sorted((held, record), key=lambda r: (r.source.file, r.source.ref, repr(r)))
+    keep, drop = sorted((held, record), key=lambda r: (r.source, repr(r)))
     table[record.id] = keep
     _error(
         diags, drop.source.file, None, "duplicate-id",
@@ -829,7 +820,7 @@ def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, 
         row = rows[0]
         if len(row.serves) < 2 and len(row.accesses) < 2 and (
             row.kind is not None or row.name or row.serves or row.accesses
-            or referrer is None or (row.source.file, row.source.ref) <= (referrer.file, referrer.ref)
+            or referrer is None or row.source <= referrer
         ):
             return row
     kinds = sorted({r.kind for r in rows if r.kind is not None}, key=lambda k: k.value)
@@ -842,12 +833,7 @@ def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, 
     accesses = tuple(
         sorted(
             {ref for r in rows for ref in r.accesses},
-            key=lambda ref: (
-                ref.target,
-                ref.direction.value,
-                ref.origin.value,
-                (ref.source.file, ref.source.ref) if ref.source else ("", ""),
-            ),
+            key=lambda ref: (ref.target, ref.direction.value, ref.origin.value, ref.source or Source("", "")),
         )
     )
     names = sorted({r.name for r in rows if r.name})
@@ -901,6 +887,12 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
         made.update(rating.key for config in configs for rating in config.ratings if rating.dimension in active)
     pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
     made.update(primitive_key(*pair) for pair in pairs)
+    # a reference cell that names no record and spells a configuration makes its
+    # vertex; a record id wins that resolution, but a label would take the vertex
+    for label in class_labels:
+        spec = bundle.registry.algorithm_ref(label)
+        if spec and primitive_key(*spec) == label:
+            made.add(label)
     unrated = {pair for pair in pairs if bundle.registry.lookup(*pair) is None}
     for ident in sorted(i for i in made if any(i in table for table in (class_labels, *ids))):
         _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")

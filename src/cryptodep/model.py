@@ -62,18 +62,17 @@ NOT_APPROVED = "not-approved"
 QUANTUM_SAFE = "quantum-safe"
 QUANTUM_VULNERABLE = "quantum-vulnerable"
 
-_APPROVAL_ALIASES = {
-    "approved": APPROVED,
-    "nist-approved": APPROVED,
-    "not-approved": NOT_APPROVED,
-    "not-nist-approved": NOT_APPROVED,
-}
-
-_QUANTUM_ALIASES = {
-    "quantum-safe": QUANTUM_SAFE,
-    "quantum-resistant": QUANTUM_SAFE,
-    "quantum-vulnerable": QUANTUM_VULNERABLE,
-    "not-quantum-safe": QUANTUM_VULNERABLE,
+#: every spelling of each named level, by dimension and canonical value,
+#: weakest value first; parsing ignores case
+_NAMED_LEVELS = {
+    RatingDimension.APPROVAL: {
+        NOT_APPROVED: ("not-approved", "not-nist-approved"),
+        APPROVED: ("approved", "nist-approved"),
+    },
+    RatingDimension.QUANTUM_SAFETY: {
+        QUANTUM_VULNERABLE: ("quantum-vulnerable", "not-quantum-safe"),
+        QUANTUM_SAFE: ("quantum-safe", "quantum-resistant"),
+    },
 }
 
 
@@ -92,13 +91,9 @@ class SecurityRating:
         if self.dimension is RatingDimension.BITS:
             if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
                 raise ValueError(f"bits rating requires a non-negative integer, got {self.value!r}")
-        elif self.dimension is RatingDimension.APPROVAL:
-            if self.value not in (APPROVED, NOT_APPROVED):
-                raise ValueError(f"approval rating must be approved/not-approved, got {self.value!r}")
-        elif self.value not in (QUANTUM_SAFE, QUANTUM_VULNERABLE):
-            raise ValueError(
-                f"quantum-safety rating must be quantum-safe/quantum-vulnerable, got {self.value!r}"
-            )
+        elif not isinstance(self.value, str) or self.value not in _NAMED_LEVELS[self.dimension]:
+            levels = "/".join(_NAMED_LEVELS[self.dimension])
+            raise ValueError(f"{self.dimension.value} rating must be {levels}, got {self.value!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -118,12 +113,11 @@ class SecurityRating:
     def parse(text: str) -> SecurityRating | None:
         """Parse a human-written level such as ``NIST-approved``, ``128`` or
         ``quantum-safe``.  Returns None when the text fits no dimension."""
-        raw = text.strip()
-        low = raw.lower()
-        if low in _APPROVAL_ALIASES:
-            return SecurityRating.approval(_APPROVAL_ALIASES[low])
-        if low in _QUANTUM_ALIASES:
-            return SecurityRating.quantum(_QUANTUM_ALIASES[low])
+        low = text.strip().lower()
+        for dimension, levels in _NAMED_LEVELS.items():
+            for value, spellings in levels.items():
+                if low in spellings:
+                    return SecurityRating(dimension, value)
         digits = low.removesuffix("bits").removesuffix("bit").rstrip(" -")
         if digits.isdecimal() and len(digits) < 20:  # int() refuses very long digit strings
             return SecurityRating.bits(int(digits))
@@ -161,10 +155,8 @@ class SecurityRating:
 
 def _strength(rating: SecurityRating) -> int:
     if rating.dimension is RatingDimension.BITS:
-        return int(rating.value)
-    if rating.dimension is RatingDimension.APPROVAL:
-        return 1 if rating.value == APPROVED else 0
-    return 1 if rating.value == QUANTUM_SAFE else 0
+        return rating.value
+    return list(_NAMED_LEVELS[rating.dimension]).index(rating.value)
 
 
 # --------------------------------------------------------------------------
@@ -180,9 +172,6 @@ class Source:
 
     def __str__(self) -> str:
         return f"{self.file}:{self.ref}"
-
-    def to_dict(self) -> dict:
-        return {"file": self.file, "ref": self.ref}
 
 
 @dataclass(frozen=True, slots=True)

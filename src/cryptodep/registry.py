@@ -18,6 +18,7 @@ from .ingest import Diagnostic, IngestError, _error, _named_source, _warning, re
 from .model import (
     Configuration,
     CryptoRegistry,
+    RatingDimension,
     SecurityRating,
     Source,
     VulnerabilityClass,
@@ -168,12 +169,15 @@ def _parse_configuration(obj, name: str, label: str, diags: list[Diagnostic]) ->
             ratings.append(SecurityRating.bits(int(security)))
         else:
             unknown_value(f"security must be a non-negative number, got {security!r}")
-    for key in ("NIST-approval", "quantum-safety"):
+    # each key reads a level of its own dimension only
+    for key, dimension in (
+        ("NIST-approval", RatingDimension.APPROVAL), ("quantum-safety", RatingDimension.QUANTUM_SAFETY)
+    ):
         raw = obj.get(key)
         if raw is None:
             continue
         rating = SecurityRating.parse(str(raw))
-        if rating is None:
+        if rating is None or rating.dimension is not dimension:
             unknown_value(f"cannot interpret {key} value {raw!r}")
         else:
             ratings.append(rating)

@@ -53,18 +53,37 @@ class ScanReport:
     graph_stats: dict
 
     def to_dict(self) -> dict:
+        """The JSON report as fresh dicts and lists.  A score, a diagnostic
+        and the horizon are written as their fields."""
+        stats = self.graph_stats
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "input_digests": dict(sorted(self.input_digests.items())),
-            "config_echo": {
-                "policy": self.policy.to_dict(),
-                "horizon": self.horizon.to_dict(),
-            },
-            "findings": [f.to_dict() for f in self.findings],
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "graph_stats": self.graph_stats,
+            "config_echo": {"policy": self.policy.to_dict(), "horizon": dict(vars(self.horizon))},
+            "findings": [_finding_json(f) for f in self.findings],
+            "diagnostics": [{**vars(d), "severity": d.severity.value} for d in self.diagnostics],
+            "graph_stats": {**stats, "edges_by_rule": dict(stats["edges_by_rule"])},
         }
+
+
+def _finding_json(finding: Finding) -> dict:
+    return {
+        "id": finding.id,
+        "required": finding.required.to_dict(),
+        "provided": finding.provided.to_dict(),
+        "path": list(finding.path),
+        "display_path": list(finding.display_path),
+        "rule_trail": [
+            {
+                "from": t.frm, "to": t.to, "rule": t.rule,
+                "provenance": [{"file": s.file, "ref": s.ref} for s in t.provenance],
+            }
+            for t in finding.rule_trail
+        ],
+        "affected_data": list(finding.affected_data),
+        "score": {**vars(finding.score), "warnings": list(finding.score.warnings)},
+    }
 
 
 def make_report(

@@ -16,7 +16,7 @@ from cryptodep import cli, ingest
 from cryptodep.model import AssetRecord, CryptoObjectRecord, DataRecord
 from cryptodep.rules import DependencyGraph
 
-from conftest import CLOUD_FILES, CLOUD_MINIMAL, cloud_minimal_args, hybrid_args, run_cli
+from conftest import CLOUD_FILES, CLOUD_MINIMAL, HYBRID, cloud_minimal_args, hybrid_args, run_cli
 from oracle import read_dot
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -269,6 +269,26 @@ def test_an_id_spelled_like_a_level_or_configuration_is_a_namespace_collision(tm
     assert code == 1 and message in out.splitlines()
     code, _, err = run_cli(["scan", *inputs])
     assert code == 1 and message in err.splitlines()
+
+
+def test_a_label_spelled_like_a_configuration_an_asset_cell_names_is_a_namespace_collision(tmp_path):
+    """Only ``UserAuth1``'s ``Uses`` cell names ``RSA[999]``; it became the
+    algorithm's vertex, which the label had already taken."""
+    inputs = hybrid_args("validate")[1:]
+    for index, path in enumerate(inputs):
+        if path.startswith(str(HYBRID)):
+            copy = tmp_path / Path(path).name
+            copy.write_text(Path(path).read_text())
+            inputs[index] = str(copy)
+    with open(tmp_path / "classifications.csv", "a") as fh:
+        fh.write("RSA[999],128\n")
+    assets = tmp_path / "assets.csv"
+    assets.write_text(assets.read_text().replace("UserAuth1,Process,Building A,-,-,-,-,-,-,CR004; CR005",
+                                                 "UserAuth1,Process,Building A,-,-,-,-,-,-,CR004; CR005; RSA[999]"))
+    code, out, _ = run_cli(["validate", *inputs])
+    assert code == 1
+    assert "error: <bundle>: namespace-collision: identifier 'RSA[999]' is also a level or configuration" in out
+    assert out.endswith(", 1 errors, 0 warnings\n")
 
 
 # --------------------------------------------------------------------------

@@ -39,8 +39,9 @@ from cryptodep.ingest import (
     read_input,
     text_digest,
 )
+import cryptodep.registry as registry_module
 from cryptodep.registry import parse_registry_text
-from cryptodep.model import RefOrigin
+from cryptodep.model import APPROVED, QUANTUM_VULNERABLE, RefOrigin
 
 import inventory_gen
 from oracle import assemble_oracle
@@ -475,6 +476,32 @@ def test_registry_break_estimate_and_uses():
     assert registry.lookup("TLS", ("1.3",)) is not None
     assert codes(diags) == ["unknown-registry-value", "unknown-registry-value"]
     assert "break-qubits must be numeric" in diags[1].message
+
+
+def test_registry_reads_each_level_key_in_its_own_dimension_only():
+    doc = """[{"name": "RSA", "configurations": [
+        {"flags": ["1024"], "security": 80, "NIST-approval": "112", "quantum-safety": "NIST-approved"},
+        {"flags": ["2048"], "NIST-approval": "approved", "quantum-safety": "Not-Quantum-Safe"}
+    ]}]"""
+    registry, diags = parse_registry_text(doc, "r")
+    assert registry.lookup("RSA", ("1024",)).ratings == (SecurityRating.bits(80),)
+    assert [(d.code, d.message) for d in diags] == [
+        ("unknown-registry-value", "RSA[1024]: cannot interpret NIST-approval value '112'"),
+        ("unknown-registry-value", "RSA[1024]: cannot interpret quantum-safety value 'NIST-approved'"),
+    ]
+    assert registry.lookup("RSA", ("2048",)).ratings == (
+        SecurityRating.approval(APPROVED), SecurityRating.quantum(QUANTUM_VULNERABLE)
+    )
+
+
+def test_an_inconsistent_builtin_registry_is_an_ingest_error(monkeypatch):
+    monkeypatch.setattr(
+        registry_module, "default_registry_text",
+        lambda: '[{"name": "RSA", "configurations": [{"flags": ["1024"], "security": "eighty"}]}]',
+    )
+    with pytest.raises(IngestError, match="built-in registry is inconsistent: warning: default_registry.json: "
+                                          "unknown-registry-value: RSA.1024.: security must be"):
+        registry_module.load_default_registry()
 
 
 def test_default_registry_is_clean_and_rates_the_usual_suspects():

@@ -16,6 +16,7 @@ from cryptodep.model import (
     QUANTUM_VULNERABLE,
     RatingDimension,
     SecurityRating,
+    _NAMED_LEVELS,
     normalise_flag,
     parse_primitive_spec,
     primitive_key,
@@ -45,6 +46,37 @@ def test_rating_parse(text, dimension, value):
     assert rating.value == value
 
 
+#: every spelling of a named level: its dimension, its value, and the values it outranks
+NAMED_LEVEL_SPELLINGS = [
+    ("not-approved", RatingDimension.APPROVAL, NOT_APPROVED, set()),
+    ("not-nist-approved", RatingDimension.APPROVAL, NOT_APPROVED, set()),
+    ("approved", RatingDimension.APPROVAL, APPROVED, {NOT_APPROVED}),
+    ("nist-approved", RatingDimension.APPROVAL, APPROVED, {NOT_APPROVED}),
+    ("quantum-vulnerable", RatingDimension.QUANTUM_SAFETY, QUANTUM_VULNERABLE, set()),
+    ("not-quantum-safe", RatingDimension.QUANTUM_SAFETY, QUANTUM_VULNERABLE, set()),
+    ("quantum-safe", RatingDimension.QUANTUM_SAFETY, QUANTUM_SAFE, {QUANTUM_VULNERABLE}),
+    ("quantum-resistant", RatingDimension.QUANTUM_SAFETY, QUANTUM_SAFE, {QUANTUM_VULNERABLE}),
+]
+
+
+def test_the_named_level_table_holds_the_listed_spellings():
+    table = [
+        (spelling, dimension, value)
+        for dimension, levels in _NAMED_LEVELS.items()
+        for value, spellings in levels.items()
+        for spelling in spellings
+    ]
+    assert table == [case[:3] for case in NAMED_LEVEL_SPELLINGS]
+
+
+@pytest.mark.parametrize("spelling,dimension,value,weaker", NAMED_LEVEL_SPELLINGS)
+def test_each_named_level_spelling(spelling, dimension, value, weaker):
+    for text in (spelling, spelling.upper(), f" {spelling} "):
+        assert SecurityRating.parse(text) == SecurityRating(dimension, value)
+    rating = SecurityRating(dimension, value)
+    assert {other for other in _NAMED_LEVELS[dimension] if rating.outranks(SecurityRating(dimension, other))} == weaker
+
+
 @pytest.mark.parametrize("text", ["", "secure", "12.5", "NIST", "bits", "²", "1" * 25])
 def test_rating_parse_rejects_junk(text):
     assert SecurityRating.parse(text) is None
@@ -57,10 +89,12 @@ def test_rating_validation():
         SecurityRating(RatingDimension.BITS, -1)
     with pytest.raises(ValueError):
         SecurityRating(RatingDimension.BITS, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Approval rating must be not-approved/approved, got 'maybe'$"):
         SecurityRating(RatingDimension.APPROVAL, "maybe")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^QuantumSafety rating must be quantum-vulnerable/quantum-safe, got 'unsure'$"):
         SecurityRating(RatingDimension.QUANTUM_SAFETY, "unsure")
+    with pytest.raises(ValueError, match=r"got \['approved'\]$"):
+        SecurityRating(RatingDimension.APPROVAL, ["approved"])
 
 
 def test_rating_key_and_display():

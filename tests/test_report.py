@@ -23,6 +23,7 @@ from cryptodep import (
     find_violations,
     load_default_registry,
 )
+from cryptodep.ingest import Diagnostic, Severity
 from cryptodep.report import (
     ScanReport,
     make_report,
@@ -206,6 +207,32 @@ def test_whatif_json(cloud_minimal_bundle):
     assert doc["diff"]["introduced"] == []
     assert doc["diff"]["unchanged"] == []
     assert doc["baseline"]["graph_stats"]["vertices"] == 8
+
+
+def test_report_dict_is_fresh_on_every_call(cloud_minimal_bundle):
+    graph = build_graph(cloud_minimal_bundle)
+    findings, _ = find_violations(graph, cloud_minimal_bundle)
+    diagnostic = Diagnostic(Severity.WARNING, "a.csv", "retention-unknown", "no retention", line=2)
+    report = make_report(graph, findings, [diagnostic], ScoringPolicy(), HorizonConfig(), {"a.csv": "deadbeef"})
+    first = report.to_dict()
+    assert first["diagnostics"] == [
+        {"severity": "warning", "file": "a.csv", "line": 2, "code": "retention-unknown", "message": "no retention"}
+    ]
+    expected = json.dumps(first, sort_keys=True)
+
+    def spoil(value):
+        if isinstance(value, dict):
+            for item in value.values():
+                spoil(item)
+            value["spoiled"] = True
+        elif isinstance(value, list):
+            for item in value:
+                spoil(item)
+            value.append("spoiled")
+
+    spoil(first)
+    assert "spoiled" in first["findings"][0]["score"]["warnings"]
+    assert json.dumps(report.to_dict(), sort_keys=True) == expected
 
 
 # --------------------------------------------------------------------------
