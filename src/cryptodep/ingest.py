@@ -19,7 +19,6 @@ from enum import Enum
 from pathlib import Path
 
 from .model import (
-    CERTIFICATE_OBJECT_TYPES,
     AccessRef,
     AssetKind,
     AssetRecord,
@@ -36,6 +35,7 @@ from .model import (
     normalise_flag,
     primitive_key,
 )
+from .rules import _ASSET_VERTEX_KIND, CRYPTO_RULES, VertexKind
 
 __all__ = [
     "Role",
@@ -232,6 +232,8 @@ def _check_profile(profile: MappingProfile, where: str) -> None:
             )
         seen.setdefault(role, column)
     supplied = set(profile.columns.values()) | set(profile.defaults)
+    for role in sorted(supplied - {Role.IGNORE, *_ROWS[profile.kind][0]}):
+        raise IngestError(f"{where}: {profile.kind.value} records do not read the role {role.value!r}")
     if profile.kind in (RecordKind.DATA, RecordKind.ASSET, RecordKind.CRYPTO, RecordKind.ACCESS):
         if Role.ID not in supplied:
             raise IngestError(f"{where}: {profile.kind.value} profile does not assign the id role")
@@ -637,21 +639,13 @@ def _crypto_row(
             diags, fname, line, "bad-object-type",
             f"object type {raw_type!r} for {ident!r} is not one of the supported kinds",
         )
-    certificate = object_type in CERTIFICATE_OBJECT_TYPES
-    if certificate and not algorithm:
+    if CRYPTO_RULES[object_type].kind is VertexKind.CERTIFICATE and not algorithm:
         return _error(
             diags, fname, line, "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
         )
-    if matched_key and not (certificate or object_type is CryptoObjectType.PUBLIC_KEY):
-        return _error(
-            diags, fname, line, "field-not-applicable",
-            f"matched_key is only valid for public keys and certificates, found on {ident!r}",
-        )
-    if issuer_cert and not certificate:
-        return _error(
-            diags, fname, line, "field-not-applicable",
-            f"issuer_cert is only valid for certificates, found on {ident!r}",
-        )
+    if matched_key or issuer_cert:
+        for problem in _not_applicable(ident, object_type, matched_key, issuer_cert):
+            return _error(diags, fname, line, "field-not-applicable", problem)
     return CryptoObjectRecord(
         id=ident,
         object_type=object_type,
@@ -665,6 +659,16 @@ def _crypto_row(
         name=name or None,
         source=Source(fname, ident),
     )
+
+
+def _not_applicable(ident: str, object_type: CryptoObjectType, matched_key, issuer_cert):
+    """A message for each of ``matched_key`` and ``issuer_cert`` that is set
+    although the ``CRYPTO_RULES`` row of ``object_type`` gives it no rule."""
+    row = CRYPTO_RULES[object_type]
+    if matched_key and not row.matched_key:
+        yield f"matched_key is only valid for public keys and certificates, found on {ident!r}"
+    if issuer_cert and not row.issuer_cert:
+        yield f"issuer_cert is only valid for certificates, found on {ident!r}"
 
 
 def _parse_direction(raw: str, fname: str, line: int | None, ident: str, diags: list[Diagnostic]) -> Direction:
@@ -744,6 +748,9 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
             _insert_unique(data, record, "data", diags)
         elif isinstance(record, CryptoObjectRecord):
             _insert_unique(crypto, record, "crypto", diags)
+            if record.matched_key or record.issuer_cert:  # a row had this check; a record built in code has not
+                for problem in _not_applicable(record.id, record.object_type, record.matched_key, record.issuer_cert):
+                    _error(diags, record.source.file, None, "field-not-applicable", problem)
         elif isinstance(record, AssetRecord):
             asset_rows.setdefault(record.id, []).append(record)
 
@@ -921,6 +928,13 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
         for location in filter(None, (obj.location, *obj.key_locations)):
             if location not in asset_ids:
                 dangling(obj, f"{what} names location {location!r} but no such asset exists")
+        holder = None if CRYPTO_RULES[obj.object_type].location else asset_ids.get(obj.location)
+        if holder is not None and _ASSET_VERTEX_KIND[holder.effective_kind] is not VertexKind.PROCESSOR:
+            _warning(
+                diags, obj.source.file, None, "location-unused",
+                f"{what} names location {obj.location!r}, a {_ASSET_VERTEX_KIND[holder.effective_kind].value}, "
+                f"but only a processor gives a {obj.object_type.value} an edge",
+            )
         if obj.matched_key and obj.matched_key not in crypto_ids:
             dangling(obj, f"{what} references matched key {obj.matched_key!r} which is not in the inventory")
         if obj.issuer_cert and obj.issuer_cert != obj.id and obj.issuer_cert not in crypto_ids:

@@ -36,8 +36,6 @@ __all__ = [
     "NOT_APPROVED",
     "QUANTUM_SAFE",
     "QUANTUM_VULNERABLE",
-    "KEY_OBJECT_TYPES",
-    "CERTIFICATE_OBJECT_TYPES",
 ]
 
 
@@ -266,14 +264,6 @@ class CryptoObjectType(str, Enum):
     CA_CERTIFICATE = "CACertificate"
 
 
-KEY_OBJECT_TYPES = frozenset(
-    {CryptoObjectType.SYMMETRIC_KEY, CryptoObjectType.PRIVATE_KEY, CryptoObjectType.PUBLIC_KEY}
-)
-CERTIFICATE_OBJECT_TYPES = frozenset(
-    {CryptoObjectType.CERTIFICATE, CryptoObjectType.CA_CERTIFICATE}
-)
-
-
 @dataclass(frozen=True, slots=True)
 class CryptoObjectRecord:
     """A key or certificate from a cryptographic inventory.
@@ -294,14 +284,6 @@ class CryptoObjectRecord:
     created_by: str | None = None
     name: str | None = None
     source: Source = Source("", "")
-
-    @property
-    def is_key(self) -> bool:
-        return self.object_type in KEY_OBJECT_TYPES
-
-    @property
-    def is_certificate(self) -> bool:
-        return self.object_type in CERTIFICATE_OBJECT_TYPES
 
     @property
     def display(self) -> str:

@@ -62,7 +62,7 @@ RULES: dict[str, str] = {
         "including key-management locations for any crypto object",
     "K3": "public keys rely on their matched private key and storage asset",
     "K4": "keys rely on the primitive configuration they are used with",
-    "K5": "keys rely on the process that created them",
+    "K5": "keys and certificates rely on the process that created them",
     "K6": "certificates rely on their signature algorithm, embedded public key, "
         "and issuing certificate (self-signed certificates stop the chain)",
     "K7": "CA certificates additionally rely on their storage asset",
@@ -106,6 +106,29 @@ _DATA_LOCATION_RULE = {
     VertexKind.PROCESSOR: "D1",
     VertexKind.CHANNEL: "D2",
     VertexKind.PROCESS: "D3",
+}
+
+
+class CryptoRule(NamedTuple):
+    """A crypto object type's vertex kind and the rule each field gives, or None."""
+
+    kind: VertexKind
+    location: str | None
+    held: str
+    algorithm: str
+    matched_key: str | None
+    issuer_cert: str | None
+
+
+#: each crypto object type's rules, which the build, the row reader and validation
+#: read: ``location`` is the edge to the holder, ``held`` a processor holder's edge
+#: to the object; every type takes K1 to ``key_locations`` and K5 to ``created_by``
+CRYPTO_RULES: dict[CryptoObjectType, CryptoRule] = {
+    CryptoObjectType.SYMMETRIC_KEY: CryptoRule(VertexKind.KEY, "K1", "M1", "K4", None, None),
+    CryptoObjectType.PRIVATE_KEY: CryptoRule(VertexKind.KEY, "K1", "M1", "K4", None, None),
+    CryptoObjectType.PUBLIC_KEY: CryptoRule(VertexKind.KEY, "K3", "M2", "K4", "K3", None),
+    CryptoObjectType.CERTIFICATE: CryptoRule(VertexKind.CERTIFICATE, None, "M2", "K6", "K6", "K6"),
+    CryptoObjectType.CA_CERTIFICATE: CryptoRule(VertexKind.CERTIFICATE, "K7", "M2", "K6", "K6", "K6"),
 }
 
 # reference columns naming a crypto object or an algorithm; M3 otherwise
@@ -249,8 +272,7 @@ class _Builder:
         record = self.crypto.get(object_id)
         if record is None:
             return self.vertex(object_id, undeclared)
-        kind = VertexKind.KEY if record.is_key else VertexKind.CERTIFICATE
-        return self.vertex(object_id, kind, record.display)
+        return self.vertex(object_id, CRYPTO_RULES[record.object_type].kind, record.display)
 
     def config(self, algorithm: str, flags: tuple[str, ...]) -> str:
         """Vertex for a primitive configuration, expanding registry ratings
@@ -398,46 +420,26 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:
-    obj = builder.crypto_object(record.id, VertexKind.KEY)
+    """A field the record's row gives no rule is reported by assembly or validation."""
+    row = CRYPTO_RULES[record.object_type]
+    obj = builder.crypto_object(record.id, row.kind)
     provenance = (record.source,)
-    secretish = record.object_type in (
-        CryptoObjectType.SYMMETRIC_KEY,
-        CryptoObjectType.PRIVATE_KEY,
-    )
-
     if record.location:
-        location = builder.asset(record.location)
-        location_kind = builder.vertices[location].kind
-        if secretish:
-            builder.edge(obj, location, "K1", provenance)
-            if location_kind is VertexKind.PROCESSOR:
-                builder.edge(location, obj, "M1", provenance)
-        elif record.object_type is CryptoObjectType.PUBLIC_KEY:
-            builder.edge(obj, location, "K3", provenance)
-            if location_kind is VertexKind.PROCESSOR:
-                builder.edge(location, obj, "M2", provenance)
-        else:
-            if record.object_type is CryptoObjectType.CA_CERTIFICATE:
-                builder.edge(obj, location, "K7", provenance)
-            if location_kind is VertexKind.PROCESSOR:
-                builder.edge(location, obj, "M2", provenance)
-
+        holder = builder.asset(record.location)
+        if row.location:
+            builder.edge(obj, holder, row.location, provenance)
+        if builder.vertices[holder].kind is VertexKind.PROCESSOR:
+            builder.edge(holder, obj, row.held, provenance)
     # key-management locations hold the underlying key material, so every
     # kind of crypto object leans on them
     for key_location in record.key_locations:
         builder.edge(obj, builder.asset(key_location), "K1", provenance)
-
     if record.algorithm is not None:
-        config = builder.config(record.algorithm, record.config_flags)
-        builder.edge(obj, config, "K6" if record.is_certificate else "K4", provenance)
-
-    if record.is_key and record.created_by:
+        builder.edge(obj, builder.config(record.algorithm, record.config_flags), row.algorithm, provenance)
+    if record.created_by:
         builder.edge(obj, builder.asset(record.created_by), "K5", provenance)
-
-    if record.matched_key:
-        target = builder.crypto_object(record.matched_key, VertexKind.KEY)
-        builder.edge(obj, target, "K6" if record.is_certificate else "K3", provenance)
-
-    if record.is_certificate and record.issuer_cert and record.issuer_cert != record.id:
+    if record.matched_key and row.matched_key:
+        builder.edge(obj, builder.crypto_object(record.matched_key, VertexKind.KEY), row.matched_key, provenance)
+    if record.issuer_cert and row.issuer_cert and record.issuer_cert != record.id:
         issuer = builder.crypto_object(record.issuer_cert, VertexKind.CERTIFICATE)
-        builder.edge(obj, issuer, "K6", provenance)
+        builder.edge(obj, issuer, row.issuer_cert, provenance)

@@ -4,9 +4,10 @@ Everything here trades speed for obviousness: a cubic Floyd-Warshall closure
 instead of per-pair BFS, exhaustive simple-path enumeration instead of the
 guided witness search, a dict-keyed merge of duplicate edges instead of
 the builder's in-place merge of sorted runs, a from-scratch reader for the
-DOT subset the renderer emits, and an assembly that turns every asset
-reference into a stub record and merges all rows of an id.  None of it
-imports the search, rendering or assembly internals it checks.
+DOT subset the renderer emits, an assembly that turns every asset
+reference into a stub record and merges all rows of an id, and the edges
+of a bundle read off the text of the rule catalogue.  None of it imports
+the search, rendering, assembly or rule internals it checks.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from cryptodep import (
     DataRecord,
     DependencyGraph,
     Diagnostic,
+    Direction,
     InventoryBundle,
     Severity,
     VertexKind,
 )
-from cryptodep.model import RefOrigin
+from cryptodep.model import RefOrigin, parse_primitive_spec, primitive_key
 
 # Strength within a dimension: bits by value, approved above not-approved,
 # quantum-safe above quantum-vulnerable.  Kept apart from the program's own
@@ -279,3 +281,129 @@ def assemble_oracle(records, registry):
         records=records,
     )
     return bundle, diags
+
+
+# The vertex kind of each asset kind, and the rules a reference from an asset
+# of each vertex kind takes, as the README's rule table states them.
+_ASSET_VERTEX_KINDS = {
+    "Processor": VertexKind.PROCESSOR, "Service": VertexKind.PROCESSOR, "Channel": VertexKind.CHANNEL,
+    "Process": VertexKind.PROCESS, "Software": VertexKind.PROCESS,
+}
+_DATA_RULES = {VertexKind.PROCESSOR: "D1", VertexKind.CHANNEL: "D2", VertexKind.PROCESS: "D3"}
+_CRYPTO_REF_RULES = {VertexKind.PROCESS: "PR4", VertexKind.CHANNEL: "CH1"}  # M3 from a processor
+_ALGORITHM_REF_RULES = {VertexKind.PROCESS: "PR1", VertexKind.CHANNEL: "CH1"}  # M3 from a processor
+
+
+def edges_oracle(bundle):
+    """``(kinds, edges)`` as ``build_graph`` should give them for a bundle
+    whose namespaces do not collide: each vertex's kind by id, and the
+    merged ``(frm, to, rule, provenance)`` of every edge the text of each
+    rule asks for, with no self-loop.  A declared id takes its record's
+    kind; an id only referred to is a processor asset, a key (a matched
+    key) or a certificate (an issuer).  Only configurations some record
+    names, and the members they use, are vertices, and only levels of a
+    dimension some classification requires."""
+    registry = bundle.registry
+    crypto = {r.id: r for r in bundle.crypto_objects}
+    data = {r.id: r for r in bundle.data}
+    assets = {r.id: r for r in bundle.assets}
+    active = {rating.dimension for binding in bundle.classifications for rating in binding.required}
+    declared = {ident: VertexKind.DATA_ASSET for ident in data}
+    declared.update(
+        (r.id, VertexKind.KEY if r.object_type.value.endswith("Key") else VertexKind.CERTIFICATE)
+        for r in bundle.crypto_objects
+    )
+    declared.update((r.id, _ASSET_VERTEX_KINDS[r.kind.value if r.kind else "Processor"]) for r in bundle.assets)
+    kinds: dict = {}
+    found: list = []
+    expanded: set = set()
+
+    def vertex(ident, kind):
+        kinds[ident] = declared.get(ident, kind)
+        return ident
+
+    def edge(frm, to, rule, source):
+        if frm != to:
+            found.append((frm, to, rule, (source,)))
+
+    def config(name, flags):
+        key = vertex(primitive_key(name, flags), VertexKind.PRIMITIVE_CONFIG)
+        configuration = registry.lookup(name, flags)
+        if key not in expanded and configuration is not None:
+            expanded.add(key)
+            for rating in configuration.ratings:  # SL2
+                if rating.dimension in active:
+                    edge(key, vertex(rating.key, VertexKind.SECURITY_LEVEL), "SL2", configuration.source)
+            for spec in configuration.uses:  # P2
+                edge(key, config(*parse_primitive_spec(spec)), "P2", configuration.source)
+        return key
+
+    def access(asset, service, direction, source):  # AC1
+        edge(service, asset, "AC1", source)
+        if direction is Direction.TWO_WAY:
+            edge(asset, service, "AC1", source)
+
+    for binding in bundle.classifications:
+        label = vertex(binding.label, VertexKind.CLASSIFICATION)
+        for rating in binding.required:
+            edge(vertex(rating.key, VertexKind.SECURITY_LEVEL), label, "SL1", binding.source)
+
+    for record in bundle.data:
+        me = vertex(record.id, VertexKind.DATA_ASSET)
+        if record.classification:
+            edge(vertex(record.classification, VertexKind.CLASSIFICATION), me, "DC1", record.source)
+        for location in record.storage_locations:  # D1, D2, D3 by the kind of asset
+            holder = vertex(location, VertexKind.PROCESSOR)
+            edge(me, holder, _DATA_RULES[kinds[holder]], record.source)
+
+    for record in bundle.assets:
+        me = vertex(record.id, VertexKind.PROCESSOR)
+        mine = kinds[me]
+        for target in record.serves:
+            other = vertex(target, VertexKind.PROCESSOR)
+            edge(me, other, "AC1", record.source)
+            edge(other, me, "AC1", record.source)
+        for ref in record.accesses:
+            source, target = ref.source or record.source, ref.target
+            if ref.origin is RefOrigin.ACCESS_RECORD:
+                access(me, vertex(target, VertexKind.PROCESSOR), ref.direction, source)
+            elif target in crypto:
+                edge(me, vertex(target, VertexKind.KEY), _CRYPTO_REF_RULES.get(mine, "M3"), source)
+            elif target in data:
+                edge(vertex(target, VertexKind.DATA_ASSET), me, _DATA_RULES[mine], source)
+            elif target in assets:
+                other = vertex(target, VertexKind.PROCESSOR)
+                if VertexKind.CHANNEL in (mine, kinds[other]):  # CH2, both ways
+                    edge(me, other, "CH2", source)
+                    edge(other, me, "CH2", source)
+                elif mine is VertexKind.PROCESS:
+                    edge(me, other, "PR2" if kinds[other] is VertexKind.PROCESSOR else "PR3", source)
+                else:
+                    access(me, other, ref.direction, source)
+            else:
+                edge(me, config(*registry.algorithm_ref(target)), _ALGORITHM_REF_RULES.get(mine, "M3"), source)
+
+    for obj in bundle.crypto_objects:
+        me, source = vertex(obj.id, None), obj.source
+        key = kinds[me] is VertexKind.KEY
+        public = obj.object_type.value == "PublicKey"
+        if obj.location:
+            holder = vertex(obj.location, VertexKind.PROCESSOR)
+            # K1: secret and private keys, K3: public keys, K7: CA certificates;
+            # a plain certificate takes no edge to where it is stored
+            rule = "K3" if public else "K1" if key else "K7" if obj.object_type.value == "CACertificate" else None
+            if rule:
+                edge(me, holder, rule, source)
+            if kinds[holder] is VertexKind.PROCESSOR:  # M1: symmetric and private keys, M2: the rest
+                edge(holder, me, "M1" if key and not public else "M2", source)
+        for location in obj.key_locations:
+            edge(me, vertex(location, VertexKind.PROCESSOR), "K1", source)
+        if obj.algorithm is not None:
+            edge(me, config(obj.algorithm, obj.config_flags), "K4" if key else "K6", source)
+        if obj.created_by:
+            edge(me, vertex(obj.created_by, VertexKind.PROCESSOR), "K5", source)
+        if obj.matched_key and (public or not key):
+            edge(me, vertex(obj.matched_key, VertexKind.KEY), "K3" if public else "K6", source)
+        if obj.issuer_cert and not key:
+            edge(me, vertex(obj.issuer_cert, VertexKind.CERTIFICATE), "K6", source)
+    return kinds, merged_edges_oracle(found)

@@ -629,6 +629,16 @@ def test_profile_values_that_are_not_strings_exit_2_with_one_line(tmp_path, prof
     assert err == f"error: {path}: profile #1: {message}\n"
 
 
+def test_a_profile_role_its_kind_does_not_read_exits_2_with_one_line(tmp_path):
+    # a data record has no creator: the column would be dropped without a word
+    path = tmp_path / "profiles.json"
+    entry = {"inventory": "data.csv", "kind": "data", "columns": {"ID": "id", "Owner": "created_by"}}
+    path.write_text(json.dumps({"profiles": [entry]}))
+    code, out, err = run_cli(cloud_minimal_args("validate", "--profiles", str(path)))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: profile #1: data records do not read the role 'created_by'\n"
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -817,6 +827,15 @@ def test_version_flag():
     code, out, _ = run_cli(["--version"])
     assert code == 0
     assert out.startswith("cryptodep ")
+
+
+def test_python_dash_m_runs_the_cli():
+    run = subprocess.run(
+        [sys.executable, "-m", "cryptodep", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("cryptodep ")
 
 
 def test_no_command_is_an_argparse_error():

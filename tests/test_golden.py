@@ -101,6 +101,25 @@ def test_output_matches_golden(name):
     assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("seed", ["0", "987654"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_in_its_own_process_under_a_fixed_hash_seed(tmp_path, name, seed):
+    """In process, every case runs under the session's one random hash
+    seed, so output that hung on the order of a set would show only as a
+    flake.  Here the case is its own ``python -m cryptodep`` process under
+    a fixed ``PYTHONHASHSEED``."""
+    write = GENERATED.get(name)
+    if write:
+        write(tmp_path)
+    run = subprocess.run(
+        [sys.executable, "-m", "cryptodep", *CASES[name][0]], cwd=tmp_path if write else ROOT, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert run.returncode == CASES[name][1]
+    assert run.stdout == (GOLDEN / f"{name}.out").read_bytes()
+    assert run.stderr == (GOLDEN / f"{name}.err").read_bytes()
+
+
 def test_traced_harness_reproduces_a_golden_case(tmp_path):
     """``benchmark/traced.py`` wraps functions by the names its callers look
     them up by, so a move or rename it misses fails here, not in a traced

@@ -112,9 +112,15 @@ def test_parse_profiles_rejects_bad_documents(tmp_path, doc):
          "classification profile needs the classification and security_level roles"),
         ({"kind": "classification", "columns": {"Security": "security_level"}},
          "classification profile needs the classification and security_level roles"),
+        ({"kind": "data", "columns": {"ID": "id", "Owner": "created_by", "Notes": "ignore"}},
+         "data records do not read the role 'created_by'"),
+        ({"kind": "access", "columns": {"Asset": "id", "Service": "accesses_target"}, "defaults": {"name": "x"}},
+         "access records do not read the role 'name'"),
+        ({"kind": "classification", "columns": {"ID": "id", "Class": "classification", "Level": "security_level"}},
+         "classification records do not read the role 'id'"),
     ],
     ids=["unknown-default-role", "access-without-target", "classification-without-level",
-         "classification-without-label"],
+         "classification-without-label", "column-role-not-read", "default-role-not-read", "id-not-read"],
 )
 def test_profile_role_errors_name_the_profile(tmp_path, entry, message):
     path = tmp_path / "profiles.json"
@@ -324,6 +330,30 @@ def test_parse_crypto_field_applicability(tmp_path):
     records, diags = _parse(tmp_path, "crypto.csv", text, profile)
     assert [r.id for r in records] == ["K3"]
     assert codes(diags) == ["field-not-applicable", "field-not-applicable"]
+
+
+def test_assembly_reports_a_field_a_record_built_in_code_carries_for_no_rule():
+    """The row reader rejects these rows; a record built in code keeps its
+    other fields, and assembly names each field the build gives no edge."""
+    source = Source("k.csv", "r")
+    records = [
+        CryptoObjectRecord(
+            id="S1", object_type=CryptoObjectType.SYMMETRIC_KEY, matched_key="P1", issuer_cert="C1", source=source
+        ),
+        CryptoObjectRecord(
+            id="P1", object_type=CryptoObjectType.PUBLIC_KEY, matched_key="S1", issuer_cert="C1", source=source
+        ),
+        CryptoObjectRecord(
+            id="C1", object_type=CryptoObjectType.CERTIFICATE, matched_key="P1", issuer_cert="C1", source=source
+        ),
+    ]
+    bundle, diags = assemble_bundle(records, _registry())
+    assert [d.render() for d in diags] == [
+        "error: k.csv: field-not-applicable: matched_key is only valid for public keys and certificates, found on 'S1'",
+        "error: k.csv: field-not-applicable: issuer_cert is only valid for certificates, found on 'S1'",
+        "error: k.csv: field-not-applicable: issuer_cert is only valid for certificates, found on 'P1'",
+    ]
+    assert [r.id for r in bundle.crypto_objects] == ["C1", "P1", "S1"]
 
 
 def test_quoted_newline_stays_in_the_cell(tmp_path):
@@ -768,6 +798,26 @@ def test_validate_reports_an_id_spelled_like_an_unrated_protocol_member():
     assert [(d.code, d.message) for d in validate_bundle(bundle) if d.severity is Severity.ERROR] == [
         ("namespace-collision", "identifier 'FOO[9]' is also a level or configuration"),
     ]
+
+
+@pytest.mark.parametrize(
+    "asset_kind, vertex_kind",
+    [(AssetKind.PROCESSOR, None), (AssetKind.SERVICE, None), (None, None),
+     (AssetKind.CHANNEL, "Channel"), (AssetKind.PROCESS, "Process"), (AssetKind.SOFTWARE, "Process")],
+)
+def test_validate_warns_of_a_certificate_location_that_gives_no_edge(asset_kind, vertex_kind):
+    """Only a processor holding a plain certificate gives it an edge; keys
+    and CA certificates rely on wherever they are located."""
+    records = [AssetRecord(id="Holder", kind=asset_kind, source=Source("a.csv", "Holder"))] + [
+        CryptoObjectRecord(id=object_type.value, object_type=object_type, location="Holder", source=Source("k.csv", "r"))
+        for object_type in CryptoObjectType
+    ]
+    bundle, _ = assemble_bundle(records, _registry())
+    expected = [] if vertex_kind is None else [
+        f"warning: k.csv: location-unused: crypto object 'Certificate' names location 'Holder', "
+        f"a {vertex_kind}, but only a processor gives a Certificate an edge"
+    ]
+    assert [d.render() for d in validate_bundle(bundle)] == expected
 
 
 def test_validate_accepts_self_signed_certificates():

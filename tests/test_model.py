@@ -8,8 +8,6 @@ from cryptodep.model import (
     AssetKind,
     AssetRecord,
     Configuration,
-    CryptoObjectRecord,
-    CryptoObjectType,
     CryptoRegistry,
     NOT_APPROVED,
     QUANTUM_SAFE,
@@ -211,10 +209,3 @@ def test_asset_defaults():
     assert asset.display == "A1"
     named = AssetRecord(id="A1", name="web tier")
     assert named.display == "web tier"
-
-
-def test_crypto_type_predicates():
-    key = CryptoObjectRecord(id="k", object_type=CryptoObjectType.PRIVATE_KEY)
-    cert = CryptoObjectRecord(id="c", object_type=CryptoObjectType.CA_CERTIFICATE, algorithm="RSA")
-    assert key.is_key and not key.is_certificate
-    assert cert.is_certificate and not cert.is_key

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,14 +33,18 @@ from cryptodep import (
     parse_overlay,
     parse_profiles,
     parse_registry,
+    validate_bundle,
 )
+from cryptodep.ingest import parse_entry
 from cryptodep.registry import parse_registry_text
 from cryptodep.model import InventoryBundle, RefOrigin
-from cryptodep.rules import Edge, _Builder
+from cryptodep.rules import CRYPTO_RULES, Edge, _Builder
 
 import inventory_gen
 from conftest import CLOUD_FILES, CLOUD_MINIMAL, HYBRID, HYBRID_FILES
-from oracle import merged_edges_oracle
+from oracle import edges_oracle, merged_edges_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def triples(graph):
@@ -51,6 +58,10 @@ def kinds(graph):
 def graph_from(records, registry=None):
     bundle, _ = assemble_bundle(records, registry or load_default_registry())
     return build_graph(bundle)
+
+
+def codes(diags):
+    return [d.code for d in diags]
 
 
 def src(name="t.csv", ref="r"):
@@ -269,19 +280,84 @@ def test_key_links_to_configuration_and_creator():
     assert ("Obj", "Provisioner", "K5") in triples(graph)
 
 
-def test_certificates_do_not_take_creator_edges():
-    records = [
-        CryptoObjectRecord(
-            id="Obj",
-            object_type=CryptoObjectType.CERTIFICATE,
-            algorithm="RSA",
-            config_flags=("2048",),
-            created_by="Provisioner",
-            source=src(),
-        )
-    ]
-    graph = graph_from(records)
-    assert not [t for t in triples(graph) if t[2] == "K5"]
+def test_certificates_take_creator_edges():
+    for object_type in (CryptoObjectType.CERTIFICATE, CryptoObjectType.CA_CERTIFICATE):
+        records = [
+            AssetRecord(id="Provisioner", kind=AssetKind.PROCESS, source=src()),
+            CryptoObjectRecord(
+                id="Obj",
+                object_type=object_type,
+                algorithm="RSA",
+                config_flags=("2048",),
+                created_by="Provisioner",
+                source=src(),
+            ),
+        ]
+        assert ("Obj", "Provisioner", "K5") in triples(graph_from(records)), object_type
+
+
+def test_crypto_rules_cover_every_object_type():
+    assert CRYPTO_RULES.keys() == set(CryptoObjectType)
+    for object_type, row in CRYPTO_RULES.items():
+        assert row.kind in (VertexKind.KEY, VertexKind.CERTIFICATE), object_type
+        assert row.held and row.algorithm, object_type
+        assert {rule for rule in row[1:] if rule} <= RULES.keys(), object_type
+
+
+# the value each crypto field takes in a cell of the table below: the
+# holder is an asset of the cell's vertex kind, where the object is located
+# in the cells of the fields that do not name an asset, and the other id is
+# a CA certificate
+_FIELD_VALUES = {
+    "location": "Holder", "key_locations": ("Holder",), "created_by": "Holder",
+    "algorithm": "AES", "matched_key": "Other", "issuer_cert": "Other",
+}
+
+
+def _field_outcome(object_type, field, holder_kind):
+    """The edges, assembly and validation codes, and whether the row reader
+    rejects the row, that setting ``field`` on an object at the holder adds."""
+    def built(record):
+        records = [
+            AssetRecord(id="Holder", kind=holder_kind, source=src("a.csv", "Holder")),
+            CryptoObjectRecord(
+                id="Other", object_type=CryptoObjectType.CA_CERTIFICATE, algorithm="RSA", source=src("k.csv", "Other")
+            ),
+            record,
+        ]
+        bundle, diags = assemble_bundle(records, load_default_registry())
+        return triples(build_graph(bundle)), Counter(codes(diags + validate_bundle(bundle)))
+
+    value = _FIELD_VALUES[field]
+    located = None if value in ("Holder", ("Holder",)) else "Holder"
+    base = CryptoObjectRecord(id="Obj", object_type=object_type, location=located, source=src("k.csv", "Obj"))
+    base_edges, base_codes = built(base)
+    edges, found = built(replace(base, **{field: value}))
+    entry = {
+        "record_kind": "crypto", "id": "Obj", "object_type": object_type.value, "location": located,
+        "algorithm": "AES", field: list(value) if isinstance(value, tuple) else value,
+    }
+    rejected = False
+    try:
+        parse_entry(entry)
+    except ValueError as exc:
+        assert "only valid for" in str(exc), exc
+        rejected = True
+    return edges - base_edges, set(found - base_codes), rejected
+
+
+@pytest.mark.parametrize("holder_kind", [AssetKind.PROCESSOR, AssetKind.CHANNEL, AssetKind.PROCESS])
+@pytest.mark.parametrize("field", sorted(_FIELD_VALUES))
+@pytest.mark.parametrize("object_type", list(CryptoObjectType))
+def test_every_crypto_field_gives_an_edge_or_a_word(object_type, field, holder_kind):
+    """Each (object type, field, holder vertex kind) cell gives an edge of
+    the object, a row rejection, or a diagnostic that names the field."""
+    edges, found, rejected = _field_outcome(object_type, field, holder_kind)
+    assert all("Obj" in edge[:2] for edge in edges)
+    words = found & {"location-unused", "field-not-applicable"}
+    assert rejected == ("field-not-applicable" in words)  # a record built in code is told what a row is
+    assert edges or words, (object_type, field, holder_kind)
+    assert not (edges and words)
 
 
 def test_matched_key_edges():
@@ -634,6 +710,31 @@ def test_no_self_loops():
     ]
     graph = graph_from(records)
     assert not [e for e in graph.edges if e.frm == e.to]
+
+
+def test_the_edges_are_those_the_rule_text_gives():
+    """``build_graph`` against the oracle written from the text of ``RULES``
+    and the README's rule table, on generated bundles of every size."""
+    seen = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        bundle, _, _ = inventory_gen.random_bundle(
+            rng, n_data=rng.randint(1, 8), n_assets=rng.randint(2, 10), n_crypto=rng.randint(1, 10)
+        )
+        graph = build_graph(bundle)
+        expected_kinds, expected_edges = edges_oracle(bundle)
+        assert kinds(graph) == expected_kinds, seed
+        assert [tuple(edge) for edge in graph.edges] == expected_edges, seed
+        seen.update(edge.rule for edge in graph.edges)
+    assert seen.keys() == RULES.keys() and min(seen.values()) >= 10, seen
+
+
+def test_the_readme_rule_table_lists_exactly_the_catalogue():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = readme[readme.index("## Rule catalogue"):readme.index("## Library use")]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| [^|]+ \|$", readme, re.MULTILINE)
+    assert dict((ident, text.strip()) for ident, text in rows) == RULES
+    assert len(rows) == len(RULES)
 
 
 def _built_bundle(source: str, directory):
