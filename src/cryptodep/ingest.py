@@ -35,7 +35,7 @@ from .model import (
     normalise_flag,
     primitive_key,
 )
-from .rules import _ASSET_VERTEX_KIND, CRYPTO_RULES, VertexKind
+from .rules import _ASSET_VERTEX_KIND, CRYPTO_RULES, VertexKind, _Builder
 
 __all__ = [
     "Role",
@@ -107,7 +107,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: Severity
     file: str
@@ -639,13 +639,9 @@ def _crypto_row(
             diags, fname, line, "bad-object-type",
             f"object type {raw_type!r} for {ident!r} is not one of the supported kinds",
         )
-    if CRYPTO_RULES[object_type].kind is VertexKind.CERTIFICATE and not algorithm:
-        return _error(
-            diags, fname, line, "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
-        )
-    if matched_key or issuer_cert:
-        for problem in _not_applicable(ident, object_type, matched_key, issuer_cert):
-            return _error(diags, fname, line, "field-not-applicable", problem)
+    if not algorithm or matched_key or issuer_cert:
+        for code, problem in _field_problems(ident, object_type, algorithm, matched_key, issuer_cert):
+            return _error(diags, fname, line, code, problem)
     return CryptoObjectRecord(
         id=ident,
         object_type=object_type,
@@ -661,14 +657,16 @@ def _crypto_row(
     )
 
 
-def _not_applicable(ident: str, object_type: CryptoObjectType, matched_key, issuer_cert):
-    """A message for each of ``matched_key`` and ``issuer_cert`` that is set
-    although the ``CRYPTO_RULES`` row of ``object_type`` gives it no rule."""
+def _field_problems(ident: str, object_type: CryptoObjectType, algorithm, matched_key, issuer_cert):
+    """A ``(code, message)`` for each field the ``CRYPTO_RULES`` row of ``object_type`` rejects: a
+    certificate's missing ``algorithm``, and a ``matched_key`` or ``issuer_cert`` it gives no rule."""
     row = CRYPTO_RULES[object_type]
+    if row.kind is VertexKind.CERTIFICATE and not algorithm:
+        yield "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
     if matched_key and not row.matched_key:
-        yield f"matched_key is only valid for public keys and certificates, found on {ident!r}"
+        yield "field-not-applicable", f"matched_key is only valid for public keys and certificates, found on {ident!r}"
     if issuer_cert and not row.issuer_cert:
-        yield f"issuer_cert is only valid for certificates, found on {ident!r}"
+        yield "field-not-applicable", f"issuer_cert is only valid for certificates, found on {ident!r}"
 
 
 def _parse_direction(raw: str, fname: str, line: int | None, ident: str, diags: list[Diagnostic]) -> Direction:
@@ -748,9 +746,12 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
             _insert_unique(data, record, "data", diags)
         elif isinstance(record, CryptoObjectRecord):
             _insert_unique(crypto, record, "crypto", diags)
-            if record.matched_key or record.issuer_cert:  # a row had this check; a record built in code has not
-                for problem in _not_applicable(record.id, record.object_type, record.matched_key, record.issuer_cert):
-                    _error(diags, record.source.file, None, "field-not-applicable", problem)
+            # the checks of _crypto_row, which a record built in code has not had
+            if not record.algorithm or record.matched_key or record.issuer_cert:
+                for code, problem in _field_problems(
+                    record.id, record.object_type, record.algorithm, record.matched_key, record.issuer_cert
+                ):
+                    _error(diags, record.source.file, None, code, problem)
         elif isinstance(record, AssetRecord):
             asset_rows.setdefault(record.id, []).append(record)
 
@@ -885,22 +886,27 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
                 f"identifier {ident!r} appears in both {what} inventories",
             )
     ids = (data_ids, asset_ids, crypto_ids)
-    # the build gives a vertex id to the first record that claims it, so a record
-    # spelled like a level or a configuration vertex the build makes would take it
-    active = {rating.dimension for binding in bundle.classifications for rating in binding.required}
-    made = {rating.key for binding in bundle.classifications for rating in binding.required}
+    # the build gives an id's vertex to the first record or label that claims it, so none may
+    # take an id its own level and config give, or would give a registry configuration
+    builder = _Builder(bundle)
+    for rating in (rating for binding in bundle.classifications for rating in binding.required):
+        builder.level(rating)
     for name, configs in bundle.registry.algorithms.items():
-        made.update(key for config in configs for key in (primitive_key(name, config.flags), *config.uses))
-        made.update(rating.key for config in configs for rating in config.ratings if rating.dimension in active)
+        for config in configs:
+            builder.config(name, config.flags)
+    made = builder.vertices  # a configuration vertex without a payload is unrated
     pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
-    made.update(primitive_key(*pair) for pair in pairs)
-    # a reference cell that names no record and spells a configuration makes its
-    # vertex; a record id wins that resolution, but a label would take the vertex
-    for label in class_labels:
-        spec = bundle.registry.algorithm_ref(label)
-        if spec and primitive_key(*spec) == label:
-            made.add(label)
-    unrated = {pair for pair in pairs if bundle.registry.lookup(*pair) is None}
+    unrated = {pair for pair in pairs if made[builder.config(*pair)].payload is None}
+    cells: dict[tuple[str, str], str] = {}  # (asset, unrated configuration) -> its first cell's file
+    for asset in bundle.assets:
+        for ref in asset.accesses:  # a cell naming no record names an algorithm, as in _typed_reference
+            target = ref.target  # most name an asset, so that is asked first
+            if target not in asset_ids and ref.origin is not RefOrigin.ACCESS_RECORD and not (
+                target in crypto_ids or target in data_ids
+            ):
+                key = builder.config(*bundle.registry.algorithm_ref(target))
+                if made[key].payload is None:
+                    cells.setdefault((asset.id, key), (ref.source or asset.source).file)
     for ident in sorted(i for i in made if any(i in table for table in (class_labels, *ids))):
         _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")
     for label in sorted(label for label in class_labels if any(label in table for table in ids)):
@@ -946,6 +952,8 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
                 diags, obj.source.file, None, "unknown-algorithm",
                 f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} is not rated in the registry",
             )
+    for (ident, key), file in cells.items():
+        _warning(diags, file, None, "unknown-algorithm", f"{key} used by {ident!r} is not rated in the registry")
     return diags
 
 

@@ -62,7 +62,10 @@ class ScanReport:
             "input_digests": dict(sorted(self.input_digests.items())),
             "config_echo": {"policy": self.policy.to_dict(), "horizon": dict(vars(self.horizon))},
             "findings": [_finding_json(f) for f in self.findings],
-            "diagnostics": [{**vars(d), "severity": d.severity.value} for d in self.diagnostics],
+            "diagnostics": [
+                {"severity": d.severity.value, "file": d.file, "code": d.code, "message": d.message, "line": d.line}
+                for d in self.diagnostics
+            ],
             "graph_stats": {**stats, "edges_by_rule": dict(stats["edges_by_rule"])},
         }
 

@@ -30,7 +30,6 @@ from .model import (
     CryptoObjectType,
     Direction,
     InventoryBundle,
-    RatingDimension,
     RefOrigin,
     SecurityRating,
     Source,
@@ -230,9 +229,10 @@ class _Builder:
     among all of its edges; ``finish`` sorts the list once and merges the
     duplicates, so most edges keep that shared tuple."""
 
-    def __init__(self, bundle: InventoryBundle, active_dims: frozenset[RatingDimension]):
+    def __init__(self, bundle: InventoryBundle):
         self.bundle = bundle
-        self.active_dims = active_dims
+        # levels exist only for the dimensions some classification requires
+        self.active_dims = {rating.dimension for binding in bundle.classifications for rating in binding.required}
         # bound once: the rules consult them for nearly every record
         self.assets = bundle.asset_map
         self.crypto = bundle.crypto_map
@@ -329,10 +329,7 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
     created only for dimensions some classification requires; a registry
     rating in a dimension nothing requires stays out of the graph.
     """
-    active = frozenset(
-        rating.dimension for binding in bundle.classifications for rating in binding.required
-    )
-    builder = _Builder(bundle, active)
+    builder = _Builder(bundle)
 
     for binding in bundle.classifications:
         classification = builder.vertex(binding.label, VertexKind.CLASSIFICATION)

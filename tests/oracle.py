@@ -231,6 +231,13 @@ def assemble_oracle(records, registry):
                     Severity.ERROR, drop.source.file, "duplicate-id",
                     f"{noun} id {record.id!r} is defined more than once; keeping the copy from {keep.source.file}",
                 ))
+            # a certificate's signature algorithm is required, whoever built the record
+            certificate = isinstance(record, CryptoObjectRecord) and not record.object_type.value.endswith("Key")
+            if certificate and not record.algorithm:
+                diags.append(Diagnostic(
+                    Severity.ERROR, record.source.file, "missing-algorithm",
+                    f"certificate {record.id!r} must name its signature algorithm",
+                ))
     data, crypto = tables[DataRecord], tables[CryptoObjectRecord]
 
     for row in [row for parts in rows.values() for row in parts]:

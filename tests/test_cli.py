@@ -271,24 +271,61 @@ def test_an_id_spelled_like_a_level_or_configuration_is_a_namespace_collision(tm
     assert code == 1 and message in err.splitlines()
 
 
-def test_a_label_spelled_like_a_configuration_an_asset_cell_names_is_a_namespace_collision(tmp_path):
-    """Only ``UserAuth1``'s ``Uses`` cell names ``RSA[999]``; it became the
-    algorithm's vertex, which the label had already taken."""
+def _hybrid_copy(tmp_path, uses: str | None = None) -> list[str]:
+    """The ``validate`` arguments of a copy of ``hybrid_enterprise`` in
+    ``tmp_path``, with ``uses`` appended to ``UserAuth1``'s ``Uses`` cell."""
     inputs = hybrid_args("validate")[1:]
     for index, path in enumerate(inputs):
         if path.startswith(str(HYBRID)):
             copy = tmp_path / Path(path).name
             copy.write_text(Path(path).read_text())
             inputs[index] = str(copy)
+    if uses:
+        assets = tmp_path / "assets.csv"
+        cell = "UserAuth1,Process,Building A,-,-,-,-,-,-,CR004; CR005"
+        assets.write_text(assets.read_text().replace(cell, f"{cell}; {uses}"))
+    return inputs
+
+
+def test_a_label_spelled_like_a_configuration_an_asset_cell_names_is_a_namespace_collision(tmp_path):
+    """Only ``UserAuth1``'s ``Uses`` cell names ``RSA[999]``; it became the
+    algorithm's vertex, which the label had already taken."""
+    inputs = _hybrid_copy(tmp_path, "RSA[999]")
     with open(tmp_path / "classifications.csv", "a") as fh:
         fh.write("RSA[999],128\n")
-    assets = tmp_path / "assets.csv"
-    assets.write_text(assets.read_text().replace("UserAuth1,Process,Building A,-,-,-,-,-,-,CR004; CR005",
-                                                 "UserAuth1,Process,Building A,-,-,-,-,-,-,CR004; CR005; RSA[999]"))
     code, out, _ = run_cli(["validate", *inputs])
     assert code == 1
     assert "error: <bundle>: namespace-collision: identifier 'RSA[999]' is also a level or configuration" in out
-    assert out.endswith(", 1 errors, 0 warnings\n")
+    # the default registry rates no RSA[999], so the cell's dependency is unrated too
+    assert "warning: assets.csv: unknown-algorithm: RSA[999] used by 'UserAuth1' is not rated in the registry" in out
+    assert out.endswith(", 1 errors, 1 warnings\n")
+
+
+def test_a_label_spelled_like_a_configuration_nothing_names_is_no_collision(tmp_path):
+    """No cell names ``RSA[999]`` and the registry rates no such
+    configuration, so the build makes no vertex the label could take."""
+    inputs = _hybrid_copy(tmp_path)
+    with open(tmp_path / "classifications.csv", "a") as fh:
+        fh.write("RSA[999],128\n")
+    code, out, _ = run_cli(["validate", *inputs])
+    assert code == 0 and "namespace-collision" not in out
+    code, out, _ = run_cli(["graph", *inputs])
+    [vertex] = [line for line in out.splitlines() if line.startswith('  "RSA[999]" [')]
+    assert code == 0 and 'shape=box,' not in vertex  # the label's vertex, not a configuration's box
+
+
+def test_an_unrated_configuration_a_reference_cell_names_is_an_unknown_algorithm(tmp_path):
+    """A process's dependency on an unrated configuration can reach no
+    finding, whether a crypto object or a reference cell names it."""
+    inputs = _hybrid_copy(tmp_path, "RSA[4096]")
+    with open(tmp_path / "crypto.csv", "a") as fh:
+        fh.write("CR006,PA001010,WebServer1,Extra_Key,Private Key,RSA,4096,KMS\n")
+    code, out, _ = run_cli(["validate", *inputs])
+    assert code == 0
+    assert [line for line in out.splitlines() if "unknown-algorithm" in line] == [
+        "warning: crypto.csv: unknown-algorithm: RSA[4096] used by 'CR006' is not rated in the registry",
+        "warning: assets.csv: unknown-algorithm: RSA[4096] used by 'UserAuth1' is not rated in the registry",
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -352,8 +352,21 @@ def test_assembly_reports_a_field_a_record_built_in_code_carries_for_no_rule():
         "error: k.csv: field-not-applicable: matched_key is only valid for public keys and certificates, found on 'S1'",
         "error: k.csv: field-not-applicable: issuer_cert is only valid for certificates, found on 'S1'",
         "error: k.csv: field-not-applicable: issuer_cert is only valid for certificates, found on 'P1'",
+        "error: k.csv: missing-algorithm: certificate 'C1' must name its signature algorithm",
     ]
     assert [r.id for r in bundle.crypto_objects] == ["C1", "P1", "S1"]
+
+
+@pytest.mark.parametrize("object_type", [CryptoObjectType.CERTIFICATE, CryptoObjectType.CA_CERTIFICATE])
+def test_assembly_reports_a_certificate_built_in_code_without_a_signature_algorithm(object_type):
+    """The row reader rejects such a row; the record built in code keeps its
+    holder's edge, and assembly says that its K6 edge is missing."""
+    record = CryptoObjectRecord(id="C1", object_type=object_type, location="H", source=Source("k.csv", "C1"))
+    bundle, diags = assemble_bundle([record], _registry())
+    assert [d.render() for d in diags] == [
+        "error: k.csv: missing-algorithm: certificate 'C1' must name its signature algorithm",
+    ]
+    assert bundle.crypto_objects == (record,)
 
 
 def test_quoted_newline_stays_in_the_cell(tmp_path):
@@ -783,6 +796,25 @@ def test_validate_reports_ids_spelled_like_the_levels_and_configurations_the_bui
         f"identifier {ident!r} is also a level or configuration"
         for ident in ("Bits:128", "Bits:80", "FOO[1]", "RSA[2048]")
     ]
+
+
+@pytest.mark.parametrize("cell, collides", [("RSA[999.0]", True), ("RSA[999]", False)])
+def test_a_cell_spelling_a_configuration_like_a_record_id_is_a_namespace_collision(cell, collides):
+    """``RSA[999.0]`` names no record, so the build reads it as an algorithm
+    and its configuration vertex ``RSA[999]`` is the data record's; spelled
+    exactly, the cell names the record."""
+    recs = [
+        DataRecord(id="RSA[999]", source=Source("d.csv", "RSA[999]")),
+        AssetRecord(
+            id="P1", kind=AssetKind.PROCESS, source=Source("a.csv", "P1"),
+            accesses=(AccessRef(cell, Direction.TWO_WAY, RefOrigin.ASSET_FIELD, Source("a.csv", "P1")),),
+        ),
+    ]
+    bundle, diags = assemble_bundle(recs, _registry())
+    assert diags == []
+    assert [(d.code, d.message) for d in validate_bundle(bundle) if d.severity is Severity.ERROR] == [
+        ("namespace-collision", "identifier 'RSA[999]' is also a level or configuration"),
+    ][:collides]
 
 
 def test_validate_reports_an_id_spelled_like_an_unrated_protocol_member():

@@ -687,7 +687,7 @@ def test_finish_merges_duplicate_edges_like_the_dict_keyed_oracle():
     edges += [Edge(*rng.sample(names, 2), rng.choice(rules), rng.choice(sources)) for _ in range(300)]
     for _ in range(20):
         rng.shuffle(edges)
-        builder = _Builder(InventoryBundle(), frozenset())
+        builder = _Builder(InventoryBundle())
         for edge in edges:
             builder.edge(*edge)
         graph = builder.finish()

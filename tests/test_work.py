@@ -1,0 +1,89 @@
+"""Work counts: how many times each stage runs for a fixed input.
+
+A count on a fixed input does not vary from run to run, so these catch a
+stage that runs twice, or a search that runs once per pair instead of once
+per level, where a timing would not.  Each wraps the name its caller looks
+up, so it counts every call the command makes."""
+
+from __future__ import annotations
+
+import csv
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import cryptodep.analysis as analysis
+import cryptodep.ingest as ingest
+import cryptodep.rules as rules
+from cryptodep import build_graph, cli, find_violations, load_bundle, load_default_registry
+from cryptodep.ingest import parse_profiles
+
+from conftest import HYBRID, HYBRID_FILES, hybrid_args, run_cli
+import inventory_gen
+
+OVERLAY = Path(__file__).resolve().parent / "golden" / "overlay.json"
+
+
+def _count(monkeypatch, owner, name: str, calls: Counter, key=None) -> None:
+    """Wrap ``owner.name`` so each call adds one to ``calls[key(*args)]``,
+    or to ``calls[name]`` without ``key``."""
+    wrapped = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args) if key else name] += 1
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_whatif_loads_once_and_assembles_validates_and_builds_each_side_once(monkeypatch):
+    calls: Counter = Counter()
+    _count(monkeypatch, cli, "load_bundle", calls)
+    # load_bundle assembles the rows, apply_overlay the edit: each module binds its own name
+    _count(monkeypatch, ingest, "assemble_bundle", calls)
+    _count(monkeypatch, analysis, "assemble_bundle", calls)
+    _count(monkeypatch, cli, "validate_bundle", calls)
+    _count(monkeypatch, cli, "build_graph", calls)
+    code, _, _ = run_cli(hybrid_args("whatif", "--overlay", str(OVERLAY), "--format", "json"))
+    assert code == 1
+    assert calls == {"load_bundle": 1, "assemble_bundle": 2, "validate_bundle": 2, "build_graph": 2}
+
+
+def test_load_bundle_reads_and_splits_each_file_once(monkeypatch):
+    paths = [HYBRID / name for name in HYBRID_FILES]
+    profiles = parse_profiles(HYBRID / "profiles.json")
+    reads: Counter = Counter()
+    readers: Counter = Counter()
+    _count(monkeypatch, ingest, "read_input", reads, key=lambda path, what: path)
+    _count(monkeypatch, csv, "reader", readers)
+    bundle, diags = load_bundle(paths, profiles, load_default_registry())
+    assert bundle.assets and diags == []
+    assert reads == dict.fromkeys(paths, 1)
+    assert readers == {"reader": len(paths)}
+
+
+def test_validate_builds_no_graph(monkeypatch):
+    calls: Counter = Counter()
+    _count(monkeypatch, cli, "build_graph", calls)
+    _count(monkeypatch, rules._Builder, "finish", calls)
+    code, _, _ = run_cli(hybrid_args("validate"))
+    assert code == 0
+    assert calls == {}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_detection_searches_back_from_each_provided_level_at_most_twice(monkeypatch, seed):
+    """One search that stops at the other levels, and one plain search for
+    the required levels it misses."""
+    bundle, _, _ = inventory_gen.random_bundle(
+        random.Random(seed), n_classes=len(inventory_gen.LABELS), n_data=40, n_assets=40, n_crypto=30
+    )
+    graph = build_graph(bundle)
+    searches: Counter = Counter()
+    _count(monkeypatch, analysis, "_distances_to", searches, key=lambda graph, goal, stop, wanted: goal)
+    findings, _ = find_violations(graph, bundle)
+    assert findings
+    assert {f.provided.key for f in findings} <= searches.keys()
+    assert max(searches.values()) <= 2
