@@ -455,30 +455,26 @@ def _record_key(record) -> str:
     return record.label if isinstance(record, ClassificationBinding) else record.id
 
 
-def _rewrite(record, replacements: dict[str, str], resolved):
+def _rewrite(record, replacements: dict[str, str], bundle: InventoryBundle):
     """``record`` with each replaced algorithm spec written in its new
     spelling: the algorithm of a crypto row, and every asset-field reference
-    that resolves to an algorithm."""
+    that ``bundle`` resolves to an algorithm."""
     if isinstance(record, CryptoObjectRecord) and record.algorithm is not None:
         new = replacements.get(primitive_key(record.algorithm, record.config_flags))
         if new is not None:
             name, flags = parse_primitive_spec(new)
             return replace(record, algorithm=name, config_flags=flags)
     elif isinstance(record, AssetRecord):
-        accesses = tuple(_rewrite_ref(ref, replacements, resolved) for ref in record.accesses)
+        accesses = tuple(_rewrite_ref(ref, replacements, bundle) for ref in record.accesses)
         if accesses != record.accesses:
             return replace(record, accesses=accesses)
     return record
 
 
-def _rewrite_ref(ref, replacements: dict[str, str], resolved):
-    # rules._typed_reference reads a target as an algorithm only when it
-    # names no crypto object, data or asset (the maps in ``resolved``)
-    if ref.origin is RefOrigin.ASSET_FIELD and not any(ref.target in ids for ids in resolved):
-        new = replacements.get(spec_key(ref.target))
-        if new is not None:
-            return replace(ref, target=new)
-    return ref
+def _rewrite_ref(ref, replacements: dict[str, str], bundle: InventoryBundle):
+    resolved = bundle.resolve(ref.target) if ref.origin is RefOrigin.ASSET_FIELD else None
+    new = replacements.get(primitive_key(*resolved)) if isinstance(resolved, tuple) else None
+    return ref if new is None else replace(ref, target=new)
 
 
 def apply_overlay(
@@ -511,8 +507,7 @@ def apply_overlay(
             problems.append(f"{old} is replaced by both {earlier} and {new}")
         replacements[spec_key(old)] = new
 
-    resolved = (bundle.crypto_map, bundle.data_map, bundle.asset_map)
-    named = (*resolved, bundle.classification_map)
+    named = (bundle.crypto_map, bundle.data_map, bundle.asset_map, bundle.classification_map)
     missing = [r for r in overlay.remove_records if not any(r in ids for ids in named)]
     problems.extend(f"cannot remove unknown record {r}" for r in missing)
 
@@ -530,7 +525,7 @@ def apply_overlay(
 
     drop = set(overlay.remove_records)
     edited = [
-        _rewrite(record, replacements, resolved)
+        _rewrite(record, replacements, bundle)
         for record in bundle.records
         if _record_key(record) not in drop
     ]

@@ -35,7 +35,7 @@ from .model import (
     normalise_flag,
     primitive_key,
 )
-from .rules import _ASSET_VERTEX_KIND, CRYPTO_RULES, VertexKind, _Builder
+from .rules import CRYPTO_RULES, VertexKind, _Builder
 
 __all__ = [
     "Role",
@@ -231,19 +231,13 @@ def _check_profile(profile: MappingProfile, where: str) -> None:
                 f"{seen[role]!r} and {column!r}"
             )
         seen.setdefault(role, column)
+    _, required, fields = _KINDS[profile.kind]
     supplied = set(profile.columns.values()) | set(profile.defaults)
-    for role in sorted(supplied - {Role.IGNORE, *_ROWS[profile.kind][0]}):
+    for role in sorted(supplied - {Role.IGNORE, *fields}):
         raise IngestError(f"{where}: {profile.kind.value} records do not read the role {role.value!r}")
-    if profile.kind in (RecordKind.DATA, RecordKind.ASSET, RecordKind.CRYPTO, RecordKind.ACCESS):
-        if Role.ID not in supplied:
-            raise IngestError(f"{where}: {profile.kind.value} profile does not assign the id role")
-    if profile.kind is RecordKind.ACCESS and Role.ACCESSES_TARGET not in supplied:
-        raise IngestError(f"{where}: access profile does not assign the accesses_target role")
-    if profile.kind is RecordKind.CLASSIFICATION:
-        if Role.CLASSIFICATION not in supplied or Role.SECURITY_LEVEL not in supplied:
-            raise IngestError(
-                f"{where}: classification profile needs the classification and security_level roles"
-            )
+    for role in required:
+        if role not in supplied:
+            raise IngestError(f"{where}: {profile.kind.value} profile does not assign the {role.value} role")
 
 
 def parse_profiles(path: str | Path) -> list[MappingProfile]:
@@ -402,18 +396,6 @@ def _members(cells, intern, clean=str.strip) -> tuple[str, ...]:
 #: the roles read as a tuple of members, each cell split at ``;``
 _MEMBER_ROLES = LIST_ROLES | {Role.SECURITY_LEVEL}
 
-#: each record kind's row builder and the roles it reads, in the order of
-#: its parameters after ``(fname, line, diags)``; filled by ``_row``
-_ROWS: dict[RecordKind, tuple[tuple[Role, ...], object]] = {}
-
-
-def _row(kind: RecordKind, *roles: Role):
-    """Registers the decorated function as the row builder of ``kind``."""
-    def register(build):
-        _ROWS[kind] = (roles, build)
-        return build
-    return register
-
 
 def _reader(role: Role, indices: list[int], default: str, intern):
     """How ``role`` reads a row's cells, padded to every column: the first
@@ -460,13 +442,13 @@ def _reader(role: Role, indices: list[int], default: str, intern):
 def _bind(kind: RecordKind, columns: dict[Role, list[int]], defaults: dict, strings: dict[str, str]):
     """The parser of the rows of ``kind`` whose cells ``columns`` binds to
     roles, from a CSV header or an overlay entry: ``(cells, fname, line,
-    diags)`` gives the record the kind's builder (``_ROWS``) makes of the
+    diags)`` gives the record the kind's builder (``_KINDS``) makes of the
     values ``_reader`` reads, or None and an error in ``diags`` for a
     rejected row.  No other code builds a record from input."""
-    roles, build = _ROWS[kind]
+    build, _, fields = _KINDS[kind]
     width = 1 + max((i for indices in columns.values() for i in indices), default=-1)
     intern = strings.setdefault
-    readers = [_reader(role, columns.get(role, []), defaults.get(role, ""), intern) for role in roles]
+    readers = [_reader(role, columns.get(role, []), defaults.get(role, ""), intern) for role in fields]
 
     def parse(cells: list[str], fname: str, line: int | None, diags: list[Diagnostic]):
         if len(cells) < width:
@@ -548,7 +530,6 @@ def _retention_years(raw) -> float | None:
     return None if isinstance(raw, bool) or not years >= 0 else years
 
 
-@_row(RecordKind.ACCESS, Role.ID, Role.ACCESSES_TARGET, Role.ACCESS_DIRECTION)
 def _access_row(fname, line, diags, owner, targets, raw_direction):
     if not owner or not targets:
         return _error(diags, fname, line, "blank-id", "access row needs both an asset and a service")
@@ -562,7 +543,6 @@ def _access_row(fname, line, diags, owner, targets, raw_direction):
     return AssetRecord(id=owner, accesses=refs, source=row_source)
 
 
-@_row(RecordKind.CLASSIFICATION, Role.CLASSIFICATION, Role.SECURITY_LEVEL)
 def _classification_row(fname, line, diags, label, levels):
     if not label:
         return _error(diags, fname, line, "blank-id", "classification row has an empty label")
@@ -577,7 +557,6 @@ def _classification_row(fname, line, diags, label, levels):
     return ClassificationBinding(label, ratings, source=Source(fname, label))
 
 
-@_row(RecordKind.DATA, Role.ID, Role.STORAGE_LOCATION, Role.CLASSIFICATION, Role.RETENTION_YEARS, Role.NAME)
 def _data_row(fname, line, diags, ident, locations, label, retention, name):
     if not ident:
         return _error(diags, fname, line, "blank-id", "data row has an empty id")
@@ -597,7 +576,6 @@ def _data_row(fname, line, diags, ident, locations, label, retention, name):
     )
 
 
-@_row(RecordKind.ASSET, Role.ID, Role.OBJECT_TYPE, Role.ACCESS_DIRECTION, Role.ACCESSES_TARGET, Role.SERVES, Role.NAME)
 def _asset_row(fname, line, diags, ident, raw_kind, raw_direction, targets, serves, name):
     if not ident:
         return _error(diags, fname, line, "blank-id", "asset row has an empty id")
@@ -623,10 +601,6 @@ def _asset_row(fname, line, diags, ident, raw_kind, raw_direction, targets, serv
     )
 
 
-@_row(
-    RecordKind.CRYPTO, Role.ID, Role.OBJECT_TYPE, Role.LOCATION, Role.STORAGE_LOCATION, Role.ALGORITHM,
-    Role.CONFIG_FLAG, Role.MATCHED_KEY, Role.ISSUER_CERT, Role.CREATED_BY, Role.NAME,
-)
 def _crypto_row(
     fname, line, diags, ident, raw_type, location, key_locations, algorithm, flags,
     matched_key, issuer_cert, created_by, name,
@@ -639,10 +613,7 @@ def _crypto_row(
             diags, fname, line, "bad-object-type",
             f"object type {raw_type!r} for {ident!r} is not one of the supported kinds",
         )
-    if not algorithm or matched_key or issuer_cert:
-        for code, problem in _field_problems(ident, object_type, algorithm, matched_key, issuer_cert):
-            return _error(diags, fname, line, code, problem)
-    return CryptoObjectRecord(
+    record = CryptoObjectRecord(
         id=ident,
         object_type=object_type,
         location=location or None,
@@ -655,18 +626,27 @@ def _crypto_row(
         name=name or None,
         source=Source(fname, ident),
     )
+    for code, problem in _field_problems(record):
+        return _error(diags, fname, line, code, problem)
+    return record
 
 
-def _field_problems(ident: str, object_type: CryptoObjectType, algorithm, matched_key, issuer_cert):
-    """A ``(code, message)`` for each field the ``CRYPTO_RULES`` row of ``object_type`` rejects: a
+def _field_problems(record: CryptoObjectRecord) -> list[tuple[str, str]]:
+    """A ``(code, message)`` for each field the ``CRYPTO_RULES`` row of ``record`` rejects: a
     certificate's missing ``algorithm``, and a ``matched_key`` or ``issuer_cert`` it gives no rule."""
-    row = CRYPTO_RULES[object_type]
-    if row.kind is VertexKind.CERTIFICATE and not algorithm:
-        yield "missing-algorithm", f"certificate {ident!r} must name its signature algorithm"
-    if matched_key and not row.matched_key:
-        yield "field-not-applicable", f"matched_key is only valid for public keys and certificates, found on {ident!r}"
-    if issuer_cert and not row.issuer_cert:
-        yield "field-not-applicable", f"issuer_cert is only valid for certificates, found on {ident!r}"
+    problems = []
+    if record.algorithm and not (record.matched_key or record.issuer_cert):
+        return problems  # the common record, answered without reading its row
+    row, ident = CRYPTO_RULES[record.object_type], record.id
+    if row.kind is VertexKind.CERTIFICATE and not record.algorithm:
+        problems.append(("missing-algorithm", f"certificate {ident!r} must name its signature algorithm"))
+    if record.matched_key and not row.matched_key:
+        problems.append(
+            ("field-not-applicable", f"matched_key is only valid for public keys and certificates, found on {ident!r}")
+        )
+    if record.issuer_cert and not row.issuer_cert:
+        problems.append(("field-not-applicable", f"issuer_cert is only valid for certificates, found on {ident!r}"))
+    return problems
 
 
 def _parse_direction(raw: str, fname: str, line: int | None, ident: str, diags: list[Diagnostic]) -> Direction:
@@ -680,6 +660,39 @@ def _parse_direction(raw: str, fname: str, line: int | None, ident: str, diags: 
         )
         return Direction.TWO_WAY
     return direction
+
+
+#: each record kind's row builder; the roles a profile and an ``add_records`` entry must give; and
+#: the roles it reads, in the order of the builder's parameters after ``(fname, line, diags)``,
+#: each with the ``add_records`` field that gives it, or None.  A kind no field gives cannot be
+#: added; a classification's ``required`` levels and an asset's ``accesses`` are read apart.
+_KINDS: dict[RecordKind, tuple] = {
+    RecordKind.CLASSIFICATION: (
+        _classification_row, (Role.CLASSIFICATION, Role.SECURITY_LEVEL),
+        {Role.CLASSIFICATION: "label", Role.SECURITY_LEVEL: "required"},
+    ),
+    RecordKind.DATA: (
+        _data_row, (Role.ID,),
+        {Role.ID: "id", Role.STORAGE_LOCATION: "storage_locations", Role.CLASSIFICATION: "classification",
+         Role.RETENTION_YEARS: "retention_years", Role.NAME: "name"},
+    ),
+    RecordKind.ASSET: (
+        _asset_row, (Role.ID,),
+        {Role.ID: "id", Role.OBJECT_TYPE: "kind", Role.ACCESS_DIRECTION: None, Role.ACCESSES_TARGET: "accesses",
+         Role.SERVES: "serves", Role.NAME: "name"},
+    ),
+    RecordKind.CRYPTO: (
+        _crypto_row, (Role.ID, Role.OBJECT_TYPE),
+        {Role.ID: "id", Role.OBJECT_TYPE: "object_type", Role.LOCATION: "location",
+         Role.STORAGE_LOCATION: "key_locations", Role.ALGORITHM: "algorithm", Role.CONFIG_FLAG: "config_flags",
+         Role.MATCHED_KEY: "matched_key", Role.ISSUER_CERT: "issuer_cert", Role.CREATED_BY: "created_by",
+         Role.NAME: "name"},
+    ),
+    RecordKind.ACCESS: (
+        _access_row, (Role.ID, Role.ACCESSES_TARGET),
+        {Role.ID: None, Role.ACCESSES_TARGET: None, Role.ACCESS_DIRECTION: None},
+    ),
+}
 
 
 # --------------------------------------------------------------------------
@@ -747,19 +760,16 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
         elif isinstance(record, CryptoObjectRecord):
             _insert_unique(crypto, record, "crypto", diags)
             # the checks of _crypto_row, which a record built in code has not had
-            if not record.algorithm or record.matched_key or record.issuer_cert:
-                for code, problem in _field_problems(
-                    record.id, record.object_type, record.algorithm, record.matched_key, record.issuer_cert
-                ):
-                    _error(diags, record.source.file, None, code, problem)
+            for code, problem in _field_problems(record):
+                _error(diags, record.source.file, None, code, problem)
         elif isinstance(record, AssetRecord):
             asset_rows.setdefault(record.id, []).append(record)
 
     # Every reference resolves here.  Serves targets, access-record targets
     # and reference cells naming no crypto object, data record or registry
-    # algorithm are assets, declared or not, so the rules engine reads a
-    # reference cell as crypto, data, asset, or else an algorithm.  Each
-    # such target keeps the first row, by file and ref, that refers to it.
+    # algorithm are assets, declared or not, so ``InventoryBundle.resolve``
+    # finds every cell's target.  Each such target keeps the first row, by
+    # file and ref, that refers to it.
     referrers: dict[str, Source] = {}
     access_record = RefOrigin.ACCESS_RECORD
     for rows in asset_rows.values():
@@ -897,16 +907,20 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
     made = builder.vertices  # a configuration vertex without a payload is unrated
     pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
     unrated = {pair for pair in pairs if made[builder.config(*pair)].payload is None}
-    cells: dict[tuple[str, str], str] = {}  # (asset, unrated configuration) -> its first cell's file
+
+    def dangling(record, message: str) -> None:
+        _error(diags, record.source.file, None, "dangling-reference", message)
+
+    cells: dict[tuple[str, str], str] = {}  # (asset, configuration) -> its first cell's file
     for asset in bundle.assets:
-        for ref in asset.accesses:  # a cell naming no record names an algorithm, as in _typed_reference
-            target = ref.target  # most name an asset, so that is asked first
-            if target not in asset_ids and ref.origin is not RefOrigin.ACCESS_RECORD and not (
-                target in crypto_ids or target in data_ids
-            ):
-                key = builder.config(*bundle.registry.algorithm_ref(target))
-                if made[key].payload is None:
-                    cells.setdefault((asset.id, key), (ref.source or asset.source).file)
+        for ref in asset.accesses:  # most cells name an asset, so that is asked first
+            if ref.target in asset_ids or ref.origin is RefOrigin.ACCESS_RECORD:
+                continue
+            resolved = bundle.resolve(ref.target)
+            if resolved is None:
+                dangling(asset, f"asset {asset.id!r} references {ref.target!r} but no such record or algorithm exists")
+            elif isinstance(resolved, tuple):
+                cells.setdefault((asset.id, builder.config(*resolved)), (ref.source or asset.source).file)
     for ident in sorted(i for i in made if any(i in table for table in (class_labels, *ids))):
         _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")
     for label in sorted(label for label in class_labels if any(label in table for table in ids)):
@@ -914,9 +928,6 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
             diags, "<bundle>", None, "label-collision",
             f"classification label {label!r} collides with a record identifier",
         )
-
-    def dangling(record, message: str) -> None:
-        _error(diags, record.source.file, None, "dangling-reference", message)
 
     for record in bundle.data:
         if record.classification and record.classification not in class_labels:
@@ -934,11 +945,11 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
         for location in filter(None, (obj.location, *obj.key_locations)):
             if location not in asset_ids:
                 dangling(obj, f"{what} names location {location!r} but no such asset exists")
-        holder = None if CRYPTO_RULES[obj.object_type].location else asset_ids.get(obj.location)
-        if holder is not None and _ASSET_VERTEX_KIND[holder.effective_kind] is not VertexKind.PROCESSOR:
+        holder_kind = None if CRYPTO_RULES[obj.object_type].location else builder.asset_kind(obj.location)
+        if holder_kind not in (None, VertexKind.PROCESSOR):
             _warning(
                 diags, obj.source.file, None, "location-unused",
-                f"{what} names location {obj.location!r}, a {_ASSET_VERTEX_KIND[holder.effective_kind].value}, "
+                f"{what} names location {obj.location!r}, a {holder_kind.value}, "
                 f"but only a processor gives a {obj.object_type.value} an edge",
             )
         if obj.matched_key and obj.matched_key not in crypto_ids:
@@ -953,44 +964,14 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
                 f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} is not rated in the registry",
             )
     for (ident, key), file in cells.items():
-        _warning(diags, file, None, "unknown-algorithm", f"{key} used by {ident!r} is not rated in the registry")
+        if made[key].payload is None:
+            _warning(diags, file, None, "unknown-algorithm", f"{key} used by {ident!r} is not rated in the registry")
     return diags
 
 
 # --------------------------------------------------------------------------
 # overlay records: an ``add_records`` entry read as a row
 # --------------------------------------------------------------------------
-
-#: the fields an ``add_records`` entry of each kind takes, as the columns of
-#: one fixed profile per kind.  A field of a member role takes a list of
-#: strings, a retention any JSON value (it gets the row's ``bad-retention``
-#: check), any other field a string.  A field mapped to None is read apart
-#: from the row; every kind also takes ``record_kind`` and ``source``.
-_ENTRY_FIELDS = {
-    RecordKind.CLASSIFICATION: {"label": Role.CLASSIFICATION, "required": None},
-    RecordKind.DATA: {
-        "id": Role.ID, "name": Role.NAME, "classification": Role.CLASSIFICATION,
-        "storage_locations": Role.STORAGE_LOCATION, "retention_years": Role.RETENTION_YEARS,
-    },
-    RecordKind.ASSET: {
-        "id": Role.ID, "name": Role.NAME, "kind": Role.OBJECT_TYPE, "serves": Role.SERVES, "accesses": None,
-    },
-    RecordKind.CRYPTO: {
-        "id": Role.ID, "name": Role.NAME, "object_type": Role.OBJECT_TYPE, "location": Role.LOCATION,
-        "key_locations": Role.STORAGE_LOCATION, "algorithm": Role.ALGORITHM, "config_flags": Role.CONFIG_FLAG,
-        "matched_key": Role.MATCHED_KEY, "issuer_cert": Role.ISSUER_CERT, "created_by": Role.CREATED_BY,
-    },
-}
-
-#: the kinds an overlay may add, and the fields an entry of each must carry,
-#: the first naming the record
-_ENTRY_REQUIRED = {
-    RecordKind.CLASSIFICATION: ("label", "required"),
-    RecordKind.DATA: ("id",),
-    RecordKind.ASSET: ("id",),
-    RecordKind.CRYPTO: ("id", "object_type"),
-}
-
 
 def _named_source(raw) -> Source | None:
     """``raw`` as a Source when it is an object with a string file and ref."""
@@ -1017,24 +998,25 @@ def _entry_source(obj: dict, default: Source) -> Source:
 def parse_entry(entry: dict):
     """The record an overlay ``add_records`` entry stands for, which is the
     record the same CSV row gives: its fields are read as the cells of their
-    roles (``_ENTRY_FIELDS``) by ``_bind``.  A classification's
-    ``required`` levels, an asset's ``accesses`` and a ``source`` are read
-    apart; a field its kind, an access or a level object does not take is
-    an error.  Raises KeyError or ValueError naming the first problem."""
+    roles (``_KINDS``) by ``_bind``.  A classification's ``required``
+    levels, an asset's ``accesses`` and a ``source`` are read apart; a field
+    its kind, an access or a level object does not take is an error.  Raises
+    KeyError or ValueError naming the first problem."""
     try:
         kind = RecordKind(entry["record_kind"])
     except ValueError:
         raise ValueError(f"unknown record_kind {entry['record_kind']!r}") from None
-    if kind not in _ENTRY_REQUIRED:
+    _, required, fields = _KINDS[kind]
+    if not any(fields.values()):
         raise ValueError(f"cannot add records of kind {kind.value!r}")
-    kind_fields = _ENTRY_FIELDS[kind]
+    roles = {key: role for role, key in fields.items()}
     # the entry as a row: a (role, cell) per string field or list member; a
     # retention that is not a string is its role's default, read unread
     cells: list[tuple[Role, str]] = []
     defaults: dict[Role, object] = {}
     for key, value in entry.items():
-        role = kind_fields.get(key)
-        if role is None or value is None:
+        role = roles.get(key)
+        if role in (None, Role.SECURITY_LEVEL, Role.ACCESSES_TARGET) or value is None:  # unknown or read apart
             continue
         if role in _MEMBER_ROLES:
             if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
@@ -1046,9 +1028,9 @@ def parse_entry(entry: dict):
             defaults[role] = value
         else:
             raise ValueError(f"{key} must be a string, got {value!r}")
-    for key in _ENTRY_REQUIRED[kind]:
-        if key not in entry:
-            raise KeyError(key)
+    for role in required:
+        if fields[role] not in entry:
+            raise KeyError(fields[role])
     if kind is RecordKind.CLASSIFICATION:
         # rank follows order, as for rows of the classification sheet
         if "rank" in entry:
@@ -1060,8 +1042,8 @@ def parse_entry(entry: dict):
                 _known_fields(level, {"dimension", "value"}, f"a required level of {entry['label']!r}")
                 level = SecurityRating.from_dict(level).value
             cells.append((Role.SECURITY_LEVEL, str(level)))
-    ident = entry[_ENTRY_REQUIRED[kind][0]]
-    _known_fields(entry, kind_fields.keys() | {"record_kind", "source"}, f"{kind.value} record {ident!r}")
+    ident = entry[fields[required[0]]]
+    _known_fields(entry, roles.keys() | {"record_kind", "source"}, f"{kind.value} record {ident!r}")
 
     columns: dict[Role, list[int]] = {}
     for index, (role, _) in enumerate(cells):

@@ -248,10 +248,6 @@ class AssetRecord:
     source: Source = Source("", "")
 
     @property
-    def effective_kind(self) -> AssetKind:
-        return self.kind if self.kind is not None else AssetKind.PROCESSOR
-
-    @property
     def display(self) -> str:
         return self.name or self.id
 
@@ -432,3 +428,11 @@ class InventoryBundle:
     @cached_property
     def crypto_map(self) -> dict[str, CryptoObjectRecord]:
         return {c.id: c for c in self.crypto_objects}
+
+    def resolve(self, target: str) -> CryptoObjectRecord | DataRecord | AssetRecord | tuple | None:
+        """What an asset reference cell naming ``target`` names: its crypto, data or asset record, in
+        that order, else the registry's ``(name, flags)`` for an algorithm it spells, else None."""
+        return (
+            self.crypto_map.get(target) or self.data_map.get(target) or self.asset_map.get(target)
+            or self.registry.algorithm_ref(target)
+        )

@@ -27,7 +27,9 @@ from .model import (
     AssetKind,
     AssetRecord,
     Configuration,
+    CryptoObjectRecord,
     CryptoObjectType,
+    DataRecord,
     Direction,
     InventoryBundle,
     RefOrigin,
@@ -94,12 +96,16 @@ class VertexKind(str, Enum):
 
 
 _ASSET_VERTEX_KIND = {
+    None: VertexKind.PROCESSOR,
     AssetKind.PROCESSOR: VertexKind.PROCESSOR,
     AssetKind.SERVICE: VertexKind.PROCESSOR,
     AssetKind.CHANNEL: VertexKind.CHANNEL,
     AssetKind.PROCESS: VertexKind.PROCESS,
     AssetKind.SOFTWARE: VertexKind.PROCESS,
 }
+
+#: what an id that no asset record declares reads as: no kind and no name
+_UNDECLARED = AssetRecord("")
 
 _DATA_LOCATION_RULE = {
     VertexKind.PROCESSOR: "D1",
@@ -236,7 +242,6 @@ class _Builder:
         # bound once: the rules consult them for nearly every record
         self.assets = bundle.asset_map
         self.crypto = bundle.crypto_map
-        self.data = bundle.data_map
         self.vertices: dict[str, Vertex] = {}
         self.edges: list[Edge] = []
         self._configs: dict[tuple[str, tuple[str, ...]], str] = {}
@@ -257,14 +262,15 @@ class _Builder:
     def level(self, rating: SecurityRating) -> str:
         return self.vertex(rating.key, VertexKind.SECURITY_LEVEL, rating.display, rating)
 
+    def asset_kind(self, asset_id: str) -> VertexKind:
+        """The vertex kind ``asset`` gives ``asset_id`` unless another vertex holds the id; registers nothing."""
+        return _ASSET_VERTEX_KIND[self.assets.get(asset_id, _UNDECLARED).kind]
+
     def asset(self, asset_id: str) -> str:
-        if asset_id in self.vertices:
-            return asset_id
-        record = self.assets.get(asset_id)
-        if record is None:
-            return self.vertex(asset_id, VertexKind.PROCESSOR)
-        kind = _ASSET_VERTEX_KIND[record.effective_kind]
-        return self.vertex(asset_id, kind, record.display)
+        if asset_id not in self.vertices:
+            record = self.assets.get(asset_id, _UNDECLARED)
+            self.vertex(asset_id, _ASSET_VERTEX_KIND[record.kind], record.name)
+        return asset_id
 
     def crypto_object(self, object_id: str, undeclared: VertexKind) -> str:
         """A declared key or certificate takes its record's kind and display;
@@ -321,8 +327,8 @@ class _Builder:
 
 
 def build_graph(bundle: InventoryBundle) -> DependencyGraph:
-    """Apply the rule catalogue to every record in the bundle, which
-    ``assemble_bundle`` made, so every reference resolves.
+    """Apply the rule catalogue to every record in the bundle; a reference
+    cell naming nothing builds as the undeclared asset assembly makes of it.
 
     Construction is additive: each record only ever contributes vertices and
     edges, so growing the bundle grows the graph.  Security levels are
@@ -381,24 +387,20 @@ def _access_pair(builder: _Builder, asset: str, service: str, direction: Directi
 
 
 def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, provenance: tuple[Source]) -> None:
-    """Interpret a reference column on an asset row by its target's type,
-    as ``assemble_bundle`` resolved it: a crypto object, data, an asset, or
-    else a registry algorithm."""
+    """Interpret a reference column on an asset row by what the bundle
+    resolves its target to; a target naming nothing is the undeclared asset
+    that ``assemble_bundle`` would have made of it."""
     target = ref.target
-
-    if target in builder.crypto:
+    resolved = builder.bundle.resolve(target)
+    if isinstance(resolved, CryptoObjectRecord):
         target_vertex = builder.crypto_object(target, VertexKind.KEY)
         builder.edge(src, target_vertex, _CRYPTO_REF_RULE.get(src_kind, "M3"), provenance)
-        return
-
-    record = builder.data.get(target)
-    if record is not None:
-        data_vertex = builder.vertex(target, VertexKind.DATA_ASSET, record.display)
-        rule = _DATA_LOCATION_RULE.get(src_kind, "D1")
-        builder.edge(data_vertex, src, rule, provenance)
-        return
-
-    if target in builder.assets:
+    elif isinstance(resolved, DataRecord):
+        data_vertex = builder.vertex(target, VertexKind.DATA_ASSET, resolved.display)
+        builder.edge(data_vertex, src, _DATA_LOCATION_RULE.get(src_kind, "D1"), provenance)
+    elif isinstance(resolved, tuple):
+        builder.edge(src, builder.config(*resolved), _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
+    else:  # an asset, declared or not
         target_vertex = builder.asset(target)
         target_kind = builder.vertices[target_vertex].kind
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
@@ -409,11 +411,6 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
             builder.edge(src, target_vertex, rule, provenance)
         else:
             _access_pair(builder, src, target_vertex, ref.direction, provenance)
-        return
-
-    # assembly made every other target an asset, so this one names an algorithm
-    target_vertex = builder.config(*builder.bundle.registry.algorithm_ref(target))
-    builder.edge(src, target_vertex, _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:

@@ -4,7 +4,9 @@ import gc
 import hashlib
 import json
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,17 +20,20 @@ from cryptodep import (
     DataRecord,
     Direction,
     IngestError,
+    InventoryBundle,
     MappingProfile,
     SecurityRating,
     Source,
     VulnerabilityClass,
     assemble_bundle,
+    build_graph,
     builtin_profiles,
     load_bundle,
     load_default_registry,
     validate_bundle,
 )
 from cryptodep.ingest import (
+    _KINDS,
     RecordKind,
     Role,
     Severity,
@@ -109,9 +114,11 @@ def test_parse_profiles_rejects_bad_documents(tmp_path, doc):
         ({"kind": "access", "columns": {"Asset": "id"}},
          "access profile does not assign the accesses_target role"),
         ({"kind": "classification", "columns": {"Classification": "classification"}},
-         "classification profile needs the classification and security_level roles"),
+         "classification profile does not assign the security_level role"),
         ({"kind": "classification", "columns": {"Security": "security_level"}},
-         "classification profile needs the classification and security_level roles"),
+         "classification profile does not assign the classification role"),
+        ({"kind": "crypto", "columns": {"ID": "id", "Algorithm": "algorithm"}},
+         "crypto profile does not assign the object_type role"),
         ({"kind": "data", "columns": {"ID": "id", "Owner": "created_by", "Notes": "ignore"}},
          "data records do not read the role 'created_by'"),
         ({"kind": "access", "columns": {"Asset": "id", "Service": "accesses_target"}, "defaults": {"name": "x"}},
@@ -120,7 +127,8 @@ def test_parse_profiles_rejects_bad_documents(tmp_path, doc):
          "classification records do not read the role 'id'"),
     ],
     ids=["unknown-default-role", "access-without-target", "classification-without-level",
-         "classification-without-label", "column-role-not-read", "default-role-not-read", "id-not-read"],
+         "classification-without-label", "crypto-without-object-type", "column-role-not-read",
+         "default-role-not-read", "id-not-read"],
 )
 def test_profile_role_errors_name_the_profile(tmp_path, entry, message):
     path = tmp_path / "profiles.json"
@@ -128,6 +136,31 @@ def test_profile_role_errors_name_the_profile(tmp_path, entry, message):
     with pytest.raises(IngestError) as info:
         parse_profiles(path)
     assert str(info.value) == f"{path}: profile #1: {message}"
+
+
+def test_the_readme_tables_list_what_each_record_kind_reads():
+    """The README's kind/role table and ``add_records`` table list, in order,
+    the roles and fields ``_KINDS`` gives each kind, the required ones in bold."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def table(start: str, end: str, row: str) -> dict:
+        section = readme[readme.index(start):readme.index(end)]
+        return {
+            kind: [(bold == "**", name) for bold, name in re.findall(r"(\*\*)?`(\w+)`", cell)]
+            for kind, cell in re.findall(row, section, re.MULTILINE)
+        }
+
+    roles = table("### Inventory CSVs", "### Algorithm registry", r"^\| `(\w+)` \| ([^|]+) \|$")
+    assert roles == {
+        kind.value: [(role in required, role.value) for role in fields]
+        for kind, (_, required, fields) in _KINDS.items()
+    }
+    fields = table("### Overlays", "### Scoring policy", r"^\| `(\w+)` \| ([^|]*`[^|]*) \|[^|]*\|$")
+    assert fields == {
+        kind.value: [(role in required, field) for role, field in fields.items() if field]
+        for kind, (_, required, fields) in _KINDS.items()
+        if any(fields.values())
+    }
 
 
 def test_match_profile_precedence(tmp_path):
@@ -771,6 +804,26 @@ def test_validate_reports_each_cross_reference_problem():
             "unknown-algorithm",     # FOO is unrated
         ]
     )
+
+
+def test_a_cell_naming_nothing_in_a_bundle_built_in_code_dangles_and_builds_as_assembly_would():
+    """Assembly makes a reference cell that names no record or algorithm an
+    undeclared asset; a bundle built without it still validates and builds."""
+    asset = AssetRecord(
+        id="A", source=Source("a.csv", "A"),
+        accesses=(AccessRef("Ghost", Direction.TWO_WAY, RefOrigin.ASSET_FIELD, Source("a.csv", "A")),),
+    )
+    registry = load_default_registry()
+    bundle = InventoryBundle(assets=(asset,), registry=registry)
+    assert [d.render() for d in validate_bundle(bundle)] == [
+        "error: a.csv: dangling-reference: asset 'A' references 'Ghost' "
+        "but no such record or algorithm exists"
+    ]
+    assembled, diags = assemble_bundle([asset], registry)
+    assert diags == [] and validate_bundle(assembled) == []
+    graph = build_graph(bundle)
+    assert graph == build_graph(assembled)
+    assert [edge[:3] for edge in graph.edges] == [("A", "Ghost", "AC1"), ("Ghost", "A", "AC1")]
 
 
 def test_validate_reports_ids_spelled_like_the_levels_and_configurations_the_build_makes():

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from cryptodep.model import (
     APPROVED,
-    AssetKind,
     AssetRecord,
     Configuration,
     CryptoRegistry,
@@ -205,7 +204,6 @@ def test_lookup_ignores_flag_order_and_float_spelling():
 def test_asset_defaults():
     asset = AssetRecord(id="A1")
     assert asset.kind is None
-    assert asset.effective_kind is AssetKind.PROCESSOR
     assert asset.display == "A1"
     named = AssetRecord(id="A1", name="web tier")
     assert named.display == "web tier"

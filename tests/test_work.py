@@ -17,8 +17,9 @@ import pytest
 import cryptodep.analysis as analysis
 import cryptodep.ingest as ingest
 import cryptodep.rules as rules
-from cryptodep import build_graph, cli, find_violations, load_bundle, load_default_registry
-from cryptodep.ingest import parse_profiles
+from cryptodep import InventoryBundle, build_graph, cli, find_violations, load_bundle, load_default_registry
+from cryptodep.ingest import parse_profiles, validate_bundle
+from cryptodep.model import RefOrigin
 
 from conftest import HYBRID, HYBRID_FILES, hybrid_args, run_cli
 import inventory_gen
@@ -62,6 +63,24 @@ def test_load_bundle_reads_and_splits_each_file_once(monkeypatch):
     assert bundle.assets and diags == []
     assert reads == dict.fromkeys(paths, 1)
     assert readers == {"reader": len(paths)}
+
+
+def test_the_build_and_validation_resolve_each_reference_cell_at_most_once(monkeypatch):
+    """The build resolves every reference cell once; validation asks for an
+    asset first, so it resolves only the cells naming none."""
+    bundle, _ = load_bundle(
+        [HYBRID / name for name in HYBRID_FILES], parse_profiles(HYBRID / "profiles.json"), load_default_registry()
+    )
+    cells = [ref.target for asset in bundle.assets for ref in asset.accesses if ref.origin is RefOrigin.ASSET_FIELD]
+    not_assets = [target for target in cells if target not in bundle.asset_map]
+    assert 0 < len(not_assets) < len(cells)
+    calls: Counter = Counter()
+    _count(monkeypatch, InventoryBundle, "resolve", calls)
+    build_graph(bundle)
+    assert 0 < calls["resolve"] <= len(cells)
+    calls.clear()
+    validate_bundle(bundle)
+    assert 0 < calls["resolve"] <= len(not_assets)
 
 
 def test_validate_builds_no_graph(monkeypatch):
