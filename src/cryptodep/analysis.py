@@ -300,9 +300,9 @@ def find_violations(
     horizon = horizon or HorizonConfig()
     diagnostics: list[Diagnostic] = []
 
-    # only SL1 edges leave a level and only SL2 edges enter one, so a level
-    # is required when it has out-edges and provided when it has predecessors
-    levels = [v for v in graph.vertices if v.kind is VertexKind.SECURITY_LEVEL]
+    # a level carries its rating, so it is named; only SL1 edges leave a level and only SL2
+    # edges enter one, so it is required when it has out-edges and provided when it has predecessors
+    levels = [v for _, v in sorted(graph.named.items()) if v.kind is VertexKind.SECURITY_LEVEL]
     level_ids = {v.id for v in levels}
     required = [v for v in levels if graph.out_edges(v.id)]
     provided = [v for v in levels if v.id in graph.predecessors]
@@ -313,7 +313,6 @@ def find_violations(
         highs = [high.id for high, provided in pairs if provided.id == low]
         witnesses.update(_witnesses_to(graph, low, highs, level_ids, max_witnesses))
 
-    vertex_map = graph.vertex_map()
     findings: list[Finding] = []
     for high, low in pairs:
         if (high.id, low.id) not in witnesses:
@@ -327,10 +326,10 @@ def find_violations(
                 f"every path from {high.display} to {low.display} crosses another security level",
             )
         for path in paths:
-            affected = tuple(sorted(v for v in path if vertex_map[v].kind is VertexKind.DATA_ASSET))
+            affected = tuple(sorted(v for v in path if graph.kinds[v] is VertexKind.DATA_ASSET))
             findings.append(Finding(
                 required=high.payload, provided=low.payload, path=path, affected_data=affected,
-                display_path=tuple(vertex_map[v].display for v in path), rule_trail=_trace(path, graph),
+                display_path=tuple(graph.vertex(v).display for v in path), rule_trail=_trace(path, graph),
                 score=score_finding(path, affected, graph, bundle, policy, horizon, diagnostics),
             ))
 
@@ -351,17 +350,15 @@ def score_finding(
     retention) degrade to neutral weights with a warning recorded on the
     breakdown, and an unknown retention adds one to ``diagnostics``.  Raises
     OverflowError when the policy's weights make the score infinite or NaN."""
-    vertex_map = graph.vertex_map()
     warnings: list[str] = []
 
     vuln_weight = 1.0
-    for vertex_id in path:
-        vertex = vertex_map[vertex_id]
+    for vertex in map(graph.vertex, path):
         if vertex.kind is VertexKind.PRIMITIVE_CONFIG and vertex.payload is not None:
             vuln_weight = max(vuln_weight, policy.weight_for(vertex.payload.vulnerability_class))
 
     labels = bundle.classification_map
-    ranks = [labels[v].rank for v in path if v in labels and vertex_map[v].kind is VertexKind.CLASSIFICATION]
+    ranks = [labels[v].rank for v in path if v in labels and graph.kinds[v] is VertexKind.CLASSIFICATION]
     sensitivity = float(max((len(bundle.classifications) - r for r in ranks), default=1))
     if not ranks:
         warnings.append("no classification on the witness path, neutral sensitivity")

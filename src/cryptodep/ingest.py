@@ -879,8 +879,13 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
     mark degraded-but-usable situations such as unrated algorithms.
     """
     diags: list[Diagnostic] = []
-    # the bundle's own maps answer membership: sets of their keys would stay resident under the build
-    asset_ids = bundle.asset_map
+    # the bundle's own maps answer membership: sets of their keys would stay resident under the build;
+    # assembly makes each serves and access-record target an asset, a bundle built in code may not
+    linked = [t for a in bundle.assets for t in a.serves if t not in bundle.asset_map] + [
+        r.target for a in bundle.assets for r in a.accesses
+        if r.origin is RefOrigin.ACCESS_RECORD and r.target not in bundle.asset_map
+    ]
+    asset_ids = {**bundle.asset_map, **dict.fromkeys(linked)} if linked else bundle.asset_map
     data_ids = bundle.data_map
     crypto_ids = bundle.crypto_map
     class_labels = bundle.classification_map
@@ -904,9 +909,8 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
     for name, configs in bundle.registry.algorithms.items():
         for config in configs:
             builder.config(name, config.flags)
-    made = builder.vertices  # a configuration vertex without a payload is unrated
     pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
-    unrated = {pair for pair in pairs if made[builder.config(*pair)].payload is None}
+    unrated = {pair for pair in pairs if builder.config(*pair) not in builder.named}  # only rated ones are named
 
     def dangling(record, message: str) -> None:
         _error(diags, record.source.file, None, "dangling-reference", message)
@@ -921,7 +925,7 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
                 dangling(asset, f"asset {asset.id!r} references {ref.target!r} but no such record or algorithm exists")
             elif isinstance(resolved, tuple):
                 cells.setdefault((asset.id, builder.config(*resolved)), (ref.source or asset.source).file)
-    for ident in sorted(i for i in made if any(i in table for table in (class_labels, *ids))):
+    for ident in sorted(i for i in builder.kinds if any(i in table for table in (class_labels, *ids))):
         _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")
     for label in sorted(label for label in class_labels if any(label in table for table in ids)):
         _warning(
@@ -964,7 +968,7 @@ def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
                 f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} is not rated in the registry",
             )
     for (ident, key), file in cells.items():
-        if made[key].payload is None:
+        if key not in builder.named:
             _warning(diags, file, None, "unknown-algorithm", f"{key} used by {ident!r} is not rated in the registry")
     return diags
 

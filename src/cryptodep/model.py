@@ -161,7 +161,7 @@ def _strength(rating: SecurityRating) -> int:
 # inventory records
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(slots=True, unsafe_hash=True, order=True)
 class Source:
     """Where a record came from: file basename plus a stable record key, ordered by (file, ref)."""
 
@@ -172,7 +172,7 @@ class Source:
         return f"{self.file}:{self.ref}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClassificationBinding:
     """Maps an organisational classification label to the security levels it
     requires.  ``rank`` is the position in the classification map; earlier
@@ -184,7 +184,7 @@ class ClassificationBinding:
     source: Source = Source("", "")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataRecord:
     id: str
     storage_locations: tuple[str, ...] = ()
@@ -222,7 +222,7 @@ class RefOrigin(str, Enum):
     ASSET_FIELD = "asset-field"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AccessRef:
     target: str
     direction: Direction = Direction.TWO_WAY
@@ -232,7 +232,7 @@ class AccessRef:
     source: Source | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssetRecord:
     """A machine, service, channel, process, or piece of software.
 
@@ -260,7 +260,7 @@ class CryptoObjectType(str, Enum):
     CA_CERTIFICATE = "CACertificate"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CryptoObjectRecord:
     """A key or certificate from a cryptographic inventory.
 

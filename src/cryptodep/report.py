@@ -105,7 +105,7 @@ def make_report(
         findings=tuple(findings),
         diagnostics=tuple(diagnostics),
         graph_stats={
-            "vertices": len(graph.vertices), "edges": len(graph.edges), "edges_by_rule": graph.edges_by_rule()
+            "vertices": len(graph.kinds), "edges": len(graph.edges), "edges_by_rule": graph.edges_by_rule()
         },
     )
 
@@ -146,11 +146,11 @@ def _dot_lines(graph: DependencyGraph, highlight: list[Finding]) -> Iterator[str
         hot_edges.update(zip(finding.path, finding.path[1:]))
 
     yield "digraph G {\n"
-    if not graph.vertices:
+    if not graph.kinds:
         yield "}\n"
         return
     yield "  rankdir=LR;\n"
-    for vertex in graph.vertices:
+    for vertex in map(graph.vertex, sorted(graph.kinds)):  # made one at a time
         shape, fill = _DOT_SHAPES[vertex.kind]
         attrs = [
             f"label={_dot_quote(vertex.display)}",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
@@ -167,11 +167,14 @@ _FRM, _TO, _RULE = itemgetter(0), itemgetter(1), itemgetter(2)
 
 @dataclass(frozen=True)
 class DependencyGraph:
-    """Immutable digraph in canonical order: vertices sorted by id, edges by
-    (from, to, rule).  Two-cycles are legal; the graph need not be acyclic."""
+    """Immutable digraph.  ``kinds``, id -> kind, is its one vertex index; ``named`` holds the
+    ``Vertex`` of each vertex with a display other than its id or a payload (levels, rated
+    configurations, named records).  Edges are sorted by (from, to, rule).  Two-cycles are
+    legal; the graph need not be acyclic."""
 
-    vertices: tuple[Vertex, ...] = ()
+    kinds: dict[str, VertexKind] = field(default_factory=dict)
     edges: tuple[Edge, ...] = ()
+    named: dict[str, Vertex] = field(default_factory=dict)
 
     @cached_property
     def predecessors(self) -> dict[str, list[str]]:
@@ -186,13 +189,20 @@ class DependencyGraph:
                 preds.append(frm)
         return predecessors
 
-    @cached_property
-    def _vertex_map(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
+    def vertex(self, vertex_id: str) -> Vertex:
+        """The vertex ``vertex_id``, made on each call unless named; raises UnknownVertexError if absent."""
+        if vertex_id not in self.kinds:
+            raise UnknownVertexError(f"no vertex {vertex_id!r} in the graph")
+        return self.named.get(vertex_id) or Vertex(vertex_id, self.kinds[vertex_id], vertex_id)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """Every vertex, sorted by id, made on each read."""
+        return tuple(map(self.vertex, sorted(self.kinds)))
 
     def vertex_map(self) -> dict[str, Vertex]:
-        """Vertex by id, built once like ``predecessors``: do not modify."""
-        return self._vertex_map
+        """Vertex by id, made on each call."""
+        return {v.id: v for v in self.vertices}
 
     def out_edges(self, frm: str) -> tuple[Edge, ...]:
         """The edges from ``frm``, in graph order (so grouped by target, then
@@ -202,7 +212,7 @@ class DependencyGraph:
 
     def adjacency(self) -> dict[str, list[str]]:
         """Sorted successor lists, deduplicated across rules."""
-        return {v.id: sorted({e.to for e in self.out_edges(v.id)}) for v in self.vertices}
+        return {v: sorted({e.to for e in self.out_edges(v)}) for v in sorted(self.kinds)}
 
     def edges_between(self, frm: str, to: str) -> tuple[Edge, ...]:
         run = self.out_edges(frm)
@@ -220,8 +230,7 @@ def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, S
     raises UnknownVertexError when either vertex is absent.
     """
     for vertex_id in (frm, to):
-        if vertex_id not in graph.vertex_map():
-            raise UnknownVertexError(f"no vertex {vertex_id!r} in the graph")
+        graph.vertex(vertex_id)  # raises for an absent vertex
     return [(edge.rule, source) for edge in graph.edges_between(frm, to) for source in edge.provenance]
 
 
@@ -242,15 +251,18 @@ class _Builder:
         # bound once: the rules consult them for nearly every record
         self.assets = bundle.asset_map
         self.crypto = bundle.crypto_map
-        self.vertices: dict[str, Vertex] = {}
+        self.kinds: dict[str, VertexKind] = {}  # the graph's vertex index
+        self.named: dict[str, Vertex] = {}
         self.edges: list[Edge] = []
         self._configs: dict[tuple[str, tuple[str, ...]], str] = {}
 
     def vertex(self, vertex_id: str, kind: VertexKind, display: str | None = None, payload=None) -> str:
         # first registration wins, so record processing order (canonical
         # bundle order) decides ties between colliding namespaces
-        if vertex_id not in self.vertices:
-            self.vertices[vertex_id] = Vertex(vertex_id, kind, display or vertex_id, payload)
+        if vertex_id not in self.kinds:
+            self.kinds[vertex_id] = kind
+            if (display and display != vertex_id) or payload is not None:
+                self.named[vertex_id] = Vertex(vertex_id, kind, display or vertex_id, payload)
         return vertex_id
 
     def edge(self, frm: str, to: str, rule: str, provenance: tuple[Source]) -> None:
@@ -267,7 +279,7 @@ class _Builder:
         return _ASSET_VERTEX_KIND[self.assets.get(asset_id, _UNDECLARED).kind]
 
     def asset(self, asset_id: str) -> str:
-        if asset_id not in self.vertices:
+        if asset_id not in self.kinds:
             record = self.assets.get(asset_id, _UNDECLARED)
             self.vertex(asset_id, _ASSET_VERTEX_KIND[record.kind], record.name)
         return asset_id
@@ -310,8 +322,6 @@ class _Builder:
     def finish(self) -> DependencyGraph:
         """Each run of equal (from, to, rule) becomes one edge; the sort breaks
         ties by source, so its provenance is the run's sources in order, once each."""
-        vertices = tuple(self.vertices[v] for v in sorted(self.vertices))
-        del self.vertices  # before the sort needs room
         edges, kept, key = self.edges, 0, None
         edges.sort()
         for edge in edges:  # merged in place: edges[:kept] holds the runs so far
@@ -323,7 +333,7 @@ class _Builder:
                 last = edges[kept - 1]
                 edges[kept - 1] = last._replace(provenance=last.provenance + edge.provenance)
         del edges[kept:]
-        return DependencyGraph(vertices, tuple(edges))
+        return DependencyGraph(self.kinds, tuple(edges), self.named)
 
 
 def build_graph(bundle: InventoryBundle) -> DependencyGraph:
@@ -351,7 +361,7 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
             builder.edge(classification, data_vertex, "DC1", provenance)
         for location in record.storage_locations:
             target = builder.asset(location)
-            rule = _DATA_LOCATION_RULE.get(builder.vertices[target].kind, "D1")
+            rule = _DATA_LOCATION_RULE.get(builder.kinds[target], "D1")
             builder.edge(data_vertex, target, rule, provenance)
 
     for record in bundle.assets:
@@ -365,7 +375,7 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
 
 def _apply_asset_rules(builder: _Builder, record: AssetRecord) -> None:
     source_vertex = builder.asset(record.id)
-    source_kind = builder.vertices[source_vertex].kind
+    source_kind = builder.kinds[source_vertex]
     own = (record.source,)
     for target in record.serves:
         other = builder.asset(target)
@@ -402,7 +412,7 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
         builder.edge(src, builder.config(*resolved), _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
     else:  # an asset, declared or not
         target_vertex = builder.asset(target)
-        target_kind = builder.vertices[target_vertex].kind
+        target_kind = builder.kinds[target_vertex]
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
             builder.edge(src, target_vertex, "CH2", provenance)
             builder.edge(target_vertex, src, "CH2", provenance)
@@ -422,7 +432,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
         holder = builder.asset(record.location)
         if row.location:
             builder.edge(obj, holder, row.location, provenance)
-        if builder.vertices[holder].kind is VertexKind.PROCESSOR:
+        if builder.kinds[holder] is VertexKind.PROCESSOR:
             builder.edge(holder, obj, row.held, provenance)
     # key-management locations hold the underlying key material, so every
     # kind of crypto object leans on them

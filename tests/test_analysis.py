@@ -44,6 +44,15 @@ def src(name="t.csv", ref="r"):
     return Source(name, ref)
 
 
+def graph_of(vertices, edges):
+    """The graph with these vertices and edges, naming the vertices a build
+    would: those with a display other than their id or a payload."""
+    return DependencyGraph(
+        {v.id: v.kind for v in vertices}, tuple(sorted(edges)),
+        {v.id: v for v in vertices if v.display != v.id or v.payload is not None},
+    )
+
+
 def scan_records(records, registry=None, **kwargs):
     bundle, _ = assemble_bundle(records, registry or load_default_registry())
     graph = build_graph(bundle)
@@ -161,10 +170,7 @@ def synthetic_graphs(draw, dense=False, fan=0):
         if (frm, to, rule) not in seen:
             seen.add((frm, to, rule))
             edges.append(Edge(frm, to, rule, mark))
-    return DependencyGraph(
-        tuple(sorted(vertices, key=lambda v: v.id)),
-        tuple(sorted(edges, key=lambda e: (e.frm, e.to, e.rule))),
-    )
+    return graph_of(vertices, edges)
 
 
 @given(synthetic_graphs(fan=3))
@@ -203,7 +209,7 @@ def fanned_graph():
     edges += [Edge("a", f, "X", mark) for f in fans] + [Edge(f, "b", "X", mark) for f in fans]
     vertices = [Vertex(r.key, VertexKind.SECURITY_LEVEL, r.display, r) for r in (high, low)]
     vertices += [Vertex(v, VertexKind.PROCESSOR, v) for v in ["a", "b", *fans]]
-    return DependencyGraph(tuple(sorted(vertices, key=lambda v: v.id)), tuple(sorted(edges)))
+    return graph_of(vertices, edges)
 
 
 @given(synthetic_graphs(dense=True, fan=5), st.sampled_from([1, 3, 50]))
@@ -243,10 +249,7 @@ def test_reverse_search_stops_once_the_required_levels_are_recorded():
         Edge("key", low.key, "SL2", mark), Edge("hub", "key", "X", mark),
         *(Edge(v, "hub", "X", mark) for v in fan),
     ]
-    graph = DependencyGraph(
-        tuple(sorted(vertices, key=lambda v: v.id)),
-        tuple(sorted(edges, key=lambda e: (e.frm, e.to, e.rule))),
-    )
+    graph = graph_of(vertices, edges)
     dist = _distances_to(graph, low.key, {high.key, low.key}, [high.key])
     assert dist[high.key] == 2
     assert len(dist) < 10 < len(graph.vertices)

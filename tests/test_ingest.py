@@ -826,6 +826,30 @@ def test_a_cell_naming_nothing_in_a_bundle_built_in_code_dangles_and_builds_as_a
     assert [edge[:3] for edge in graph.edges] == [("A", "Ghost", "AC1"), ("Ghost", "A", "AC1")]
 
 
+@pytest.mark.parametrize("access_record", [False, True])
+def test_an_asset_target_naming_a_record_collides_in_a_bundle_built_in_code_as_once_assembled(access_record):
+    """Assembly declares every serves and access-record target an asset, so
+    one naming a crypto or data record collides with it; a bundle built
+    without assembly gets the same single line, and an assembled one no
+    second copy."""
+    if access_record:
+        asset = AssetRecord(id="A", accesses=(AccessRef("D1"),))
+        other, what = DataRecord(id="D1", storage_locations=("A",)), "'D1' appears in both data/asset"
+    else:
+        asset = AssetRecord(id="A", serves=("K1",))
+        other = CryptoObjectRecord(
+            id="K1", object_type=CryptoObjectType.PRIVATE_KEY, algorithm="RSA", config_flags=("2048",)
+        )
+        what = "'K1' appears in both asset/crypto"
+    registry = load_default_registry()
+    expected = [f"error: <bundle>: namespace-collision: identifier {what} inventories"]
+    assembled, _ = assemble_bundle([asset, other], registry)
+    assert [d.render() for d in validate_bundle(assembled)] == expected
+    records = {"crypto_objects" if isinstance(other, CryptoObjectRecord) else "data": (other,)}
+    bundle = InventoryBundle(assets=(asset,), registry=registry, **records)
+    assert [d.render() for d in validate_bundle(bundle)] == expected
+
+
 def test_validate_reports_ids_spelled_like_the_levels_and_configurations_the_build_makes():
     """The build gives a vertex id to the first record that claims it, so a
     record or label spelled like a level or configuration vertex would take

@@ -1,18 +1,26 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cryptodep.model import (
     APPROVED,
+    AccessRef,
     AssetRecord,
+    ClassificationBinding,
     Configuration,
+    CryptoObjectRecord,
+    CryptoObjectType,
     CryptoRegistry,
+    DataRecord,
     NOT_APPROVED,
     QUANTUM_SAFE,
     QUANTUM_VULNERABLE,
     RatingDimension,
     SecurityRating,
+    Source,
     _NAMED_LEVELS,
     normalise_flag,
     parse_primitive_spec,
@@ -207,3 +215,27 @@ def test_asset_defaults():
     assert asset.display == "A1"
     named = AssetRecord(id="A1", name="web tier")
     assert named.display == "web tier"
+
+
+def _one_of_each_record():
+    source = Source("a.csv", "r1")
+    return (
+        source,
+        ClassificationBinding("High", (SecurityRating.bits(128),), source=source),
+        DataRecord(id="D", classification="High", storage_locations=("A",), source=source),
+        AccessRef("B", source=source),
+        AssetRecord(id="A", serves=("B",), accesses=(AccessRef("B"),), source=source),
+        CryptoObjectRecord(
+            id="K", object_type=CryptoObjectType.PRIVATE_KEY, algorithm="RSA", config_flags=("2048",), source=source
+        ),
+    )
+
+
+def test_records_compare_and_hash_by_value():
+    """Records are not frozen, but the library never assigns a field of one:
+    equal records hash equal and dedupe in a set, and ``replace`` copies."""
+    for one, two in zip(_one_of_each_record(), _one_of_each_record()):
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+        copy = replace(one)
+        assert copy is not one and copy == one and hash(copy) == hash(one)

@@ -81,8 +81,9 @@ def test_dot_escapes_awkward_identifiers():
     vertex = Vertex('we"ird\\name', VertexKind.PROCESSOR, 'display "x"')
     other = Vertex("plain", VertexKind.KEY, "plain")
     graph = DependencyGraph(
-        (other, vertex),
+        {other.id: other.kind, vertex.id: vertex.kind},
         (Edge('we"ird\\name', "plain", "K1"),),
+        {vertex.id: vertex},  # its display is not its id
     )
     nodes, edges = read_dot(rendered(render_dot, graph))
     assert set(nodes) == {'we"ird\\name', "plain"}

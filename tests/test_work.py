@@ -106,3 +106,33 @@ def test_detection_searches_back_from_each_provided_level_at_most_twice(monkeypa
     assert findings
     assert {f.provided.key for f in findings} <= searches.keys()
     assert max(searches.values()) <= 2
+
+
+@pytest.mark.parametrize("command", [("scan",), ("whatif", "--overlay", str(OVERLAY))])
+def test_scan_and_whatif_read_the_vertex_index_and_make_no_vertex_list(monkeypatch, command):
+    """Detection, scoring and the report ask the graph's id -> kind index;
+    ``DependencyGraph.vertices`` makes a ``Vertex`` per vertex, for DOT."""
+    calls: Counter = Counter()
+    vertices = rules.DependencyGraph.vertices.fget
+
+    def counted(graph):
+        calls["vertices"] += 1
+        return vertices(graph)
+
+    monkeypatch.setattr(rules.DependencyGraph, "vertices", property(counted))
+    code, _, _ = run_cli(hybrid_args(*command, "--format", "json"))
+    assert code == 1
+    assert calls == {}
+
+
+def test_the_build_keeps_a_vertex_only_for_levels_configurations_and_named_records(monkeypatch):
+    bundle, _ = load_bundle(
+        [HYBRID / name for name in HYBRID_FILES], parse_profiles(HYBRID / "profiles.json"), load_default_registry()
+    )
+    calls: Counter = Counter()
+    _count(monkeypatch, rules, "Vertex", calls)
+    graph = build_graph(bundle)
+    kept = list(graph.named.values())
+    assert calls["Vertex"] == len(kept) < len(graph.kinds)
+    held = (rules.VertexKind.SECURITY_LEVEL, rules.VertexKind.PRIMITIVE_CONFIG)
+    assert all(v.kind in held or v.display != v.id for v in kept)
