@@ -22,16 +22,18 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
-from .ingest import Diagnostic, _warning, assemble_bundle, parse_entry, text_digest
+from .ingest import assemble_bundle, parse_entry, text_digest
 from .model import (
     AssetRecord,
     ClassificationBinding,
     CryptoObjectRecord,
     DataRecord,
+    Diagnostic,
     InventoryBundle,
     RefOrigin,
     SecurityRating,
     VulnerabilityClass,
+    _warning,
     parse_primitive_spec,
     primitive_key,
     spec_key,

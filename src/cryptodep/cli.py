@@ -2,8 +2,8 @@
 
 Four subcommands share one pipeline: ``scan`` (ingest, build, analyse,
 report), ``whatif`` (scan twice, once with an overlay, and diff), ``graph``
-(ingest, build, emit DOT), and ``validate`` (ingest and consistency checks
-only).
+(ingest, build, emit DOT), and ``validate`` (ingest and the rule pass,
+without a graph).
 
 Exit codes are the machine contract: 0 for a clean run, 1 when findings or
 error diagnostics exist, 2 for fatal problems (unreadable or undecodable
@@ -33,17 +33,14 @@ from .analysis import (
     parse_overlay,
 )
 from .ingest import (
-    Diagnostic,
     IngestError,
-    Severity,
     file_digest,  # not called here: benchmark/traced.py wraps it by this name
     load_bundle,
     parse_profiles_text,
     read_input,
     text_digest,
-    validate_bundle,
 )
-from .model import InventoryBundle
+from .model import Diagnostic, InventoryBundle, Severity
 from .registry import DEFAULT_REGISTRY_LABEL, default_registry_text, parse_registry_text
 from .report import (
     make_report,
@@ -53,7 +50,7 @@ from .report import (
     render_whatif_json,
     render_whatif_text,
 )
-from .rules import build_graph
+from .rules import build_graph, validate_bundle
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -142,7 +139,7 @@ def _load_inputs(args) -> tuple[InventoryBundle, list[Diagnostic], list[Diagnost
     """The bundle, the diagnostics of reading its inputs (registry and
     parsing, whose diagnostics name a line), those of assembling it, and the
     input digests.  An overlay assembles its edit anew, and its diagnostics
-    replace the assembly's.  Validation runs on the bundle that gets used."""
+    replace the assembly's.  The rules run on the bundle that gets used."""
     digests: dict[str, str] = {}
 
     profiles = []
@@ -192,12 +189,12 @@ def _emit_diagnostics(diagnostics) -> None:
 
 
 def _build(bundle, diagnostics):
-    """Validate and build; returns the graph, the bundle's scoring view and
-    the diagnostics.  The view keeps only what scoring reads, the
-    classifications and the data, so a caller that rebinds its bundle to it
-    lets the records go before detection and rendering."""
-    diagnostics = diagnostics + validate_bundle(bundle)
-    graph = build_graph(bundle)
+    """Run the rules once; returns the graph, the bundle's scoring view and
+    ``diagnostics`` with those of the rules appended.  The view keeps only
+    what scoring reads, the classifications and the data, so a caller that
+    rebinds its bundle to it lets the records go before detection and
+    rendering."""
+    graph = build_graph(bundle, diagnostics)
     return graph, InventoryBundle(classifications=bundle.classifications, data=bundle.data), diagnostics
 
 

@@ -1,5 +1,5 @@
-"""Parsing of inventory files and mapping profiles, and assembly and
-validation of the bundle they give.
+"""Parsing of inventory files and mapping profiles, and assembly of the
+bundle they give; :func:`cryptodep.rules.validate_bundle` checks the bundle.
 
 Tabular inventories arrive as CSV with a mandatory header row.  A mapping
 profile assigns a role to each column so arbitrary real-world headers can be
@@ -27,22 +27,22 @@ from .model import (
     CryptoObjectType,
     CryptoRegistry,
     DataRecord,
+    Diagnostic,
     Direction,
     InventoryBundle,
     RefOrigin,
     SecurityRating,
     Source,
+    _error,
+    _warning,
     normalise_flag,
-    primitive_key,
 )
-from .rules import CRYPTO_RULES, VertexKind, _Builder
+from .rules import CRYPTO_RULES, VertexKind
 
 __all__ = [
     "Role",
     "RecordKind",
     "MappingProfile",
-    "Severity",
-    "Diagnostic",
     "IngestError",
     "read_input",
     "file_digest",
@@ -55,7 +55,6 @@ __all__ = [
     "parse_entry",
     "load_bundle",
     "assemble_bundle",
-    "validate_bundle",
 ]
 
 
@@ -100,32 +99,6 @@ def read_input(path: str | Path, what: str) -> tuple[str, str]:
         line = data.count(b"\n", 0, exc.start) + 1
         raise IngestError(f"cannot read {what} {path}: line {line} is not UTF-8: {exc.reason}") from None
     return text, file_digest(data)
-
-
-class Severity(str, Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    severity: Severity
-    file: str
-    code: str
-    message: str
-    line: int | None = None
-
-    def render(self) -> str:
-        where = f"{self.file}:{self.line}" if self.line is not None else self.file
-        return f"{self.severity.value}: {where}: {self.code}: {self.message}"
-
-
-def _error(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
-    diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
-
-
-def _warning(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
-    diags.append(Diagnostic(Severity.WARNING, fname, code, message, line=line))
 
 
 # --------------------------------------------------------------------------
@@ -696,7 +669,7 @@ _KINDS: dict[RecordKind, tuple] = {
 
 
 # --------------------------------------------------------------------------
-# bundle assembly and validation
+# bundle assembly
 # --------------------------------------------------------------------------
 
 def load_bundle(
@@ -870,107 +843,6 @@ def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, 
         source=min(identity or relation or mentions),
     )
     return next((r for r in rows if r == merged), merged)
-
-
-def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
-    """Cross-reference checks over an assembled bundle.
-
-    Errors mark unresolvable references and namespace collisions; warnings
-    mark degraded-but-usable situations such as unrated algorithms.
-    """
-    diags: list[Diagnostic] = []
-    # the bundle's own maps answer membership: sets of their keys would stay resident under the build;
-    # assembly makes each serves and access-record target an asset, a bundle built in code may not
-    linked = [t for a in bundle.assets for t in a.serves if t not in bundle.asset_map] + [
-        r.target for a in bundle.assets for r in a.accesses
-        if r.origin is RefOrigin.ACCESS_RECORD and r.target not in bundle.asset_map
-    ]
-    asset_ids = {**bundle.asset_map, **dict.fromkeys(linked)} if linked else bundle.asset_map
-    data_ids = bundle.data_map
-    crypto_ids = bundle.crypto_map
-    class_labels = bundle.classification_map
-
-    for a, b, what in (
-        (data_ids, asset_ids, "data/asset"),
-        (data_ids, crypto_ids, "data/crypto"),
-        (asset_ids, crypto_ids, "asset/crypto"),
-    ):
-        for ident in sorted(a.keys() & b.keys()):
-            _error(
-                diags, "<bundle>", None, "namespace-collision",
-                f"identifier {ident!r} appears in both {what} inventories",
-            )
-    ids = (data_ids, asset_ids, crypto_ids)
-    # the build gives an id's vertex to the first record or label that claims it, so none may
-    # take an id its own level and config give, or would give a registry configuration
-    builder = _Builder(bundle)
-    for rating in (rating for binding in bundle.classifications for rating in binding.required):
-        builder.level(rating)
-    for name, configs in bundle.registry.algorithms.items():
-        for config in configs:
-            builder.config(name, config.flags)
-    pairs = {(obj.algorithm, obj.config_flags) for obj in bundle.crypto_objects if obj.algorithm}
-    unrated = {pair for pair in pairs if builder.config(*pair) not in builder.named}  # only rated ones are named
-
-    def dangling(record, message: str) -> None:
-        _error(diags, record.source.file, None, "dangling-reference", message)
-
-    cells: dict[tuple[str, str], str] = {}  # (asset, configuration) -> its first cell's file
-    for asset in bundle.assets:
-        for ref in asset.accesses:  # most cells name an asset, so that is asked first
-            if ref.target in asset_ids or ref.origin is RefOrigin.ACCESS_RECORD:
-                continue
-            resolved = bundle.resolve(ref.target)
-            if resolved is None:
-                dangling(asset, f"asset {asset.id!r} references {ref.target!r} but no such record or algorithm exists")
-            elif isinstance(resolved, tuple):
-                cells.setdefault((asset.id, builder.config(*resolved)), (ref.source or asset.source).file)
-    for ident in sorted(i for i in builder.kinds if any(i in table for table in (class_labels, *ids))):
-        _error(diags, "<bundle>", None, "namespace-collision", f"identifier {ident!r} is also a level or configuration")
-    for label in sorted(label for label in class_labels if any(label in table for table in ids)):
-        _warning(
-            diags, "<bundle>", None, "label-collision",
-            f"classification label {label!r} collides with a record identifier",
-        )
-
-    for record in bundle.data:
-        if record.classification and record.classification not in class_labels:
-            _error(
-                diags, record.source.file, None, "unknown-classification",
-                f"data {record.id!r} uses classification {record.classification!r} "
-                f"which is not in the classification map",
-            )
-        for location in record.storage_locations:
-            if location not in asset_ids:
-                dangling(record, f"data {record.id!r} names storage location {location!r} but no such asset exists")
-
-    for obj in bundle.crypto_objects:
-        what = f"crypto object {obj.id!r}"
-        for location in filter(None, (obj.location, *obj.key_locations)):
-            if location not in asset_ids:
-                dangling(obj, f"{what} names location {location!r} but no such asset exists")
-        holder_kind = None if CRYPTO_RULES[obj.object_type].location else builder.asset_kind(obj.location)
-        if holder_kind not in (None, VertexKind.PROCESSOR):
-            _warning(
-                diags, obj.source.file, None, "location-unused",
-                f"{what} names location {obj.location!r}, a {holder_kind.value}, "
-                f"but only a processor gives a {obj.object_type.value} an edge",
-            )
-        if obj.matched_key and obj.matched_key not in crypto_ids:
-            dangling(obj, f"{what} references matched key {obj.matched_key!r} which is not in the inventory")
-        if obj.issuer_cert and obj.issuer_cert != obj.id and obj.issuer_cert not in crypto_ids:
-            dangling(obj, f"{what} references issuer {obj.issuer_cert!r} which is not in the inventory")
-        if obj.created_by and obj.created_by not in asset_ids:
-            dangling(obj, f"{what} was created by {obj.created_by!r} but no such asset exists")
-        if obj.algorithm and (obj.algorithm, obj.config_flags) in unrated:
-            _warning(
-                diags, obj.source.file, None, "unknown-algorithm",
-                f"{primitive_key(obj.algorithm, obj.config_flags)} used by {obj.id!r} is not rated in the registry",
-            )
-    for (ident, key), file in cells.items():
-        if key not in builder.named:
-            _warning(diags, file, None, "unknown-algorithm", f"{key} used by {ident!r} is not rated in the registry")
-    return diags
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Domain model: security ratings, inventory records, and the algorithm registry.
+"""Domain model: security ratings, inventory records, the algorithm registry,
+and the diagnostics that reading and compiling them report.
 
 Everything in this module is immutable and free of I/O.  Records are produced
 by :mod:`cryptodep.ingest`, compiled into a dependency graph by
@@ -12,6 +13,8 @@ from enum import Enum
 from functools import cached_property
 
 __all__ = [
+    "Severity",
+    "Diagnostic",
     "RatingDimension",
     "SecurityRating",
     "Source",
@@ -37,6 +40,36 @@ __all__ = [
     "QUANTUM_SAFE",
     "QUANTUM_VULNERABLE",
 ]
+
+
+# --------------------------------------------------------------------------
+# diagnostics
+# --------------------------------------------------------------------------
+
+class Severity(str, Enum):
+    ERROR = "error"
+    WARNING = "warning"
+
+
+@dataclass(frozen=True, slots=True)
+class Diagnostic:
+    severity: Severity
+    file: str
+    code: str
+    message: str
+    line: int | None = None
+
+    def render(self) -> str:
+        where = f"{self.file}:{self.line}" if self.line is not None else self.file
+        return f"{self.severity.value}: {where}: {self.code}: {self.message}"
+
+
+def _error(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
+    diags.append(Diagnostic(Severity.ERROR, fname, code, message, line=line))
+
+
+def _warning(diags: list[Diagnostic], fname: str, line: int | None, code: str, message: str) -> None:
+    diags.append(Diagnostic(Severity.WARNING, fname, code, message, line=line))
 
 
 # --------------------------------------------------------------------------

@@ -14,14 +14,17 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .ingest import Diagnostic, IngestError, _error, _named_source, _warning, read_input
+from .ingest import IngestError, _named_source, read_input
 from .model import (
     Configuration,
     CryptoRegistry,
+    Diagnostic,
     RatingDimension,
     SecurityRating,
     Source,
     VulnerabilityClass,
+    _error,
+    _warning,
     normalise_flag,
     primitive_key,
     spec_key,

@@ -22,8 +22,7 @@ from typing import TextIO
 
 from . import __version__
 from .analysis import Finding, HorizonConfig, ScoringPolicy
-from .ingest import Diagnostic
-from .model import VulnerabilityClass
+from .model import Diagnostic, VulnerabilityClass
 from .rules import DependencyGraph, VertexKind
 
 __all__ = [

@@ -16,7 +16,7 @@ produce AC1 edges.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -30,13 +30,17 @@ from .model import (
     CryptoObjectRecord,
     CryptoObjectType,
     DataRecord,
+    Diagnostic,
     Direction,
     InventoryBundle,
     RefOrigin,
     SecurityRating,
     Source,
+    _error,
+    _warning,
     parse_primitive_spec,
     primitive_key,
+    spec_key,
 )
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "UnknownVertexError",
     "RULES",
     "build_graph",
+    "validate_bundle",
     "explain_edge",
 ]
 
@@ -234,36 +239,83 @@ def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, S
     return [(edge.rule, source) for edge in graph.edges_between(frm, to) for source in edge.provenance]
 
 
+
+
 # --------------------------------------------------------------------------
 # construction
 # --------------------------------------------------------------------------
 
-class _Builder:
-    """Vertices and edges as the rules add them.  Edges go into one list,
-    duplicates and all, each holding the provenance tuple its record shares
-    among all of its edges; ``finish`` sorts the list once and merges the
-    duplicates, so most edges keep that shared tuple."""
+_LEVEL = "level or configuration"
+#: the namespace of each vertex kind's ids
+_NAMESPACE = {
+    VertexKind.CLASSIFICATION: "classification", VertexKind.DATA_ASSET: "data", VertexKind.PROCESSOR: "asset",
+    VertexKind.CHANNEL: "asset", VertexKind.PROCESS: "asset", VertexKind.KEY: "crypto",
+    VertexKind.CERTIFICATE: "crypto", VertexKind.SECURITY_LEVEL: _LEVEL, VertexKind.PRIMITIVE_CONFIG: _LEVEL,
+}
+_LOCATED = "crypto object {!r} names location {!r} but no such asset exists"
 
-    def __init__(self, bundle: InventoryBundle):
+
+class _Builder:
+    """Vertices, edges and diagnostics as the rules add them.  Edges go into
+    one list, duplicates and all, each holding the provenance tuple its
+    record shares among all of its edges; ``finish`` sorts the list once and
+    merges the duplicates, so most edges keep that shared tuple.  Validation
+    passes an edge list that keeps none, and a build whose caller wants no
+    diagnostics a diagnostics list that keeps none.  The first claim on an
+    id gives it its vertex, and a claim in a second namespace is a
+    collision; ``unplaced`` maps the id of a vertex that stands for a
+    dangling reference to the namespace of the first claim made on it since."""
+
+    def __init__(self, bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None, edges=None):
         self.bundle = bundle
+        self.diagnostics = [] if diagnostics is None else diagnostics
         # levels exist only for the dimensions some classification requires
         self.active_dims = {rating.dimension for binding in bundle.classifications for rating in binding.required}
         # bound once: the rules consult them for nearly every record
+        self.labels = bundle.classification_map
         self.assets = bundle.asset_map
         self.crypto = bundle.crypto_map
+        bundle.data_map  # for resolve: made now, not mid-pass on top of the graph (2 MB of scan_100k's peak RSS)
         self.kinds: dict[str, VertexKind] = {}  # the graph's vertex index
         self.named: dict[str, Vertex] = {}
-        self.edges: list[Edge] = []
+        self.edges: list[Edge] = [] if edges is None else edges
         self._configs: dict[tuple[str, tuple[str, ...]], str] = {}
+        self.unrated: set[str] = set()  # the configurations the registry does not rate
+        self.unplaced: dict[str, str | None] = {}
+        self.spelled: set[str] = set()  # ids claimed as a level or configuration too, reported last
+        self.reported: set[tuple[str, ...]] = set()  # collisions and unrated uses, each reported once
 
     def vertex(self, vertex_id: str, kind: VertexKind, display: str | None = None, payload=None) -> str:
-        # first registration wins, so record processing order (canonical
-        # bundle order) decides ties between colliding namespaces
-        if vertex_id not in self.kinds:
+        held = self.kinds.get(vertex_id)
+        if held is None:
             self.kinds[vertex_id] = kind
             if (display and display != vertex_id) or payload is not None:
                 self.named[vertex_id] = Vertex(vertex_id, kind, display or vertex_id, payload)
+        elif held is not kind or self.unplaced:
+            self._claim(vertex_id, held, _NAMESPACE[kind])
         return vertex_id
+
+    def _claim(self, ident: str, held: VertexKind, namespace: str) -> None:
+        """A claim in ``namespace`` on ``ident``, which holds a ``held`` vertex."""
+        first = self.unplaced.get(ident, _NAMESPACE[held])
+        if first is None:
+            self.unplaced[ident] = namespace
+        elif first != namespace:
+            if _LEVEL in (first, namespace):
+                self.spelled.add(ident)
+            elif (ident, first, namespace) not in self.reported:
+                self.reported.add((ident, first, namespace))
+                message = f"identifier {ident!r} appears in both {first}/{namespace} inventories"
+                _error(self.diagnostics, "<bundle>", None, "namespace-collision", message)
+
+    def dangling(self, ident: str, kind: VertexKind, record, message: str, code: str = "dangling-reference") -> str:
+        """``record``'s reference to ``ident``, which names no record it may name: an
+        error, ``message`` given the two ids, and a ``kind`` vertex unless the id has one."""
+        _error(self.diagnostics, record.source.file, None, code, message.format(record.id, ident))
+        if ident not in self.kinds:
+            self.kinds[ident] = kind
+            self.unplaced[ident] = None
+        return ident
 
     def edge(self, frm: str, to: str, rule: str, provenance: tuple[Source]) -> None:
         if frm != to:
@@ -274,23 +326,24 @@ class _Builder:
     def level(self, rating: SecurityRating) -> str:
         return self.vertex(rating.key, VertexKind.SECURITY_LEVEL, rating.display, rating)
 
-    def asset_kind(self, asset_id: str) -> VertexKind:
-        """The vertex kind ``asset`` gives ``asset_id`` unless another vertex holds the id; registers nothing."""
-        return _ASSET_VERTEX_KIND[self.assets.get(asset_id, _UNDECLARED).kind]
+    def asset(self, asset_id: str, record=None, message: str = "") -> str:
+        """A claim of ``asset_id`` as an asset, with its record's kind and
+        name, or a processor's if no record declares it; in a field of
+        ``record`` that only a declared asset may fill, it dangles instead."""
+        declared = self.assets.get(asset_id)
+        if declared is None and record is not None:
+            return self.dangling(asset_id, VertexKind.PROCESSOR, record, message)
+        declared = declared or _UNDECLARED
+        return self.vertex(asset_id, _ASSET_VERTEX_KIND[declared.kind], declared.name)
 
-    def asset(self, asset_id: str) -> str:
-        if asset_id not in self.kinds:
-            record = self.assets.get(asset_id, _UNDECLARED)
-            self.vertex(asset_id, _ASSET_VERTEX_KIND[record.kind], record.name)
-        return asset_id
-
-    def crypto_object(self, object_id: str, undeclared: VertexKind) -> str:
+    def crypto_object(self, object_id: str, undeclared: VertexKind, record=None, message: str = "") -> str:
         """A declared key or certificate takes its record's kind and display;
-        an id that no crypto record declares takes ``undeclared``."""
-        record = self.crypto.get(object_id)
-        if record is None:
-            return self.vertex(object_id, undeclared)
-        return self.vertex(object_id, CRYPTO_RULES[record.object_type].kind, record.display)
+        an id that no crypto record declares is ``record``'s dangling
+        reference, an ``undeclared`` vertex."""
+        declared = self.crypto.get(object_id)
+        if declared is None:
+            return self.dangling(object_id, undeclared, record, message)
+        return self.vertex(object_id, CRYPTO_RULES[declared.object_type].kind, declared.display)
 
     def config(self, algorithm: str, flags: tuple[str, ...]) -> str:
         """Vertex for a primitive configuration, expanding registry ratings
@@ -309,7 +362,9 @@ class _Builder:
                 key = self._configs[name, name_flags] = primitive_key(name, name_flags)
                 configuration = self.bundle.registry.lookup(name, name_flags)
                 self.vertex(key, VertexKind.PRIMITIVE_CONFIG, payload=configuration)
-                if configuration is not None:
+                if configuration is None:
+                    self.unrated.add(key)
+                else:
                     source = (configuration.source,)
                     for rating in configuration.ratings:
                         if rating.dimension in self.active_dims:
@@ -318,6 +373,26 @@ class _Builder:
             if user is not None:
                 self.edge(user, key, "P2", provenance)
         return self._configs[algorithm, flags]
+
+    def used(self, key: str, user: str, source: Source) -> str:
+        """The configuration ``key`` that ``user`` names; an unrated one is reported once per user."""
+        if key in self.unrated and (user, key) not in self.reported:
+            self.reported.add((user, key))
+            message = f"{key} used by {user!r} is not rated in the registry"
+            _warning(self.diagnostics, source.file, None, "unknown-algorithm", message)
+        return key
+
+    def report_spellings(self) -> None:
+        """Claims, adding no vertex, the ids the registry spells for each configuration, its members and
+        its levels in the active dimensions; then reports each id claimed as one and as something else."""
+        for name, configurations in self.bundle.registry.algorithms.items():
+            for c in configurations:
+                levels = [r.key for r in c.ratings if r.dimension in self.active_dims]
+                for ident in {primitive_key(name, c.flags), *map(spec_key, c.uses), *levels} & self.kinds.keys():
+                    self._claim(ident, self.kinds[ident], _LEVEL)
+        for ident in sorted(self.spelled):
+            message = f"identifier {ident!r} is also a level or configuration"
+            _error(self.diagnostics, "<bundle>", None, "namespace-collision", message)
 
     def finish(self) -> DependencyGraph:
         """Each run of equal (from, to, rule) becomes one edge; the sort breaks
@@ -336,16 +411,28 @@ class _Builder:
         return DependencyGraph(self.kinds, tuple(edges), self.named)
 
 
-def build_graph(bundle: InventoryBundle) -> DependencyGraph:
+def build_graph(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None) -> DependencyGraph:
     """Apply the rule catalogue to every record in the bundle; a reference
     cell naming nothing builds as the undeclared asset assembly makes of it.
+    What the pass cannot place, the diagnostics :func:`validate_bundle`
+    returns, is appended to ``diagnostics`` when it is given.
 
     Construction is additive: each record only ever contributes vertices and
     edges, so growing the bundle grows the graph.  Security levels are
     created only for dimensions some classification requires; a registry
     rating in a dimension nothing requires stays out of the graph.
     """
-    builder = _Builder(bundle)
+    return _rule_pass(bundle, deque(maxlen=0) if diagnostics is None else diagnostics).finish()
+
+
+def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
+    """What the rule pass of :func:`build_graph` cannot place, making no graph, in the order it meets
+    it: classifications, data, assets, crypto objects, then ids spelled like a level or configuration."""
+    return _rule_pass(bundle, edges=deque(maxlen=0)).diagnostics  # drops each edge as it is made
+
+
+def _rule_pass(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None, edges=None) -> _Builder:
+    builder = _Builder(bundle, diagnostics, edges)
 
     for binding in bundle.classifications:
         classification = builder.vertex(binding.label, VertexKind.CLASSIFICATION)
@@ -356,11 +443,15 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
     for record in bundle.data:
         data_vertex = builder.vertex(record.id, VertexKind.DATA_ASSET, record.display)
         provenance = (record.source,)
-        if record.classification:
-            classification = builder.vertex(record.classification, VertexKind.CLASSIFICATION)
-            builder.edge(classification, data_vertex, "DC1", provenance)
+        label = record.classification
+        if label in builder.labels:
+            builder.edge(builder.vertex(label, VertexKind.CLASSIFICATION), data_vertex, "DC1", provenance)
+        elif label:
+            message = "data {!r} uses classification {!r} which is not in the classification map"
+            unlisted = builder.dangling(label, VertexKind.CLASSIFICATION, record, message, "unknown-classification")
+            builder.edge(unlisted, data_vertex, "DC1", provenance)
         for location in record.storage_locations:
-            target = builder.asset(location)
+            target = builder.asset(location, record, "data {!r} names storage location {!r} but no such asset exists")
             rule = _DATA_LOCATION_RULE.get(builder.kinds[target], "D1")
             builder.edge(data_vertex, target, rule, provenance)
 
@@ -370,10 +461,12 @@ def build_graph(bundle: InventoryBundle) -> DependencyGraph:
     for record in bundle.crypto_objects:
         _apply_crypto_rules(builder, record)
 
-    return builder.finish()
+    builder.report_spellings()
+    return builder
 
 
 def _apply_asset_rules(builder: _Builder, record: AssetRecord) -> None:
+    # assembly makes each serves and access-record target an asset, so each is claimed as one
     source_vertex = builder.asset(record.id)
     source_kind = builder.kinds[source_vertex]
     own = (record.source,)
@@ -386,7 +479,7 @@ def _apply_asset_rules(builder: _Builder, record: AssetRecord) -> None:
         if ref.origin is RefOrigin.ACCESS_RECORD:
             _access_pair(builder, source_vertex, builder.asset(ref.target), ref.direction, provenance)
         else:
-            _typed_reference(builder, source_vertex, source_kind, ref, provenance)
+            _typed_reference(builder, record, source_kind, ref, provenance)
 
 
 def _access_pair(builder: _Builder, asset: str, service: str, direction: Direction, provenance: tuple[Source]) -> None:
@@ -396,11 +489,11 @@ def _access_pair(builder: _Builder, asset: str, service: str, direction: Directi
         builder.edge(asset, service, "AC1", provenance)
 
 
-def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, provenance: tuple[Source]) -> None:
+def _typed_reference(builder: _Builder, record, src_kind: VertexKind, ref, provenance: tuple[Source]) -> None:
     """Interpret a reference column on an asset row by what the bundle
     resolves its target to; a target naming nothing is the undeclared asset
     that ``assemble_bundle`` would have made of it."""
-    target = ref.target
+    src, target = record.id, ref.target
     resolved = builder.bundle.resolve(target)
     if isinstance(resolved, CryptoObjectRecord):
         target_vertex = builder.crypto_object(target, VertexKind.KEY)
@@ -409,9 +502,11 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
         data_vertex = builder.vertex(target, VertexKind.DATA_ASSET, resolved.display)
         builder.edge(data_vertex, src, _DATA_LOCATION_RULE.get(src_kind, "D1"), provenance)
     elif isinstance(resolved, tuple):
-        builder.edge(src, builder.config(*resolved), _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
+        config = builder.used(builder.config(*resolved), src, provenance[0])
+        builder.edge(src, config, _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
     else:  # an asset, declared or not
-        target_vertex = builder.asset(target)
+        message = "asset {!r} references {!r} but no such record or algorithm exists"
+        target_vertex = builder.asset(target, None if resolved else record, message)
         target_kind = builder.kinds[target_vertex]
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
             builder.edge(src, target_vertex, "CH2", provenance)
@@ -424,26 +519,38 @@ def _typed_reference(builder: _Builder, src: str, src_kind: VertexKind, ref, pro
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:
-    """A field the record's row gives no rule is reported by assembly or validation."""
+    """A field the record's row gives no rule is reported by assembly."""
     row = CRYPTO_RULES[record.object_type]
     obj = builder.crypto_object(record.id, row.kind)
     provenance = (record.source,)
     if record.location:
-        holder = builder.asset(record.location)
+        holder = builder.asset(record.location, record, _LOCATED)
+        holder_kind = builder.kinds[holder]
         if row.location:
             builder.edge(obj, holder, row.location, provenance)
-        if builder.kinds[holder] is VertexKind.PROCESSOR:
+        if holder_kind is VertexKind.PROCESSOR:
             builder.edge(holder, obj, row.held, provenance)
+        elif not row.location and holder_kind in _DATA_LOCATION_RULE:  # an asset
+            _warning(
+                builder.diagnostics, record.source.file, None, "location-unused",
+                f"crypto object {record.id!r} names location {holder!r}, a {holder_kind.value}, "
+                f"but only a processor gives a {record.object_type.value} an edge",
+            )
     # key-management locations hold the underlying key material, so every
     # kind of crypto object leans on them
     for key_location in record.key_locations:
-        builder.edge(obj, builder.asset(key_location), "K1", provenance)
+        builder.edge(obj, builder.asset(key_location, record, _LOCATED), "K1", provenance)
     if record.algorithm is not None:
-        builder.edge(obj, builder.config(record.algorithm, record.config_flags), row.algorithm, provenance)
+        config = builder.used(builder.config(record.algorithm, record.config_flags), record.id, record.source)
+        builder.edge(obj, config, row.algorithm, provenance)
     if record.created_by:
-        builder.edge(obj, builder.asset(record.created_by), "K5", provenance)
+        message = "crypto object {!r} was created by {!r} but no such asset exists"
+        builder.edge(obj, builder.asset(record.created_by, record, message), "K5", provenance)
     if record.matched_key and row.matched_key:
-        builder.edge(obj, builder.crypto_object(record.matched_key, VertexKind.KEY), row.matched_key, provenance)
+        message = "crypto object {!r} references matched key {!r} which is not in the inventory"
+        key = builder.crypto_object(record.matched_key, VertexKind.KEY, record, message)
+        builder.edge(obj, key, row.matched_key, provenance)
     if record.issuer_cert and row.issuer_cert and record.issuer_cert != record.id:
-        issuer = builder.crypto_object(record.issuer_cert, VertexKind.CERTIFICATE)
+        message = "crypto object {!r} references issuer {!r} which is not in the inventory"
+        issuer = builder.crypto_object(record.issuer_cert, VertexKind.CERTIFICATE, record, message)
         builder.edge(obj, issuer, row.issuer_cert, provenance)

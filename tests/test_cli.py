@@ -271,6 +271,27 @@ def test_an_id_spelled_like_a_level_or_configuration_is_a_namespace_collision(tm
     assert code == 1 and message in err.splitlines()
 
 
+def test_a_label_spelled_like_an_asset_id_is_a_namespace_collision(tmp_path):
+    """The label ``High`` and the service ``High`` would share one vertex, so
+    the scan would report ``approved → High → WWW2 → certkey2`` as if the
+    label required the access relation ``WWW2 → High``."""
+    for name in CLOUD_FILES:
+        (tmp_path / name).write_text((CLOUD_MINIMAL / name).read_text())
+    (tmp_path / "cloudconfig.csv").write_text("Asset,Service\nWWW1,DB1\nWWW2,High\n")
+    (tmp_path / "cryptoinventory.csv").write_text(
+        "ID,Location,Type,Algorithm,Keysize\n"
+        "certkey1,WWW1,private key,RSA,3072\ncertkey2,WWW2,private key,RSA,1024\n"
+    )
+    inputs = [*[tmp_path / name for name in CLOUD_FILES], "--registry", CLOUD_MINIMAL / "crypto.json"]
+    inputs.append("--paper-defaults")
+    message = "error: <bundle>: namespace-collision: identifier 'High' appears in both classification/asset inventories"
+    code, out, _ = run_cli(["validate", *inputs])
+    assert code == 1 and message in out.splitlines()
+    assert "label-collision" not in out and out.endswith("8 records, 1 errors, 1 warnings\n")
+    code, _, err = run_cli(["scan", *inputs, "-v"])
+    assert code == 1 and message in err.splitlines()
+
+
 def _hybrid_copy(tmp_path, uses: str | None = None) -> list[str]:
     """The ``validate`` arguments of a copy of ``hybrid_enterprise`` in
     ``tmp_path``, with ``uses`` appended to ``UserAuth1``'s ``Uses`` cell."""
@@ -316,15 +337,16 @@ def test_a_label_spelled_like_a_configuration_nothing_names_is_no_collision(tmp_
 
 def test_an_unrated_configuration_a_reference_cell_names_is_an_unknown_algorithm(tmp_path):
     """A process's dependency on an unrated configuration can reach no
-    finding, whether a crypto object or a reference cell names it."""
+    finding, whether a crypto object or a reference cell names it.  The rules
+    meet the assets before the crypto objects."""
     inputs = _hybrid_copy(tmp_path, "RSA[4096]")
     with open(tmp_path / "crypto.csv", "a") as fh:
         fh.write("CR006,PA001010,WebServer1,Extra_Key,Private Key,RSA,4096,KMS\n")
     code, out, _ = run_cli(["validate", *inputs])
     assert code == 0
     assert [line for line in out.splitlines() if "unknown-algorithm" in line] == [
-        "warning: crypto.csv: unknown-algorithm: RSA[4096] used by 'CR006' is not rated in the registry",
         "warning: assets.csv: unknown-algorithm: RSA[4096] used by 'UserAuth1' is not rated in the registry",
+        "warning: crypto.csv: unknown-algorithm: RSA[4096] used by 'CR006' is not rated in the registry",
     ]
 
 
@@ -717,7 +739,7 @@ def test_added_certificate_fails_like_the_same_csv_row(tmp_path):
 )
 @pytest.mark.parametrize("command", ["scan", "whatif", "graph"])
 def test_running_out_of_memory_or_a_bug_exits_2_with_one_error_line(tmp_path, monkeypatch, exc, message, command):
-    def build_graph(bundle):
+    def build_graph(bundle, diagnostics):
         raise exc
 
     monkeypatch.setattr(cli, "build_graph", build_graph)

@@ -1,7 +1,9 @@
-"""The public surface: every exported name resolves, and every demo runs."""
+"""The public surface: every exported name resolves, the modules keep their
+layers, and every demo runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -36,6 +38,25 @@ def test_every_name_the_readme_imports_resolves():
     for module, names in imports:
         for name in re.findall(r"\w+", names):
             assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_rules_owns_its_builder_and_reads_nothing_of_ingest():
+    """The rule pass alone makes edges and the diagnostics of what it cannot
+    place: no other module reaches for a private name of ``rules``, and
+    ``rules`` builds on ``model`` alone, so ingest cannot grow a second copy
+    of the rules on top of it."""
+    for path in sorted((ROOT / "src" / "cryptodep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module, names = (node.module or "").removeprefix("cryptodep."), [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                module, names = "", [a.name.removeprefix("cryptodep.") for a in node.names]
+            else:
+                continue
+            if path.stem == "rules":
+                assert "ingest" not in (module, *names), path.name
+            elif module == "rules":
+                assert not [name for name in names if name.startswith("_")], path.name
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

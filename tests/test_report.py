@@ -23,7 +23,7 @@ from cryptodep import (
     find_violations,
     load_default_registry,
 )
-from cryptodep.ingest import Diagnostic, Severity
+from cryptodep.model import Diagnostic, Severity
 from cryptodep.report import (
     ScanReport,
     make_report,

@@ -625,25 +625,30 @@ def test_graph_is_the_same_with_cyclic_gc_on_or_off():
     assert len(with_gc.edges) > 1000
 
 
-def test_building_a_graph_needs_little_more_memory_than_the_graph_keeps():
+@pytest.mark.parametrize("keep_diagnostics", [False, True])
+def test_building_a_graph_needs_little_more_memory_than_the_graph_keeps(keep_diagnostics):
     """A count, not a timing: the bytes allocated at the peak of
-    ``build_graph`` against the bytes the finished graph holds.  Tables the
-    builder keeps beside the edges (a dict keyed by (from, to, rule), a
-    provenance tuple per edge) push the ratio past 1.5, and a vertex dict or
-    a second edge list alive while ``finish`` sorts and merges pushes it past
-    1.15.  The id maps the builder reads are the bundle's, memoised on it, so
-    they are made before the count."""
+    ``build_graph`` against the bytes the finished graph, and the
+    diagnostics list when one is passed, hold.  Tables the builder keeps
+    beside the edges (a dict keyed by (from, to, rule), a provenance tuple
+    per edge) push the ratio past 1.5, and a vertex dict or a second edge
+    list alive while ``finish`` sorts and merges pushes it past 1.15.  The
+    id maps the builder reads are the bundle's, memoised on it, so they are
+    made before the count.  The bundle gives about 1,700 diagnostics."""
     bundle, _, _ = inventory_gen.random_bundle(random.Random(5), n_data=3000, n_assets=3000, n_crypto=3000)
-    bundle.asset_map, bundle.data_map, bundle.crypto_map  # read once, so memoised before the count
+    # read once, so memoised before the count
+    bundle.asset_map, bundle.data_map, bundle.crypto_map, bundle.classification_map
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        graph = build_graph(bundle)
+        diags = [] if keep_diagnostics else None
+        graph = build_graph(bundle, diags)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(graph.edges) > 20_000
+    assert diags is None or len(diags) > 1000
     assert (peak - base) / (kept - base) <= 1.15
 
 

@@ -18,7 +18,7 @@ import cryptodep.analysis as analysis
 import cryptodep.ingest as ingest
 import cryptodep.rules as rules
 from cryptodep import InventoryBundle, build_graph, cli, find_violations, load_bundle, load_default_registry
-from cryptodep.ingest import parse_profiles, validate_bundle
+from cryptodep.ingest import parse_profiles
 from cryptodep.model import RefOrigin
 
 from conftest import HYBRID, HYBRID_FILES, hybrid_args, run_cli
@@ -40,6 +40,8 @@ def _count(monkeypatch, owner, name: str, calls: Counter, key=None) -> None:
 
 
 def test_whatif_loads_once_and_assembles_validates_and_builds_each_side_once(monkeypatch):
+    """One rule pass per side both builds the graph and gives the
+    diagnostics, so no side is validated apart from its build."""
     calls: Counter = Counter()
     _count(monkeypatch, cli, "load_bundle", calls)
     # load_bundle assembles the rows, apply_overlay the edit: each module binds its own name
@@ -47,9 +49,19 @@ def test_whatif_loads_once_and_assembles_validates_and_builds_each_side_once(mon
     _count(monkeypatch, analysis, "assemble_bundle", calls)
     _count(monkeypatch, cli, "validate_bundle", calls)
     _count(monkeypatch, cli, "build_graph", calls)
+    _count(monkeypatch, rules._Builder, "__init__", calls, key=lambda *args: "_Builder")
     code, _, _ = run_cli(hybrid_args("whatif", "--overlay", str(OVERLAY), "--format", "json"))
     assert code == 1
-    assert calls == {"load_bundle": 1, "assemble_bundle": 2, "validate_bundle": 2, "build_graph": 2}
+    assert calls == {"load_bundle": 1, "assemble_bundle": 2, "build_graph": 2, "_Builder": 2}
+
+
+@pytest.mark.parametrize("command", ["scan", "graph", "validate"])
+def test_every_other_command_runs_the_rules_once(monkeypatch, command):
+    calls: Counter = Counter()
+    _count(monkeypatch, rules._Builder, "__init__", calls, key=lambda *args: "_Builder")
+    code, _, _ = run_cli(hybrid_args(command))
+    assert code == (1 if command == "scan" else 0)
+    assert calls == {"_Builder": 1}
 
 
 def test_load_bundle_reads_and_splits_each_file_once(monkeypatch):
@@ -65,22 +77,22 @@ def test_load_bundle_reads_and_splits_each_file_once(monkeypatch):
     assert readers == {"reader": len(paths)}
 
 
-def test_the_build_and_validation_resolve_each_reference_cell_at_most_once(monkeypatch):
-    """The build resolves every reference cell once; validation asks for an
-    asset first, so it resolves only the cells naming none."""
+def test_a_scan_resolves_each_reference_cell_at_most_once(monkeypatch):
+    """The rule pass resolves a cell once, for the graph and the diagnostics
+    alike: a scan resolves no target more often than cells name it."""
     bundle, _ = load_bundle(
         [HYBRID / name for name in HYBRID_FILES], parse_profiles(HYBRID / "profiles.json"), load_default_registry()
     )
-    cells = [ref.target for asset in bundle.assets for ref in asset.accesses if ref.origin is RefOrigin.ASSET_FIELD]
-    not_assets = [target for target in cells if target not in bundle.asset_map]
-    assert 0 < len(not_assets) < len(cells)
+    cells = Counter(
+        ref.target for asset in bundle.assets for ref in asset.accesses if ref.origin is RefOrigin.ASSET_FIELD
+    )
+    assert 0 < sum(1 for target in cells if target not in bundle.asset_map) < len(cells)
     calls: Counter = Counter()
-    _count(monkeypatch, InventoryBundle, "resolve", calls)
-    build_graph(bundle)
-    assert 0 < calls["resolve"] <= len(cells)
-    calls.clear()
-    validate_bundle(bundle)
-    assert 0 < calls["resolve"] <= len(not_assets)
+    _count(monkeypatch, InventoryBundle, "resolve", calls, key=lambda bundle, target: target)
+    code, _, _ = run_cli(hybrid_args("scan"))
+    assert code == 1
+    assert calls.keys() == cells.keys()
+    assert not calls - cells
 
 
 def test_validate_builds_no_graph(monkeypatch):
@@ -106,6 +118,30 @@ def test_detection_searches_back_from_each_provided_level_at_most_twice(monkeypa
     assert findings
     assert {f.provided.key for f in findings} <= searches.keys()
     assert max(searches.values()) <= 2
+
+
+def test_a_reverse_search_that_finds_every_wanted_level_stops_within_a_hop_of_the_farthest(monkeypatch):
+    """``_distances_to`` returns once it has recorded every wanted vertex,
+    so it records nothing more than one hop past the farthest of them; a
+    search that ran on would record everything behind the provided level."""
+    complete = []
+    search = analysis._distances_to
+
+    def recorded(graph, goal, stop, wanted):
+        dist = search(graph, goal, stop, wanted)
+        if wanted and all(vertex in dist for vertex in wanted):
+            complete.append((max(dist.values()), max(dist[vertex] for vertex in wanted)))
+        return dist
+
+    monkeypatch.setattr(analysis, "_distances_to", recorded)
+    for seed in range(4):
+        bundle, _, _ = inventory_gen.random_bundle(
+            random.Random(seed), n_classes=len(inventory_gen.LABELS), n_data=40, n_assets=40, n_crypto=30
+        )
+        findings, _ = find_violations(build_graph(bundle), bundle)
+        assert findings
+    assert len(complete) >= 10
+    assert all(deepest <= farthest + 1 for deepest, farthest in complete), complete
 
 
 @pytest.mark.parametrize("command", [("scan",), ("whatif", "--overlay", str(OVERLAY))])
