@@ -109,9 +109,6 @@ _ASSET_VERTEX_KIND = {
     AssetKind.SOFTWARE: VertexKind.PROCESS,
 }
 
-#: what an id that no asset record declares reads as: no kind and no name
-_UNDECLARED = AssetRecord("")
-
 _DATA_LOCATION_RULE = {
     VertexKind.PROCESSOR: "D1",
     VertexKind.CHANNEL: "D2",
@@ -239,8 +236,6 @@ def explain_edge(graph: DependencyGraph, frm: str, to: str) -> list[tuple[str, S
     return [(edge.rule, source) for edge in graph.edges_between(frm, to) for source in edge.provenance]
 
 
-
-
 # --------------------------------------------------------------------------
 # construction
 # --------------------------------------------------------------------------
@@ -256,15 +251,16 @@ _LOCATED = "crypto object {!r} names location {!r} but no such asset exists"
 
 
 class _Builder:
-    """Vertices, edges and diagnostics as the rules add them.  Edges go into
-    one list, duplicates and all, each holding the provenance tuple its
-    record shares among all of its edges; ``finish`` sorts the list once and
-    merges the duplicates, so most edges keep that shared tuple.  Validation
-    passes an edge list that keeps none, and a build whose caller wants no
-    diagnostics a diagnostics list that keeps none.  The first claim on an
-    id gives it its vertex, and a claim in a second namespace is a
-    collision; ``unplaced`` maps the id of a vertex that stands for a
-    dangling reference to the namespace of the first claim made on it since."""
+    """Vertices, edges and diagnostics as the rules add them, in two phases.
+    Declare: each record claims its id; the first claim on an id gives it
+    its vertex, and a claim in a second namespace is a collision.  Link: a
+    reference uses a declared id, and ``ref`` gives an undeclared one a
+    vertex that stands for no record (``dangled``), so no claim collides
+    with it.  Edges go into one list, duplicates and all, each holding the
+    provenance tuple its record shares among all of its edges; ``finish``
+    sorts the list once and merges the duplicates, so most edges keep that
+    shared tuple.  Validation passes an edge list that keeps none, and a
+    build whose caller wants no diagnostics a diagnostics list that keeps none."""
 
     def __init__(self, bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None, edges=None):
         self.bundle = bundle
@@ -281,7 +277,7 @@ class _Builder:
         self.edges: list[Edge] = [] if edges is None else edges
         self._configs: dict[tuple[str, tuple[str, ...]], str] = {}
         self.unrated: set[str] = set()  # the configurations the registry does not rate
-        self.unplaced: dict[str, str | None] = {}
+        self.dangled: set[str] = set()
         self.spelled: set[str] = set()  # ids claimed as a level or configuration too, reported last
         self.reported: set[tuple[str, ...]] = set()  # collisions and unrated uses, each reported once
 
@@ -291,30 +287,30 @@ class _Builder:
             self.kinds[vertex_id] = kind
             if (display and display != vertex_id) or payload is not None:
                 self.named[vertex_id] = Vertex(vertex_id, kind, display or vertex_id, payload)
-        elif held is not kind or self.unplaced:
+        elif held is not kind:
             self._claim(vertex_id, held, _NAMESPACE[kind])
         return vertex_id
 
     def _claim(self, ident: str, held: VertexKind, namespace: str) -> None:
         """A claim in ``namespace`` on ``ident``, which holds a ``held`` vertex."""
-        first = self.unplaced.get(ident, _NAMESPACE[held])
-        if first is None:
-            self.unplaced[ident] = namespace
-        elif first != namespace:
-            if _LEVEL in (first, namespace):
-                self.spelled.add(ident)
-            elif (ident, first, namespace) not in self.reported:
-                self.reported.add((ident, first, namespace))
-                message = f"identifier {ident!r} appears in both {first}/{namespace} inventories"
-                _error(self.diagnostics, "<bundle>", None, "namespace-collision", message)
+        first = _NAMESPACE[held]
+        if first == namespace or ident in self.dangled:
+            return
+        if _LEVEL in (first, namespace):
+            self.spelled.add(ident)
+        elif (ident, first, namespace) not in self.reported:
+            self.reported.add((ident, first, namespace))
+            message = f"identifier {ident!r} appears in both {first}/{namespace} inventories"
+            _error(self.diagnostics, "<bundle>", None, "namespace-collision", message)
 
-    def dangling(self, ident: str, kind: VertexKind, record, message: str, code: str = "dangling-reference") -> str:
-        """``record``'s reference to ``ident``, which names no record it may name: an
-        error, ``message`` given the two ids, and a ``kind`` vertex unless the id has one."""
-        _error(self.diagnostics, record.source.file, None, code, message.format(record.id, ident))
-        if ident not in self.kinds:
-            self.kinds[ident] = kind
-            self.unplaced[ident] = None
+    def ref(self, ident: str, records, kind: VertexKind, record, message: str, code="dangling-reference") -> str:
+        """``record``'s reference to ``ident``, which may name only one of ``records``; naming none,
+        it is an error, ``message`` given the two ids, and a ``kind`` vertex unless the id has one."""
+        if ident not in records:
+            _error(self.diagnostics, record.source.file, None, code, message.format(record.id, ident))
+            if ident not in self.kinds:
+                self.kinds[ident] = kind
+                self.dangled.add(ident)
         return ident
 
     def edge(self, frm: str, to: str, rule: str, provenance: tuple[Source]) -> None:
@@ -325,25 +321,6 @@ class _Builder:
 
     def level(self, rating: SecurityRating) -> str:
         return self.vertex(rating.key, VertexKind.SECURITY_LEVEL, rating.display, rating)
-
-    def asset(self, asset_id: str, record=None, message: str = "") -> str:
-        """A claim of ``asset_id`` as an asset, with its record's kind and
-        name, or a processor's if no record declares it; in a field of
-        ``record`` that only a declared asset may fill, it dangles instead."""
-        declared = self.assets.get(asset_id)
-        if declared is None and record is not None:
-            return self.dangling(asset_id, VertexKind.PROCESSOR, record, message)
-        declared = declared or _UNDECLARED
-        return self.vertex(asset_id, _ASSET_VERTEX_KIND[declared.kind], declared.name)
-
-    def crypto_object(self, object_id: str, undeclared: VertexKind, record=None, message: str = "") -> str:
-        """A declared key or certificate takes its record's kind and display;
-        an id that no crypto record declares is ``record``'s dangling
-        reference, an ``undeclared`` vertex."""
-        declared = self.crypto.get(object_id)
-        if declared is None:
-            return self.dangling(object_id, undeclared, record, message)
-        return self.vertex(object_id, CRYPTO_RULES[declared.object_type].kind, declared.display)
 
     def config(self, algorithm: str, flags: tuple[str, ...]) -> str:
         """Vertex for a primitive configuration, expanding registry ratings
@@ -426,38 +403,51 @@ def build_graph(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = 
 
 
 def validate_bundle(bundle: InventoryBundle) -> list[Diagnostic]:
-    """What the rule pass of :func:`build_graph` cannot place, making no graph, in the order it meets
-    it: classifications, data, assets, crypto objects, then ids spelled like a level or configuration."""
+    """What the rule pass of :func:`build_graph` cannot place, making no graph, in the order it meets it: ids
+    two record kinds declare, then data, asset and crypto references, then ids spelled like a level or config."""
     return _rule_pass(bundle, edges=deque(maxlen=0)).diagnostics  # drops each edge as it is made
 
 
 def _rule_pass(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None, edges=None) -> _Builder:
+    """Declare, then link: every record claims its id, with its own kind, before any reference is followed."""
     builder = _Builder(bundle, diagnostics, edges)
 
+    # declare: the only claims a record kind makes
     for binding in bundle.classifications:
         classification = builder.vertex(binding.label, VertexKind.CLASSIFICATION)
         provenance = (binding.source,)
         for rating in binding.required:
             builder.edge(builder.level(rating), classification, "SL1", provenance)
-
     for record in bundle.data:
-        data_vertex = builder.vertex(record.id, VertexKind.DATA_ASSET, record.display)
-        provenance = (record.source,)
-        label = record.classification
-        if label in builder.labels:
-            builder.edge(builder.vertex(label, VertexKind.CLASSIFICATION), data_vertex, "DC1", provenance)
-        elif label:
-            message = "data {!r} uses classification {!r} which is not in the classification map"
-            unlisted = builder.dangling(label, VertexKind.CLASSIFICATION, record, message, "unknown-classification")
-            builder.edge(unlisted, data_vertex, "DC1", provenance)
-        for location in record.storage_locations:
-            target = builder.asset(location, record, "data {!r} names storage location {!r} but no such asset exists")
-            rule = _DATA_LOCATION_RULE.get(builder.kinds[target], "D1")
-            builder.edge(data_vertex, target, rule, provenance)
+        builder.vertex(record.id, VertexKind.DATA_ASSET, record.display)
+    for record in bundle.assets:
+        builder.vertex(record.id, _ASSET_VERTEX_KIND[record.kind], record.name)
+    # assembly makes each serves and access-record target an asset, so each is claimed as one
+    for record in bundle.assets:
+        for target in record.serves:
+            builder.vertex(target, VertexKind.PROCESSOR)
+        for ref in record.accesses:
+            if ref.origin is RefOrigin.ACCESS_RECORD:
+                builder.vertex(ref.target, VertexKind.PROCESSOR)
+    for record in bundle.crypto_objects:
+        builder.vertex(record.id, CRYPTO_RULES[record.object_type].kind, record.display)
 
+    # link: a reference uses a declared id as it is, and reports one that names no record it may name
+    for record in bundle.data:
+        provenance = (record.source,)
+        if record.classification:
+            message = "data {!r} uses classification {!r} which is not in the classification map"
+            label = builder.ref(
+                record.classification, builder.labels, VertexKind.CLASSIFICATION, record, message,
+                "unknown-classification",
+            )
+            builder.edge(label, record.id, "DC1", provenance)
+        for location in record.storage_locations:
+            message = "data {!r} names storage location {!r} but no such asset exists"
+            target = builder.ref(location, builder.assets, VertexKind.PROCESSOR, record, message)
+            builder.edge(record.id, target, _DATA_LOCATION_RULE.get(builder.kinds[target], "D1"), provenance)
     for record in bundle.assets:
         _apply_asset_rules(builder, record)
-
     for record in bundle.crypto_objects:
         _apply_crypto_rules(builder, record)
 
@@ -466,20 +456,18 @@ def _rule_pass(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = N
 
 
 def _apply_asset_rules(builder: _Builder, record: AssetRecord) -> None:
-    # assembly makes each serves and access-record target an asset, so each is claimed as one
-    source_vertex = builder.asset(record.id)
-    source_kind = builder.kinds[source_vertex]
+    src = record.id
+    src_kind = builder.kinds[src]
     own = (record.source,)
     for target in record.serves:
-        other = builder.asset(target)
-        builder.edge(source_vertex, other, "AC1", own)
-        builder.edge(other, source_vertex, "AC1", own)
+        builder.edge(src, target, "AC1", own)
+        builder.edge(target, src, "AC1", own)
     for ref in record.accesses:
         provenance = (ref.source,) if ref.source else own
         if ref.origin is RefOrigin.ACCESS_RECORD:
-            _access_pair(builder, source_vertex, builder.asset(ref.target), ref.direction, provenance)
+            _access_pair(builder, src, ref.target, ref.direction, provenance)
         else:
-            _typed_reference(builder, record, source_kind, ref, provenance)
+            _typed_reference(builder, record, src_kind, ref, provenance)
 
 
 def _access_pair(builder: _Builder, asset: str, service: str, direction: Direction, provenance: tuple[Source]) -> None:
@@ -490,41 +478,41 @@ def _access_pair(builder: _Builder, asset: str, service: str, direction: Directi
 
 
 def _typed_reference(builder: _Builder, record, src_kind: VertexKind, ref, provenance: tuple[Source]) -> None:
-    """Interpret a reference column on an asset row by what the bundle
-    resolves its target to; a target naming nothing is the undeclared asset
-    that ``assemble_bundle`` would have made of it."""
+    """Link a reference column on an asset row by what the bundle resolves
+    its target to.  A record's id already has its vertex and is used as it
+    is; an algorithm makes its configuration; a target naming nothing is
+    reported and read as the undeclared asset that ``assemble_bundle``
+    would have made of it."""
     src, target = record.id, ref.target
     resolved = builder.bundle.resolve(target)
     if isinstance(resolved, CryptoObjectRecord):
-        target_vertex = builder.crypto_object(target, VertexKind.KEY)
-        builder.edge(src, target_vertex, _CRYPTO_REF_RULE.get(src_kind, "M3"), provenance)
+        builder.edge(src, target, _CRYPTO_REF_RULE.get(src_kind, "M3"), provenance)
     elif isinstance(resolved, DataRecord):
-        data_vertex = builder.vertex(target, VertexKind.DATA_ASSET, resolved.display)
-        builder.edge(data_vertex, src, _DATA_LOCATION_RULE.get(src_kind, "D1"), provenance)
+        builder.edge(target, src, _DATA_LOCATION_RULE.get(src_kind, "D1"), provenance)
     elif isinstance(resolved, tuple):
         config = builder.used(builder.config(*resolved), src, provenance[0])
         builder.edge(src, config, _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
     else:  # an asset, declared or not
         message = "asset {!r} references {!r} but no such record or algorithm exists"
-        target_vertex = builder.asset(target, None if resolved else record, message)
-        target_kind = builder.kinds[target_vertex]
+        builder.ref(target, builder.assets, VertexKind.PROCESSOR, record, message)
+        target_kind = builder.kinds[target]
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
-            builder.edge(src, target_vertex, "CH2", provenance)
-            builder.edge(target_vertex, src, "CH2", provenance)
+            builder.edge(src, target, "CH2", provenance)
+            builder.edge(target, src, "CH2", provenance)
         elif src_kind is VertexKind.PROCESS:
             rule = "PR2" if target_kind is VertexKind.PROCESSOR else "PR3"
-            builder.edge(src, target_vertex, rule, provenance)
+            builder.edge(src, target, rule, provenance)
         else:
-            _access_pair(builder, src, target_vertex, ref.direction, provenance)
+            _access_pair(builder, src, target, ref.direction, provenance)
 
 
 def _apply_crypto_rules(builder: _Builder, record) -> None:
     """A field the record's row gives no rule is reported by assembly."""
     row = CRYPTO_RULES[record.object_type]
-    obj = builder.crypto_object(record.id, row.kind)
+    obj = record.id
     provenance = (record.source,)
     if record.location:
-        holder = builder.asset(record.location, record, _LOCATED)
+        holder = builder.ref(record.location, builder.assets, VertexKind.PROCESSOR, record, _LOCATED)
         holder_kind = builder.kinds[holder]
         if row.location:
             builder.edge(obj, holder, row.location, provenance)
@@ -539,18 +527,20 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
     # key-management locations hold the underlying key material, so every
     # kind of crypto object leans on them
     for key_location in record.key_locations:
-        builder.edge(obj, builder.asset(key_location, record, _LOCATED), "K1", provenance)
+        holder = builder.ref(key_location, builder.assets, VertexKind.PROCESSOR, record, _LOCATED)
+        builder.edge(obj, holder, "K1", provenance)
     if record.algorithm is not None:
         config = builder.used(builder.config(record.algorithm, record.config_flags), record.id, record.source)
         builder.edge(obj, config, row.algorithm, provenance)
     if record.created_by:
         message = "crypto object {!r} was created by {!r} but no such asset exists"
-        builder.edge(obj, builder.asset(record.created_by, record, message), "K5", provenance)
+        creator = builder.ref(record.created_by, builder.assets, VertexKind.PROCESSOR, record, message)
+        builder.edge(obj, creator, "K5", provenance)
     if record.matched_key and row.matched_key:
         message = "crypto object {!r} references matched key {!r} which is not in the inventory"
-        key = builder.crypto_object(record.matched_key, VertexKind.KEY, record, message)
+        key = builder.ref(record.matched_key, builder.crypto, VertexKind.KEY, record, message)
         builder.edge(obj, key, row.matched_key, provenance)
     if record.issuer_cert and row.issuer_cert and record.issuer_cert != record.id:
         message = "crypto object {!r} references issuer {!r} which is not in the inventory"
-        issuer = builder.crypto_object(record.issuer_cert, VertexKind.CERTIFICATE, record, message)
+        issuer = builder.ref(record.issuer_cert, builder.crypto, VertexKind.CERTIFICATE, record, message)
         builder.edge(obj, issuer, row.issuer_cert, provenance)

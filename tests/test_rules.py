@@ -263,6 +263,44 @@ def test_key_management_location_applies_to_every_object_type():
         assert ("Obj", "KMS", "K1") in triples(graph), object_type
 
 
+@pytest.mark.parametrize("referrer", ["D1", "E1"])
+def test_a_dangling_storage_location_naming_a_data_record_leaves_it_data_in_either_id_order(referrer):
+    """Every record claims its id before any reference is followed, so a
+    dangling reference met before the record it names cannot take its vertex."""
+    records = [
+        DataRecord(id=referrer, storage_locations=("D2",), source=src()),
+        DataRecord(id="D2", source=src()),
+        DataRecord(id="D3", storage_locations=("D2",), source=src()),
+    ]
+    bundle, diags = assemble_bundle(records, load_default_registry())
+    assert diags == []
+    found = []
+    graph = build_graph(bundle, found)
+    assert graph.kinds["D2"] is VertexKind.DATA_ASSET
+    assert [d.code for d in found] == ["dangling-reference"] * 2
+    assert {(referrer, "D2", "D1"), ("D3", "D2", "D1")} <= triples(graph)
+
+
+def test_a_key_named_as_a_creator_stays_a_key():
+    records = [
+        CryptoObjectRecord(
+            id="K1", object_type=CryptoObjectType.PRIVATE_KEY, algorithm="RSA", config_flags=("2048",),
+            created_by="K2", source=src(),
+        ),
+        CryptoObjectRecord(
+            id="K2", object_type=CryptoObjectType.PRIVATE_KEY, algorithm="RSA", config_flags=("2048",), source=src()
+        ),
+    ]
+    bundle, _ = assemble_bundle(records, load_default_registry())
+    found = []
+    graph = build_graph(bundle, found)
+    assert graph.kinds["K2"] is VertexKind.KEY
+    assert [(d.code, d.message) for d in found] == [
+        ("dangling-reference", "crypto object 'K1' was created by 'K2' but no such asset exists")
+    ]
+    assert ("K1", "K2", "K5") in triples(graph)
+
+
 def test_key_links_to_configuration_and_creator():
     records = [
         AssetRecord(id="Provisioner", kind=AssetKind.PROCESS, source=src()),

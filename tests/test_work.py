@@ -95,6 +95,27 @@ def test_a_scan_resolves_each_reference_cell_at_most_once(monkeypatch):
     assert not calls - cells
 
 
+def test_a_scan_claims_each_id_for_a_record_kind_no_more_often_than_the_bundle_declares_it(monkeypatch):
+    """The rule pass claims ids in its declare phase only: once per record,
+    serves target and access-record target naming one.  Its link phase
+    uses a declared id as it is, so a reference claims nothing again."""
+    bundle, _ = load_bundle(
+        [HYBRID / name for name in HYBRID_FILES], parse_profiles(HYBRID / "profiles.json"), load_default_registry()
+    )
+    declared = Counter(binding.label for binding in bundle.classifications)
+    declared.update(record.id for record in (*bundle.data, *bundle.assets, *bundle.crypto_objects))
+    for asset in bundle.assets:
+        declared.update(asset.serves)
+        declared.update(ref.target for ref in asset.accesses if ref.origin is RefOrigin.ACCESS_RECORD)
+    made = (rules.VertexKind.SECURITY_LEVEL, rules.VertexKind.PRIMITIVE_CONFIG)
+    calls: Counter = Counter()
+    _count(monkeypatch, rules._Builder, "vertex", calls, key=lambda builder, ident, kind, *_: None if kind in made else ident)
+    code, _, _ = run_cli(hybrid_args("scan"))
+    assert code == 1
+    del calls[None]
+    assert calls and not calls - declared, calls - declared
+
+
 def test_validate_builds_no_graph(monkeypatch):
     calls: Counter = Counter()
     _count(monkeypatch, cli, "build_graph", calls)
