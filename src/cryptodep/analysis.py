@@ -17,12 +17,11 @@ finding carries a warning.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
-from .ingest import assemble_bundle, parse_entry, text_digest
+from .ingest import _json_document, _json_fields, assemble_bundle, parse_entry, text_digest
 from .model import (
     AssetRecord,
     ClassificationBinding,
@@ -94,12 +93,13 @@ class ScoringPolicy:
     def from_dict(cls, raw: dict) -> "ScoringPolicy":
         """Raises ValueError unless ``raw`` is an object of known keys whose
         ``class_weights`` is an object and whose values are numbers."""
-        raw = _json_object(raw, "a policy", cls)
+        raw = _json_fields(raw, [f.name for f in fields(cls)], "a policy")
         weights = dict(DEFAULT_CLASS_WEIGHTS)
-        class_weights = _json_object(raw.pop("class_weights", {}), "class_weights")
+        classes = [c.value for c in VulnerabilityClass]
+        class_weights = _json_fields(raw.get("class_weights", {}), classes, "class_weights")
         for name in class_weights:
             weights[VulnerabilityClass(name)] = _number(class_weights, name)
-        return cls(weights, **{key: _number(raw, key) for key in raw})
+        return cls(weights, **{key: _number(raw, key) for key in raw if key != "class_weights"})
 
 
 @dataclass(frozen=True)
@@ -117,24 +117,8 @@ class HorizonConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "HorizonConfig":
         """Raises ValueError unless ``raw`` is an object of numbers under known keys."""
-        raw = _json_object(raw, "a horizon", cls)
+        raw = _json_fields(raw, [f.name for f in fields(cls)], "a horizon")
         return cls(**{key: _number(raw, key) for key in raw})
-
-
-def _json_object(value, what: str, cls=None) -> dict:
-    """``value`` if it is a JSON object.  Given the dataclass ``cls``, the
-    entries of ``value`` in the order of its fields, each of which is
-    optional; a key that names none raises, since a misspelt key would
-    otherwise be silently ignored."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
-    if cls is None:
-        return value
-    keys = [f.name for f in fields(cls)]
-    for key in value:
-        if key not in keys:
-            raise ValueError(f"{what} has unknown key {key!r}; expected {' or '.join(keys)}")
-    return {key: value[key] for key in keys if key in value}
 
 
 def _number(raw: dict, key: str) -> float:
@@ -411,42 +395,34 @@ class Overlay:
 
 
 def parse_overlay(text: str) -> Overlay:
+    """The overlay ``text`` holds; raises OverlayError naming its first problem."""
+    keys = ("replace_algorithms", "remove_records", "add_records")
     try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise OverlayError(f"overlay is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise OverlayError("overlay must be a JSON object")
-    known = {"replace_algorithms", "remove_records", "add_records"}
-    unknown = set(raw) - known
-    if unknown:
-        raise OverlayError(f"unknown overlay keys: {', '.join(sorted(unknown))}")
-    for key in sorted(known):
-        if not isinstance(raw.get(key, []), list):
-            raise OverlayError(f"{key} must be a list")
+        raw = _json_fields(_json_document(text, "the overlay"), keys, "the overlay")
+        for key in sorted(keys):
+            if not isinstance(raw.get(key, []), list):
+                raise ValueError(f"{key} must be a list")
 
-    replacements = []
-    for entry in raw.get("replace_algorithms", []):
-        if not isinstance(entry, dict) or set(entry) != {"from", "to"}:
-            raise OverlayError('replace_algorithms entries need exactly "from" and "to"')
-        for spec in (entry["from"], entry["to"]):
-            if not isinstance(spec, str):
-                raise OverlayError(f"algorithm spec {spec!r} is not a string")
-            try:
+        replacements = []
+        for entry in raw.get("replace_algorithms", []):
+            if set(_json_fields(entry, ("from", "to"), "a replace_algorithms entry")) != {"from", "to"}:
+                raise ValueError('replace_algorithms entries need exactly "from" and "to"')
+            for spec in (entry["from"], entry["to"]):
+                if not isinstance(spec, str):
+                    raise ValueError(f"algorithm spec {spec!r} is not a string")
                 parse_primitive_spec(spec)
-            except ValueError as exc:
-                raise OverlayError(str(exc)) from exc
-        replacements.append((entry["from"], entry["to"]))
+            replacements.append((entry["from"], entry["to"]))
 
-    removals = raw.get("remove_records", [])
-    if not all(isinstance(r, str) for r in removals):
-        raise OverlayError("remove_records must be a list of record ids")
+        removals = raw.get("remove_records", [])
+        if not all(isinstance(r, str) for r in removals):
+            raise ValueError("remove_records must be a list of record ids")
 
-    additions = raw.get("add_records", [])
-    for entry in additions:
-        if not isinstance(entry, dict) or "record_kind" not in entry:
-            raise OverlayError('add_records entries need a "record_kind" field')
-
+        additions = raw.get("add_records", [])
+        for entry in additions:
+            if not isinstance(entry, dict) or "record_kind" not in entry:
+                raise ValueError('add_records entries need a "record_kind" field')
+    except ValueError as exc:
+        raise OverlayError(str(exc)) from None
     return Overlay(tuple(replacements), tuple(removals), tuple(additions))
 
 

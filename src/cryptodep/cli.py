@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -34,6 +33,7 @@ from .analysis import (
 )
 from .ingest import (
     IngestError,
+    _json_document,
     file_digest,  # not called here: benchmark/traced.py wraps it by this name
     load_bundle,
     parse_profiles_text,
@@ -173,8 +173,8 @@ def _load_settings(path: str | None, what: str, settings):
         return settings()
     text, _ = read_input(path, f"{what} file")
     try:
-        return settings.from_dict(json.loads(text))
-    except (ValueError, RecursionError) as exc:
+        return settings.from_dict(_json_document(text, f"a {what}"))
+    except ValueError as exc:
         raise IngestError(f"bad {what} file {path}: {exc}") from None
 
 

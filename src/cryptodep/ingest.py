@@ -102,6 +102,26 @@ def read_input(path: str | Path, what: str) -> tuple[str, str]:
     return text, file_digest(data)
 
 
+def _json_document(text: str, what: str):
+    """The JSON value ``text`` holds; ValueError naming it ``what`` if it holds none."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _json_fields(value, keys, what: str) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``keys`` (any
+    key when ``keys`` is None); otherwise ValueError naming it ``what`` and
+    its first unknown key, which would else be dropped without a word."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}; expected {', '.join(keys)}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # mapping profiles
 # --------------------------------------------------------------------------
@@ -155,52 +175,37 @@ class MappingProfile:
     defaults: dict[Role, str] = field(default_factory=dict)
 
 
-def _profile_from_dict(obj: dict, where: str) -> MappingProfile:
-    _no_unknown_key(obj, ("inventory", "kind", "columns", "defaults"), where)
+def _profile_from_dict(obj, where: str) -> MappingProfile:
+    obj = _json_fields(obj, ("inventory", "kind", "columns", "defaults"), where)
     try:
         kind = RecordKind(obj["kind"])
     except (KeyError, ValueError):
-        raise IngestError(f"{where}: unknown record kind {obj.get('kind')!r}") from None
-    for key in ("columns", "defaults"):
-        if not isinstance(obj.get(key, {}), dict):
-            raise IngestError(f"{where}: {key} must be an object")
+        raise ValueError(f"{where}: unknown record kind {obj.get('kind')!r}") from None
     columns: dict[str, Role] = {}
-    for column, role_name in obj.get("columns", {}).items():
+    for column, role_name in _json_fields(obj.get("columns", {}), None, f"{where}: columns").items():
         try:
-            role = Role(role_name)
+            columns[column] = Role(role_name)
         except ValueError:
-            raise IngestError(f"{where}: unknown role {role_name!r} for column {column!r}") from None
-        columns[column] = role
+            raise ValueError(f"{where}: unknown role {role_name!r} for column {column!r}") from None
     defaults: dict[Role, str] = {}
-    for role_name, value in obj.get("defaults", {}).items():
-        try:
-            role = Role(role_name)
-        except ValueError:
-            raise IngestError(f"{where}: unknown role {role_name!r} in defaults") from None
+    roles = [role.value for role in Role]
+    for role_name, value in _json_fields(obj.get("defaults", {}), roles, f"{where}: defaults").items():
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise IngestError(f"{where}: default for {role_name!r} must be a string or a number, got {value!r}")
-        defaults[role] = str(value)
+            raise ValueError(f"{where}: default for {role_name!r} must be a string or a number, got {value!r}")
+        defaults[Role(role_name)] = str(value)
     inventory = obj.get("inventory", "")
     if not isinstance(inventory, str):
-        raise IngestError(f"{where}: inventory must be a string, got {inventory!r}")
+        raise ValueError(f"{where}: inventory must be a string, got {inventory!r}")
     profile = MappingProfile(inventory, kind, columns, defaults)
     _check_profile(profile, where)
     return profile
-
-
-def _no_unknown_key(obj: dict, keys: tuple[str, ...], where: str) -> None:
-    """Raises IngestError on a key of ``obj`` outside ``keys``, which would
-    otherwise be dropped without a word."""
-    for key in obj:
-        if key not in keys:
-            raise IngestError(f"{where}: unknown key {key!r}; expected {', '.join(keys)}")
 
 
 def _check_profile(profile: MappingProfile, where: str) -> None:
     seen: dict[Role, str] = {}
     for column, role in profile.columns.items():
         if role in seen and role not in LIST_ROLES and role is not Role.IGNORE:
-            raise IngestError(
+            raise ValueError(
                 f"{where}: role {role.value!r} bound to both columns "
                 f"{seen[role]!r} and {column!r}"
             )
@@ -208,10 +213,10 @@ def _check_profile(profile: MappingProfile, where: str) -> None:
     _, required, fields = _KINDS[profile.kind]
     supplied = set(profile.columns.values()) | set(profile.defaults)
     for role in sorted(supplied - {Role.IGNORE, *fields}):
-        raise IngestError(f"{where}: {profile.kind.value} records do not read the role {role.value!r}")
+        raise ValueError(f"{where}: {profile.kind.value} records do not read the role {role.value!r}")
     for role in required:
         if role not in supplied:
-            raise IngestError(f"{where}: {profile.kind.value} profile does not assign the {role.value} role")
+            raise ValueError(f"{where}: {profile.kind.value} profile does not assign the {role.value} role")
 
 
 def parse_profiles(path: str | Path) -> list[MappingProfile]:
@@ -222,20 +227,14 @@ def parse_profiles_text(text: str, label: str) -> list[MappingProfile]:
     """Parse a profile document.  Raises IngestError on any structural problem
     so bad profiles are rejected before an inventory file is opened."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise IngestError(f"{label}: invalid profile JSON: {exc}") from None
-    if isinstance(doc, dict):
-        _no_unknown_key(doc, ("profiles",), label)
-    entries = doc.get("profiles") if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise IngestError(f"{label}: profile document must contain a 'profiles' list")
-    profiles = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise IngestError(f"{label}: profile #{index + 1} is not an object")
-        profiles.append(_profile_from_dict(entry, where=f"{label}: profile #{index + 1}"))
-    return profiles
+        entries = _json_document(text, "the profile document")
+        if isinstance(entries, dict):
+            entries = _json_fields(entries, ("profiles",), "the profile document").get("profiles")
+        if not isinstance(entries, list):
+            raise ValueError("profile document must contain a 'profiles' list")
+        return [_profile_from_dict(entry, f"profile #{index + 1}") for index, entry in enumerate(entries)]
+    except ValueError as exc:
+        raise IngestError(f"{label}: {exc}") from None
 
 
 def builtin_profiles() -> list[MappingProfile]:
@@ -833,12 +832,6 @@ def _named_source(raw) -> Source | None:
     return None
 
 
-def _known_fields(obj: dict, known, where: str) -> None:
-    unknown = sorted(obj.keys() - known)
-    if unknown:
-        raise ValueError(f"unknown field {unknown[0]!r} in {where}")
-
-
 def _entry_source(obj: dict, default: Source) -> Source:
     if "source" not in obj:
         return default
@@ -892,11 +885,11 @@ def parse_entry(entry: dict):
             raise ValueError(f"classification {entry['label']!r} needs a list of required levels")
         for level in entry["required"]:  # the {"dimension", "value"} form reads as its value
             if isinstance(level, dict):
-                _known_fields(level, {"dimension", "value"}, f"a required level of {entry['label']!r}")
+                _json_fields(level, ("dimension", "value"), f"a required level of {entry['label']!r}")
                 level = SecurityRating.from_dict(level).value
             cells.append((Role.SECURITY_LEVEL, str(level)))
     ident = entry[fields[required[0]]]
-    _known_fields(entry, roles.keys() | {"record_kind", "source"}, f"{kind.value} record {ident!r}")
+    _json_fields(entry, ("record_kind", *filter(None, roles), "source"), f"{kind.value} record {ident!r}")
 
     columns: dict[Role, list[int]] = {}
     for index, (role, _) in enumerate(cells):
@@ -913,16 +906,20 @@ def parse_entry(entry: dict):
     if kind is RecordKind.ASSET:
         accesses = entry.get("accesses")
         accesses = [] if accesses is None else accesses  # null is empty, as for the other fields
-        fields = {"target", "direction", "origin"}
-        if not (isinstance(accesses, list) and all(isinstance(r, dict) and fields <= r.keys() for r in accesses)):
+        fields = ("target", "direction", "origin")
+        if not (isinstance(accesses, list) and all(isinstance(r, dict) and {*fields} <= r.keys() for r in accesses)):
             raise ValueError(
                 f"the accesses of {record.id!r} must be a list of objects with target, direction and origin"
             )
         refs = []
         for ref in accesses:
-            _known_fields(ref, fields | {"source"}, f"an access of {record.id!r}")
+            what = f"an access of {record.id!r}"
+            _json_fields(ref, (*fields, "source"), what)
             if not isinstance(ref["target"], str):
                 raise ValueError(f"access targets of {record.id!r} must be strings")
+            for key, enum in (("direction", Direction), ("origin", RefOrigin)):
+                if ref[key] not in [e.value for e in enum]:
+                    raise ValueError(f"{what} has {key} {ref[key]!r}; expected {', '.join(e.value for e in enum)}")
             direction, origin = Direction(ref["direction"]), RefOrigin(ref["origin"])
             ref_source = _entry_source(ref, record.source)
             refs.extend(

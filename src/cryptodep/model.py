@@ -1,8 +1,10 @@
 """Domain model: security ratings, inventory records, the algorithm registry,
 and the diagnostics that reading and compiling them report.
 
-Everything in this module is immutable and free of I/O.  Records are produced
-by :mod:`cryptodep.ingest`, compiled into a dependency graph by
+Everything in this module is free of I/O.  The six inventory record types
+are slotted dataclasses that compare and hash by value; they are not frozen,
+but the library never assigns a field, and an edit is a copy.  Records are
+produced by :mod:`cryptodep.ingest`, compiled into a dependency graph by
 :mod:`cryptodep.rules`, and queried by :mod:`cryptodep.analysis`.
 """
 

@@ -443,11 +443,21 @@ def test_bad_overlay_is_fatal(tmp_path):
         pytest.param({"add_records": [{"record_kind": "classification", "label": "Internal",
                                        "required": [{"dimension": "Bits", "value": 128, "junk": 1}]}]},
                      id="unknown-level-field"),
+        pytest.param({"replace_algorithm": [{"from": "RSA[1024]", "to": "RSA[2048]"}]}, id="unknown-overlay-key"),
+        pytest.param("not json", id="not-json"),
+        pytest.param({"replace_algorithms": [{"from": "RSA[1024]", "to": "RSA[2048]", "note": "x"}]},
+                     id="unknown-replacement-key"),
+        pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "accesses": [
+            {"target": "DB1", "direction": "two-way", "origin": "field"}]}]},
+                     id="bad-access-origin"),
+        pytest.param({"add_records": [{"record_kind": "asset", "id": "Z", "accesses": [
+            {"target": "DB1", "direction": "sideways", "origin": "asset-field"}]}]},
+                     id="bad-access-direction"),
     ],
 )
 def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
     overlay = tmp_path / "overlay.json"
-    overlay.write_text(json.dumps(doc))
+    overlay.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     for command in ("scan", "whatif"):
         code, out, err = run_cli(cloud_minimal_args(command, "--overlay", str(overlay)))
         assert code == 2
@@ -456,7 +466,7 @@ def test_overlay_input_errors_exit_2_with_one_line(tmp_path, doc, request):
         assert err.count("\n") == 1
         assert "Traceback" not in err
         if request.node.callspec.id in OVERLAY_ERRORS:
-            assert err == f"error: bad added record: {OVERLAY_ERRORS[request.node.callspec.id]}\n"
+            assert err == f"error: {OVERLAY_ERRORS[request.node.callspec.id]}\n"
 
 
 def test_an_overlay_that_replaces_one_spec_twice_is_rejected(tmp_path):
@@ -487,19 +497,38 @@ def test_an_overlay_record_of_an_unknown_kind_is_fatal(tmp_path):
     assert (code, out, err) == (2, "", "error: bad added record: unknown record_kind 'widget'\n")
 
 
-#: the error of the cases above whose wording is pinned, by case id
+#: the error line of the cases above whose wording is pinned, by case id, after ``error: ``
 OVERLAY_ERRORS = {
-    "unknown-field": "unknown field 'storage_location' in data record 'D9'",
-    "accesses-string": "the accesses of 'Z' must be a list of objects with target, direction and origin",
-    "accesses-strings": "the accesses of 'Z' must be a list of objects with target, direction and origin",
-    "crypto-field-on-data": "unknown field 'location' in data record 'Audit1'",
-    "accesses-on-data": "unknown field 'accesses' in data record 'Audit1'",
-    "object-type-on-asset": "unknown field 'object_type' in asset record 'Z'",
-    "kind-on-crypto": "unknown field 'kind' in crypto record 'K9'",
-    "id-on-classification": "unknown field 'id' in classification record 'Internal'",
-    "required-null": "classification 'Internal' needs a list of required levels",
-    "unknown-access-field": "unknown field 'sorce' in an access of 'Z'",
-    "unknown-level-field": "unknown field 'junk' in a required level of 'Internal'",
+    "unknown-field": "bad added record: data record 'D9' has unknown key 'storage_location'; "
+                     "expected record_kind, id, storage_locations, classification, retention_years, name, source",
+    "accesses-string": "bad added record: the accesses of 'Z' must be a list of objects with target, direction "
+                       "and origin",
+    "accesses-strings": "bad added record: the accesses of 'Z' must be a list of objects with target, direction "
+                        "and origin",
+    "crypto-field-on-data": "bad added record: data record 'Audit1' has unknown key 'location'; "
+                            "expected record_kind, id, storage_locations, classification, retention_years, name, "
+                            "source",
+    "accesses-on-data": "bad added record: data record 'Audit1' has unknown key 'accesses'; "
+                        "expected record_kind, id, storage_locations, classification, retention_years, name, source",
+    "object-type-on-asset": "bad added record: asset record 'Z' has unknown key 'object_type'; "
+                            "expected record_kind, id, kind, accesses, serves, name, source",
+    "kind-on-crypto": "bad added record: crypto record 'K9' has unknown key 'kind'; expected record_kind, id, "
+                      "object_type, location, key_locations, algorithm, config_flags, matched_key, issuer_cert, "
+                      "created_by, name, source",
+    "id-on-classification": "bad added record: classification record 'Internal' has unknown key 'id'; "
+                            "expected record_kind, label, required, source",
+    "required-null": "bad added record: classification 'Internal' needs a list of required levels",
+    "unknown-access-field": "bad added record: an access of 'Z' has unknown key 'sorce'; "
+                            "expected target, direction, origin, source",
+    "unknown-level-field": "bad added record: a required level of 'Internal' has unknown key 'junk'; "
+                           "expected dimension, value",
+    "unknown-overlay-key": "the overlay has unknown key 'replace_algorithm'; "
+                           "expected replace_algorithms, remove_records, add_records",
+    "not-json": "the overlay is not valid JSON: Expecting value: line 1 column 1 (char 0)",
+    "unknown-replacement-key": "a replace_algorithms entry has unknown key 'note'; expected from, to",
+    "bad-access-origin": "bad added record: an access of 'Z' has origin 'field'; expected access-record, asset-field",
+    "bad-access-direction": "bad added record: an access of 'Z' has direction 'sideways'; "
+                            "expected two-way, read-only",
 }
 
 
@@ -564,16 +593,20 @@ def test_bad_horizon_is_fatal(tmp_path):
         ("--horizon", {"migration_years": float("inf")}, "migration_years must be a number, got inf"),
         # a misspelt key would otherwise leave its default in force without a word
         ("--policy", {"longevity_multipler": 3},
-         "a policy has unknown key 'longevity_multipler'; expected class_weights or longevity_multiplier"),
+         "a policy has unknown key 'longevity_multipler'; expected class_weights, longevity_multiplier"),
         ("--policy", {"weights": {"PQC": 2}},
-         "a policy has unknown key 'weights'; expected class_weights or longevity_multiplier"),
+         "a policy has unknown key 'weights'; expected class_weights, longevity_multiplier"),
         ("--horizon", {"migration_years": 5, "quantum_horizon": 20},
-         "a horizon has unknown key 'quantum_horizon'; expected migration_years or quantum_horizon_years"),
+         "a horizon has unknown key 'quantum_horizon'; expected migration_years, quantum_horizon_years"),
+        ("--policy", "not json", "a policy is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("--policy", {"class_weights": {"PQC": 2, "Bogus": 2}},
+         "class_weights has unknown key 'Bogus'; "
+         "expected EllipticCurve, IntegerFactoring, SymmetricSearch, PQC, HashBased, Unknown"),
     ],
 )
 def test_policy_and_horizon_shape_errors_exit_2_with_one_line(tmp_path, flag, doc, message):
     path = tmp_path / "settings.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     what = flag.lstrip("-")
     code, out, err = run_cli(cloud_minimal_args("scan", flag, str(path)))
     assert code == 2
@@ -713,14 +746,17 @@ def test_a_profile_role_its_kind_does_not_read_exits_2_with_one_line(tmp_path):
         # a misspelt key would otherwise be dropped, here with its default
         ({"profiles": [{"inventory": "data.csv", "kind": "data", "columns": {"ID": "id"},
                         "default": {"retention_years": "30"}}]},
-         "profile #1: unknown key 'default'; expected inventory, kind, columns, defaults"),
-        ({"profiles": [], "extra": 1}, "unknown key 'extra'; expected profiles"),
+         "profile #1 has unknown key 'default'; expected inventory, kind, columns, defaults"),
+        ({"profiles": [], "extra": 1}, "the profile document has unknown key 'extra'; expected profiles"),
+        ("not json", "the profile document is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ({"profiles": [{"inventory": "data.csv", "kind": "data", "columns": ["ID"]}]},
+         "profile #1: columns must be a JSON object, got ['ID']"),
     ],
-    ids=["entry", "document"],
+    ids=["entry", "document", "not-json", "columns-list"],
 )
 def test_unknown_profile_keys_exit_2_with_one_line(tmp_path, doc, message):
     path = tmp_path / "profiles.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run_cli(cloud_minimal_args("scan", "--profiles", str(path)))
     assert (code, out) == (2, "")
     assert err == f"error: {path}: {message}\n"

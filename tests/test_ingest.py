@@ -107,7 +107,9 @@ def test_parse_profiles_rejects_bad_documents(tmp_path, doc):
     "entry, message",
     [
         ({"kind": "data", "columns": {"ID": "id"}, "defaults": {"colour": "red"}},
-         "unknown role 'colour' in defaults"),
+         "defaults has unknown key 'colour'; expected id, storage_location, classification, security_level, "
+         "algorithm, config_flag, object_type, location, matched_key, issuer_cert, created_by, accesses_target, "
+         "access_direction, retention_years, serves, name, ignore"),
         ({"kind": "access", "columns": {"Asset": "id"}},
          "access profile does not assign the accesses_target role"),
         ({"kind": "classification", "columns": {"Classification": "classification"}},

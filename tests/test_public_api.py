@@ -76,6 +76,27 @@ def test_the_readers_build_on_model_alone():
             assert not named & above, (stem, sorted(named & above))
 
 
+def test_json_inputs_are_decoded_in_one_place():
+    """A profile, an overlay, a policy and a horizon are decoded by
+    ``ingest._json_document`` alone, so a malformed one reads the same
+    whichever it is; ``registry``, whose documented reading also takes a
+    Python literal, decodes its own.  Each ``loads`` is named by its module
+    and the function around it."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "loads" or (
+                isinstance(child, ast.ImportFrom) and child.module == "json"
+            ):
+                readers.add(owner)
+            visit(child, (owner[0], child.name) if isinstance(child, ast.FunctionDef) else owner)
+
+    for path in sorted((ROOT / "src" / "cryptodep").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem, None))
+    assert {owner for owner in readers if owner[0] != "registry"} == {("ingest", "_json_document")}
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     run = subprocess.run(
