@@ -28,7 +28,8 @@ def main():
         use_builtin_profiles=True,
     )
     print(f"loaded {len(bundle.data)} data record(s), {len(bundle.assets)} asset(s), "
-          f"{len(bundle.crypto_objects)} crypto object(s)")
+          f"{len(bundle.crypto_objects)} crypto object(s); "
+          f"{len(bundle.undeclared_assets)} asset(s) only referenced: {', '.join(sorted(bundle.undeclared_assets))}")
     for diag in diagnostics:
         print(" ", diag.render())
 

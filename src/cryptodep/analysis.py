@@ -468,7 +468,7 @@ def apply_overlay(
     So an added asset with an existing id merges, an added data or crypto
     record with one is a ``duplicate-id``, an added classification ranks
     below the existing ones, and a removed id that other records still
-    reference comes back as an undeclared asset, with a warning.
+    reference stays one of the result's ``undeclared_assets``, with a warning.
     """
     problems: list[str] = []
 
@@ -482,7 +482,7 @@ def apply_overlay(
             problems.append(f"{old} is replaced by both {earlier} and {new}")
         replacements[spec_key(old)] = new
 
-    named = (bundle.crypto_map, bundle.data_map, bundle.asset_map, bundle.classification_map)
+    named = (bundle.crypto_map, bundle.data_map, bundle.asset_map, bundle.undeclared_assets, bundle.classification_map)
     missing = [r for r in overlay.remove_records if not any(r in ids for ids in named)]
     problems.extend(f"cannot remove unknown record {r}" for r in missing)
 
@@ -509,7 +509,7 @@ def apply_overlay(
 
     readded = {_record_key(record) for record in added}
     for ident in overlay.remove_records:
-        if ident in overlaid.asset_map and ident not in readded:
+        if ident in overlaid.undeclared_assets and ident not in readded:
             _warning(
                 diagnostics, "overlay", None, "removed-but-referenced",
                 f"removed record {ident!r} is still referenced by other records and stays as an undeclared asset",

@@ -317,6 +317,7 @@ def cmd_validate(args) -> int:
         len(bundle.classifications)
         + len(bundle.data)
         + len(bundle.assets)
+        + len(bundle.undeclared_assets)  # an asset that only references name counts as one record
         + len(bundle.crypto_objects)
     )
     with _writing_report():

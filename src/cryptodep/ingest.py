@@ -681,8 +681,9 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
 
     Asset records with the same id merge (union of references); duplicate
     data/crypto ids are errors with the lexicographically first record kept.
-    Access targets materialise as undeclared assets so asset-to-asset
-    relations never dangle.  The bundle keeps ``records`` as given.
+    The bundle holds only what the records give: an id that references
+    alone name is one of its ``undeclared_assets``, not an asset record.
+    The bundle keeps ``records`` as given.
     """
     records = tuple(records)
     diags: list[Diagnostic] = []
@@ -714,32 +715,7 @@ def assemble_bundle(records, registry: CryptoRegistry) -> tuple[InventoryBundle,
         elif isinstance(record, AssetRecord):
             asset_rows.setdefault(record.id, []).append(record)
 
-    # Every reference resolves here.  Serves targets, access-record targets
-    # and reference cells naming no crypto object, data record or registry
-    # algorithm are assets, declared or not, so ``InventoryBundle.resolve``
-    # finds every cell's target.  Each such target keeps the first row, by
-    # file and ref, that refers to it.
-    referrers: dict[str, Source] = {}
-    access_record = RefOrigin.ACCESS_RECORD
-    for rows in asset_rows.values():
-        for row in rows:
-            targets = [*row.serves]
-            for ref in row.accesses:
-                target = ref.target
-                if ref.origin is access_record or (
-                    target not in crypto and target not in data and registry.algorithm_ref(target) is None
-                ):
-                    targets.append(target)
-            source = row.source
-            for target in targets:
-                held = referrers.get(target)
-                if held is None or source < held:
-                    referrers[target] = source
-
-    assets = {ident: _merge_assets(ident, rows, referrers.get(ident), diags) for ident, rows in asset_rows.items()}
-    for ident, source in referrers.items():
-        if ident not in assets:
-            assets[ident] = AssetRecord(id=ident, source=source)
+    assets = {ident: _merge_assets(ident, rows, diags) for ident, rows in asset_rows.items()}
 
     classifications = tuple(
         ClassificationBinding(
@@ -776,20 +752,12 @@ def _insert_unique(table: dict, record, noun: str, diags: list[Diagnostic]) -> N
     )
 
 
-def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, diags: list[Diagnostic]):
-    """The asset the rows declaring ``ident`` give, with ``referrer`` the
-    first row that refers to it, if any.  A row equal to the merge is
-    returned itself, so the bundle and its records hold one copy of an
-    asset declared by one row."""
-    if len(rows) == 1:
-        # one row is its own merge, unless its references need sorting or
-        # a referrer sorts before a row that gives nothing but the id
-        row = rows[0]
-        if len(row.serves) < 2 and len(row.accesses) < 2 and (
-            row.kind is not None or row.name or row.serves or row.accesses
-            or referrer is None or row.source <= referrer
-        ):
-            return row
+def _merge_assets(ident: str, rows: list[AssetRecord], diags: list[Diagnostic]):
+    """The asset the rows declaring ``ident`` give.  A row equal to the
+    merge is returned itself, so the bundle and its records hold one copy
+    of an asset declared by one row."""
+    if len(rows) == 1 and len(rows[0].serves) < 2 and len(rows[0].accesses) < 2:
+        return rows[0]  # its own merge: no references to sort
     kinds = sorted({r.kind for r in rows if r.kind is not None}, key=lambda k: k.value)
     if len(kinds) > 1:
         _error(
@@ -805,18 +773,16 @@ def _merge_assets(ident: str, rows: list[AssetRecord], referrer: Source | None, 
     )
     names = sorted({r.name for r in rows if r.name})
     # rows that declare the asset itself beat rows that merely relate it to
-    # something, and both beat rows that only name it and rows that refer
-    # to it
+    # something, and both beat rows that only name it
     identity = [r.source for r in rows if r.kind is not None or r.name]
     relation = [r.source for r in rows if r.serves or r.accesses]
-    mentions = [r.source for r in rows] + ([referrer] if referrer else [])
     merged = AssetRecord(
         id=ident,
         kind=kinds[0] if kinds else None,
         serves=serves,
         accesses=accesses,
         name=names[0] if names else None,
-        source=min(identity or relation or mentions),
+        source=min(identity or relation or [r.source for r in rows]),
     )
     return next((r for r in rows if r == merged), merged)
 

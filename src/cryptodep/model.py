@@ -271,8 +271,8 @@ class AccessRef:
 class AssetRecord:
     """A machine, service, channel, process, or piece of software.
 
-    ``kind`` is None for assets that are only ever referenced (an undeclared
-    asset behaves as a processor during graph construction).
+    ``kind`` is None for rows that name no kind; such an asset builds as a
+    processor, as do the bundle's ``undeclared_assets``, which have no record.
     """
 
     id: str
@@ -464,10 +464,27 @@ class InventoryBundle:
     def crypto_map(self) -> dict[str, CryptoObjectRecord]:
         return {c.id: c for c in self.crypto_objects}
 
+    @cached_property
+    def undeclared_assets(self) -> frozenset[str]:
+        """The ids that name an asset no record declares: each ``serves`` and access-record target, and
+        each asset reference cell that names no crypto object, data record or registry algorithm."""
+        declared, crypto, data = self.asset_map, self.crypto_map, self.data_map
+        algorithm_ref, access_record = self.registry.algorithm_ref, RefOrigin.ACCESS_RECORD
+
+        def named(record: AssetRecord):  # what the record's references name as assets
+            yield from record.serves
+            for ref in record.accesses:
+                target = ref.target
+                if ref.origin is access_record or not (target in crypto or target in data or algorithm_ref(target)):
+                    yield target
+
+        return frozenset(target for record in self.assets for target in named(record) if target not in declared)
+
     def resolve(self, target: str) -> CryptoObjectRecord | DataRecord | AssetRecord | tuple | None:
         """What an asset reference cell naming ``target`` names: its crypto, data or asset record, in
-        that order, else the registry's ``(name, flags)`` for an algorithm it spells, else None."""
-        return (
-            self.crypto_map.get(target) or self.data_map.get(target) or self.asset_map.get(target)
-            or self.registry.algorithm_ref(target)
-        )
+        that order; else, unless it is one of :attr:`undeclared_assets`, the registry's ``(name, flags)``
+        for an algorithm it spells; else None."""
+        found = self.crypto_map.get(target) or self.data_map.get(target) or self.asset_map.get(target)
+        if found is None and target not in self.undeclared_assets:
+            found = self.registry.algorithm_ref(target)
+        return found

@@ -252,15 +252,15 @@ _LOCATED = "crypto object {!r} names location {!r} but no such asset exists"
 
 class _Builder:
     """Vertices, edges and diagnostics as the rules add them, in two phases.
-    Declare: each record claims its id; the first claim on an id gives it
-    its vertex, and a claim in a second namespace is a collision.  Link: a
-    reference uses a declared id, and ``ref`` gives an undeclared one a
-    vertex that stands for no record (``dangled``), so no claim collides
-    with it.  Edges go into one list, duplicates and all, each holding the
-    provenance tuple its record shares among all of its edges; ``finish``
-    sorts the list once and merges the duplicates, so most edges keep that
-    shared tuple.  Validation passes an edge list that keeps none, and a
-    build whose caller wants no diagnostics a diagnostics list that keeps none."""
+    Declare: each record and undeclared asset claims its id; the first
+    claim on an id gives it its vertex, and a claim in a second namespace
+    is a collision.  Link: a reference uses a claimed id, and ``ref`` gives
+    one naming nothing a vertex that stands for no record (``dangled``), so
+    no claim collides with it.  Edges go into one list, duplicates and all,
+    each holding the provenance tuple its record shares among all of its
+    edges; ``finish`` sorts the list once and merges the duplicates, so most
+    edges keep that shared tuple.  Validation passes an edge list that keeps
+    none, and a build whose caller wants no diagnostics a diagnostics list that keeps none."""
 
     def __init__(self, bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None, edges=None):
         self.bundle = bundle
@@ -269,9 +269,8 @@ class _Builder:
         self.active_dims = {rating.dimension for binding in bundle.classifications for rating in binding.required}
         # bound once: the rules consult them for nearly every record
         self.labels = bundle.classification_map
-        self.assets = bundle.asset_map
         self.crypto = bundle.crypto_map
-        bundle.data_map  # for resolve: made now, not mid-pass on top of the graph (2 MB of scan_100k's peak RSS)
+        self.undeclared = bundle.undeclared_assets  # makes data_map for resolve now, not mid-pass (2 MB of peak RSS)
         self.kinds: dict[str, VertexKind] = {}  # the graph's vertex index
         self.named: dict[str, Vertex] = {}
         self.edges: list[Edge] = [] if edges is None else edges
@@ -312,6 +311,12 @@ class _Builder:
                 self.kinds[ident] = kind
                 self.dangled.add(ident)
         return ident
+
+    def asset(self, ident: str, record, message: str) -> str:
+        """``record``'s reference to the asset ``ident``, declared or not."""
+        if ident in self.undeclared:
+            return ident
+        return self.ref(ident, self.bundle.asset_map, VertexKind.PROCESSOR, record, message)
 
     def edge(self, frm: str, to: str, rule: str, provenance: tuple[Source]) -> None:
         if frm != to:
@@ -389,10 +394,10 @@ class _Builder:
 
 
 def build_graph(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = None) -> DependencyGraph:
-    """Apply the rule catalogue to every record in the bundle; a reference
-    cell naming nothing builds as the undeclared asset assembly makes of it.
-    What the pass cannot place, the diagnostics :func:`validate_bundle`
-    returns, is appended to ``diagnostics`` when it is given.
+    """Apply the rule catalogue to every record in the bundle, and to each of
+    its ``undeclared_assets`` as a processor.  What the pass cannot place, the
+    diagnostics :func:`validate_bundle` returns, is appended to ``diagnostics``
+    when it is given.
 
     Construction is additive: each record only ever contributes vertices and
     edges, so growing the bundle grows the graph.  Security levels are
@@ -422,13 +427,8 @@ def _rule_pass(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = N
         builder.vertex(record.id, VertexKind.DATA_ASSET, record.display)
     for record in bundle.assets:
         builder.vertex(record.id, _ASSET_VERTEX_KIND[record.kind], record.name)
-    # assembly makes each serves and access-record target an asset, so each is claimed as one
-    for record in bundle.assets:
-        for target in record.serves:
-            builder.vertex(target, VertexKind.PROCESSOR)
-        for ref in record.accesses:
-            if ref.origin is RefOrigin.ACCESS_RECORD:
-                builder.vertex(ref.target, VertexKind.PROCESSOR)
+    for ident in sorted(builder.undeclared):
+        builder.vertex(ident, VertexKind.PROCESSOR)
     for record in bundle.crypto_objects:
         builder.vertex(record.id, CRYPTO_RULES[record.object_type].kind, record.display)
 
@@ -444,7 +444,7 @@ def _rule_pass(bundle: InventoryBundle, diagnostics: list[Diagnostic] | None = N
             builder.edge(label, record.id, "DC1", provenance)
         for location in record.storage_locations:
             message = "data {!r} names storage location {!r} but no such asset exists"
-            target = builder.ref(location, builder.assets, VertexKind.PROCESSOR, record, message)
+            target = builder.asset(location, record, message)
             builder.edge(record.id, target, _DATA_LOCATION_RULE.get(builder.kinds[target], "D1"), provenance)
     for record in bundle.assets:
         _apply_asset_rules(builder, record)
@@ -479,10 +479,8 @@ def _access_pair(builder: _Builder, asset: str, service: str, direction: Directi
 
 def _typed_reference(builder: _Builder, record, src_kind: VertexKind, ref, provenance: tuple[Source]) -> None:
     """Link a reference column on an asset row by what the bundle resolves
-    its target to.  A record's id already has its vertex and is used as it
-    is; an algorithm makes its configuration; a target naming nothing is
-    reported and read as the undeclared asset that ``assemble_bundle``
-    would have made of it."""
+    its target to.  A record's id, or an undeclared asset's, already has its
+    vertex and is used as it is; an algorithm makes its configuration."""
     src, target = record.id, ref.target
     resolved = builder.bundle.resolve(target)
     if isinstance(resolved, CryptoObjectRecord):
@@ -493,8 +491,6 @@ def _typed_reference(builder: _Builder, record, src_kind: VertexKind, ref, prove
         config = builder.used(builder.config(*resolved), src, provenance[0])
         builder.edge(src, config, _ALGORITHM_REF_RULE.get(src_kind, "M3"), provenance)
     else:  # an asset, declared or not
-        message = "asset {!r} references {!r} but no such record or algorithm exists"
-        builder.ref(target, builder.assets, VertexKind.PROCESSOR, record, message)
         target_kind = builder.kinds[target]
         if src_kind is VertexKind.CHANNEL or target_kind is VertexKind.CHANNEL:
             builder.edge(src, target, "CH2", provenance)
@@ -514,7 +510,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
     provenance = (record.source,)
     diags, fname = builder.diagnostics, record.source.file
     if record.location:
-        holder = builder.ref(record.location, builder.assets, VertexKind.PROCESSOR, record, _LOCATED)
+        holder = builder.asset(record.location, record, _LOCATED)
         holder_kind = builder.kinds[holder]
         if row.location:
             builder.edge(obj, holder, row.location, provenance)
@@ -529,7 +525,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
     # key-management locations hold the underlying key material, so every
     # kind of crypto object leans on them
     for key_location in record.key_locations:
-        holder = builder.ref(key_location, builder.assets, VertexKind.PROCESSOR, record, _LOCATED)
+        holder = builder.asset(key_location, record, _LOCATED)
         builder.edge(obj, holder, "K1", provenance)
     if record.algorithm:
         config = builder.used(builder.config(record.algorithm, record.config_flags), record.id, record.source)
@@ -538,7 +534,7 @@ def _apply_crypto_rules(builder: _Builder, record) -> None:
         _error(diags, fname, None, "missing-algorithm", f"certificate {obj!r} must name its signature algorithm")
     if record.created_by:
         message = "crypto object {!r} was created by {!r} but no such asset exists"
-        creator = builder.ref(record.created_by, builder.assets, VertexKind.PROCESSOR, record, message)
+        creator = builder.asset(record.created_by, record, message)
         builder.edge(obj, creator, "K5", provenance)
     if record.matched_key and not row.matched_key:
         message = f"matched_key is only valid for public keys and certificates, found on {obj!r}"

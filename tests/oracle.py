@@ -194,19 +194,17 @@ def merged_edges_oracle(edges):
 def assemble_oracle(records, registry):
     """``(bundle, diagnostics)`` as ``assemble_bundle`` should give them.
 
-    Every serves target and every reference naming no crypto object, data
-    record or registry algorithm (or any access-record target) adds a stub
-    ``AssetRecord(id=target, source=<referring row's source>)`` to the rows
-    of its target; then all rows of each asset id merge.  The merged source
-    is the first, by (file, ref), of the rows giving a kind or name, else
-    of the rows with references, else of all rows and stubs.  A kind
-    conflict is blamed on the first file among the rows giving a kind.
+    All rows of each asset id merge, and an id that only references name
+    makes no asset.  The merged source is the first, by (file, ref), of the
+    rows giving a kind or name, else of the rows with references, else of
+    all rows.  A kind conflict is blamed on the first file among the rows
+    giving a kind.
     """
     records = tuple(records)
     diags = []
     labels = {}  # label -> [source, {dimension: rating}], in first-seen order
     tables = {DataRecord: {}, CryptoObjectRecord: {}}
-    rows = {}  # asset id -> its rows, then its stubs
+    rows = {}  # asset id -> its rows
     for record in records:
         if isinstance(record, ClassificationBinding):
             source, ratings = labels.setdefault(record.label, [record.source, {}])
@@ -232,15 +230,6 @@ def assemble_oracle(records, registry):
                     f"{noun} id {record.id!r} is defined more than once; keeping the copy from {keep.source.file}",
                 ))
     data, crypto = tables[DataRecord], tables[CryptoObjectRecord]
-
-    for row in [row for parts in rows.values() for row in parts]:
-        targets = list(row.serves) + [
-            ref.target for ref in row.accesses
-            if ref.origin is RefOrigin.ACCESS_RECORD
-            or (ref.target not in crypto and ref.target not in data and registry.algorithm_ref(ref.target) is None)
-        ]
-        for target in targets:
-            rows.setdefault(target, []).append(AssetRecord(id=target, source=row.source))
 
     assets = {}
     for ident, parts in rows.items():
@@ -371,7 +360,7 @@ def edges_oracle(bundle):
                 edge(me, vertex(target, VertexKind.KEY), _CRYPTO_REF_RULES.get(mine, "M3"), source)
             elif target in data:
                 edge(vertex(target, VertexKind.DATA_ASSET), me, _DATA_RULES[mine], source)
-            elif target in assets:
+            elif target in assets or registry.algorithm_ref(target) is None:  # an asset, declared or not
                 other = vertex(target, VertexKind.PROCESSOR)
                 if VertexKind.CHANNEL in (mine, kinds[other]):  # CH2, both ways
                     edge(me, other, "CH2", source)

@@ -232,9 +232,10 @@ def test_validate_clean_fixture(cloud_minimal_bundle):
         len(cloud_minimal_bundle.classifications)
         + len(cloud_minimal_bundle.data)
         + len(cloud_minimal_bundle.assets)
+        + len(cloud_minimal_bundle.undeclared_assets)  # DB1, which only an access row names
         + len(cloud_minimal_bundle.crypto_objects)
     )
-    assert out == f"{records} records, 0 errors, 0 warnings\n"
+    assert out == f"{records} records, 0 errors, 0 warnings\n" == "5 records, 0 errors, 0 warnings\n"
     assert err == ""
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from cryptodep import (
     MappingProfile,
     SecurityRating,
     Source,
+    VertexKind,
     VulnerabilityClass,
     assemble_bundle,
     build_graph,
@@ -636,9 +638,9 @@ def test_assemble_merges_asset_parts():
     assert [r.target for r in merged.accesses] == ["A3"]
     assert merged.source == Source("assets.csv", "A1")
     assert not codes(diags, Severity.ERROR)
-    # referenced assets materialise
-    assert set(bundle.asset_map) == {"A1", "A2", "A3"}
-    assert bundle.asset_map["A2"].kind is None
+    # only rows give asset records: the ids references alone name are undeclared assets
+    assert set(bundle.asset_map) == {"A1"}
+    assert bundle.undeclared_assets == {"A2", "A3"}
 
 
 def test_assemble_duplicate_ids_resolve_the_same_both_ways():
@@ -709,9 +711,10 @@ def test_assemble_does_not_materialise_typed_reference_targets():
         ),
     ]
     bundle, _ = assemble_bundle(recs, _registry())
-    # crypto ids, data ids and registry algorithms stay out of the asset map;
-    # a plain unresolved name becomes an undeclared asset
-    assert set(bundle.asset_map) == {"A1", "A9"}
+    # crypto ids, data ids and registry algorithms are no assets; a plain
+    # unresolved name is an undeclared asset, which makes no asset record
+    assert set(bundle.asset_map) == {"A1"}
+    assert bundle.undeclared_assets == {"A9"}
 
 
 def test_bundle_is_sorted_and_order_independent():
@@ -754,7 +757,7 @@ def _more_asset_rows(rng: random.Random, records: list) -> list:
     return rows
 
 
-def test_assembly_matches_the_stub_oracle():
+def test_assembly_matches_the_merge_oracle():
     registry = _registry()
     seen = dict.fromkeys(["referenced-only", "id-only", "serves", "access-record", "conflicting-kind"], 0)
     for seed in range(150):
@@ -771,7 +774,8 @@ def test_assembly_matches_the_stub_oracle():
 
         rows = [r for r in records if isinstance(r, AssetRecord)]
         declared = {r.id for r in rows}
-        seen["referenced-only"] += sum(a.id not in declared for a in bundle.assets)
+        assert {a.id for a in bundle.assets} == declared, seed
+        seen["referenced-only"] += len(bundle.undeclared_assets)
         seen["id-only"] += sum(not (r.kind or r.name or r.serves or r.accesses) for r in rows)
         seen["serves"] += sum(len(r.serves) for r in rows)
         seen["access-record"] += sum(ref.origin is RefOrigin.ACCESS_RECORD for r in rows for ref in r.accesses)
@@ -826,32 +830,48 @@ def test_validate_reports_each_cross_reference_problem():
     )
 
 
-def test_a_cell_naming_nothing_in_a_bundle_built_in_code_dangles_and_builds_as_assembly_would():
-    """Assembly makes a reference cell that names no record or algorithm an
-    undeclared asset; a bundle built without it still validates and builds."""
-    asset = AssetRecord(
+def test_assembling_merged_records_changes_neither_validation_nor_the_graph():
+    """Assembly only merges rows and drops duplicates, so records that need
+    neither validate and build alike in a bundle built in code and in the
+    bundle assembled from them.  A cell naming nothing (``Ghost``, and the
+    generator's ``X1``) is an undeclared asset either way, not an error."""
+    registry = load_default_registry()
+    ghost = AssetRecord(
         id="A", source=Source("a.csv", "A"),
         accesses=(AccessRef("Ghost", Direction.TWO_WAY, RefOrigin.ASSET_FIELD, Source("a.csv", "A")),),
     )
-    registry = load_default_registry()
-    bundle = InventoryBundle(assets=(asset,), registry=registry)
-    assert [d.render() for d in validate_bundle(bundle)] == [
-        "error: a.csv: dangling-reference: asset 'A' references 'Ghost' "
-        "but no such record or algorithm exists"
+    stored = DataRecord(id="D", storage_locations=("Ghost",), source=Source("d.csv", "D"))
+    key = CryptoObjectRecord(
+        id="K", object_type=CryptoObjectType.SYMMETRIC_KEY, location="Ghost", created_by="Ghost",
+        algorithm="AES", config_flags=("128",), source=Source("k.csv", "K"),
+    )
+    cases = [InventoryBundle(data=(stored,), assets=(ghost,), crypto_objects=(key,), registry=registry)]
+    for seed in range(200):
+        records = inventory_gen.random_records(random.Random(seed))
+        declared = {r.id for r in records if isinstance(r, AssetRecord)}
+        merged, _ = assemble_bundle(records, registry)
+        assets = tuple(a for a in merged.assets if a.id in declared)  # each declared asset, merged
+        cases.append(replace(merged, assets=assets))
+    for index, bundle in enumerate(cases):
+        records = [*bundle.classifications, *bundle.data, *bundle.assets, *bundle.crypto_objects]
+        assembled, diags = assemble_bundle(records, registry)
+        assert diags == [], index
+        assert validate_bundle(bundle) == validate_bundle(assembled), index
+        assert build_graph(bundle) == build_graph(assembled), index
+    graph = build_graph(cases[0])
+    assert graph.kinds["Ghost"] is VertexKind.PROCESSOR
+    assert [edge[:3] for edge in graph.edges if "Ghost" in edge[:2]] == [
+        ("A", "Ghost", "AC1"), ("D", "Ghost", "D1"), ("Ghost", "A", "AC1"), ("Ghost", "K", "M1"),
+        ("K", "Ghost", "K1"), ("K", "Ghost", "K5"),
     ]
-    assembled, diags = assemble_bundle([asset], registry)
-    assert diags == [] and validate_bundle(assembled) == []
-    graph = build_graph(bundle)
-    assert graph == build_graph(assembled)
-    assert [edge[:3] for edge in graph.edges] == [("A", "Ghost", "AC1"), ("Ghost", "A", "AC1")]
+    assert validate_bundle(cases[0]) == []
 
 
 @pytest.mark.parametrize("access_record", [False, True])
 def test_an_asset_target_naming_a_record_collides_in_a_bundle_built_in_code_as_once_assembled(access_record):
-    """Assembly declares every serves and access-record target an asset, so
-    one naming a crypto or data record collides with it; a bundle built
-    without assembly gets the same single line, and an assembled one no
-    second copy."""
+    """Every serves and access-record target is an asset, so one naming a
+    crypto or data record collides with it; a bundle built without assembly
+    gets the same single line as an assembled one."""
     if access_record:
         asset = AssetRecord(id="A", accesses=(AccessRef("D1"),))
         other, what = DataRecord(id="D1", storage_locations=("A",)), "'D1' appears in both data/asset"
@@ -1032,7 +1052,8 @@ def test_load_bundle_applies_profiles_per_file(cloud_minimal_bundle):
     bundle = cloud_minimal_bundle
     assert [c.label for c in bundle.classifications] == ["High"]
     assert [d.id for d in bundle.data] == ["Data1"]
-    assert set(bundle.asset_map) == {"DB1", "WWW1"}
+    assert set(bundle.asset_map) == {"WWW1"}
+    assert bundle.undeclared_assets == {"DB1"}
     assert [c.id for c in bundle.crypto_objects] == ["certkey1"]
     assert bundle.crypto_objects[0].object_type is CryptoObjectType.PRIVATE_KEY
 

@@ -20,6 +20,7 @@ from cryptodep import (
     SecurityRating,
     Severity,
     Source,
+    VertexKind,
     apply_overlay,
     assemble_bundle,
     build_graph,
@@ -247,18 +248,20 @@ def test_added_object_type_takes_the_csv_type_aliases():
 def test_removing_a_referenced_asset_warns_that_it_comes_back():
     bundle = _bundle()
     overlaid, diags = apply_overlay(bundle, Overlay(remove_records=("P1",)))
-    # D1 still names P1 as its storage, which materialises no asset; the
+    # D1 still names P1 as its storage, which makes no undeclared asset; the
     # process row is gone, so P1 is no longer a process anywhere
-    assert "P1" not in overlaid.asset_map
+    assert "P1" not in overlaid.asset_map and "P1" not in overlaid.undeclared_assets
     assert diags == []
 
     bundle = _bundle(
         AssetRecord(id="Web", kind=AssetKind.PROCESSOR, serves=("P1",), source=Source("a.csv", "Web")),
     )
     overlaid, diags = apply_overlay(bundle, Overlay(remove_records=("P1",)))
-    assert overlaid.asset_map["P1"].kind is None  # an undeclared asset, not a process
     assert [(d.severity, d.code) for d in diags] == [(Severity.WARNING, "removed-but-referenced")]
     assert "'P1'" in diags[0].message
+    # the serves cell keeps P1 an asset, undeclared: a processor vertex, not a process
+    assert "P1" not in overlaid.asset_map and "P1" in overlaid.undeclared_assets
+    assert build_graph(overlaid).kinds["P1"] is VertexKind.PROCESSOR
 
 
 def test_a_reference_naming_an_asset_is_not_rewritten():
